@@ -91,9 +91,7 @@ int main() {
 
     // Empirical: among sampled pairs with angle >= pi/2, what fraction is
     // actually shareable? (These are the pairs the prune would discard.)
-    ShareGraphBuilderOptions bopts;
-    bopts.use_angle_pruning = false;
-    ShareGraphBuilder builder(&engine, bopts);
+    ShareGraphBuilder builder(&engine, {});
     int wide = 0, wide_shareable = 0;
     size_t limit = std::min<size_t>(reqs.size(), 400);
     for (size_t i = 0; i < limit; ++i) {

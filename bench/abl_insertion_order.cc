@@ -72,7 +72,6 @@ int main() {
       wopts.seed = 1000 + static_cast<uint64_t>(round) * 13 + k;
       auto reqs = GenerateWorkload(net, &engine, policy, wopts);
       ShareGraphBuilderOptions bopts;
-      bopts.use_angle_pruning = false;
       bopts.vehicle_capacity = k;
       ShareGraphBuilder builder(&engine, bopts);
       builder.AddBatch(reqs);

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "roadnet/contraction_hierarchies.h"
+#include "roadnet/hub_labeling.h"
 #include "sim/workload.h"
 #include "util/logging.h"
 
@@ -338,13 +340,19 @@ BenchContext::BenchContext(const std::string& dataset, double scale)
   // DatasetByName already scaled the request count, fleet size and arrival
   // window (exactly once — see sim/datasets.h); nothing to rescale here.
   graph_ = BuildGraph(&spec_);
-  TravelCostOptions topts;
-  topts.backend = BenchSpBackend();
-  // Snapshot-loaded indices ride along in the bundle; adopt them so a
-  // preprocessed graph never rebuilds what the file already carries.
-  topts.prebuilt_hub_labels = graph_.hub_labels.get();
-  topts.prebuilt_ch = graph_.ch.get();
-  engine_ = std::make_unique<TravelCostEngine>(graph_.network, topts);
+  // Snapshot-loaded indices ride along in the bundle; build the selected
+  // backend's index only when the file did not carry it.
+  using Backend = TravelCostOptions::Backend;
+  const Backend backend = BenchSpBackend();
+  engine_options_.backend = backend;
+  if (backend == Backend::kHubLabeling && !graph_.hub_labels) {
+    graph_.hub_labels = std::make_unique<HubLabeling>(graph_.network);
+  }
+  if (backend == Backend::kContractionHierarchies && !graph_.ch) {
+    graph_.ch = std::make_unique<ContractionHierarchies>(graph_.network);
+  }
+  engine_options_.prebuilt_hub_labels = graph_.hub_labels.get();
+  engine_options_.prebuilt_ch = graph_.ch.get();
   std::fprintf(stderr, "[bench] %s: %zu nodes, %zu edges, %d requests, %d vehicles\n",
                spec_.name.c_str(), graph_.network.num_nodes(),
                graph_.network.num_edges(), spec_.workload.num_requests,
@@ -357,7 +365,8 @@ void BenchContext::EnsureStream(double gamma, int num_requests) {
   policy.gamma = gamma;
   WorkloadOptions wopts = spec_.workload;
   wopts.num_requests = num_requests;
-  requests_ = GenerateWorkload(graph_.network, engine_.get(), policy, wopts);
+  TravelCostEngine engine(graph_.network, engine_options_);
+  requests_ = GenerateWorkload(graph_.network, &engine, policy, wopts);
   stream_gamma_ = gamma;
   stream_requests_ = num_requests;
 }
@@ -383,7 +392,8 @@ RunMetrics BenchContext::Run(const std::string& algorithm,
     sopts.service_qps = qps;
   }
 
-  SimulationEngine sim(engine_.get(), requests_, sopts);
+  TravelCostEngine engine(graph_.network, engine_options_);
+  SimulationEngine sim(&engine, requests_, sopts);
   int vehicles = params.num_vehicles > 0 ? params.num_vehicles : spec_.num_vehicles;
   sim.SpawnFleet(vehicles, capacity);
 
@@ -392,7 +402,6 @@ RunMetrics BenchContext::Run(const std::string& algorithm,
   config.vehicle_capacity = capacity;
   config.grouping.max_group_size = capacity;
   config.sharegraph.vehicle_capacity = capacity;
-  config.sharegraph.use_angle_pruning = params.angle_pruning;
   config.ilp_node_cap = 200'000;
   config.num_threads = BenchThreads();
   config.num_shards = BenchShards();

@@ -32,32 +32,35 @@ struct PointParams {
   double penalty = 10;
   double batch_period = 5;
   double capacity_sigma = 0;
-  bool angle_pruning = false;  ///< SARD-O when true (Tables V/VI)
 };
 
-/// \brief A dataset instantiated for benching: network + engine + a cached
-/// request stream (regenerated when gamma or request count changes).
+/// \brief A dataset instantiated for benching: network + the selected
+/// shortest-path index + a cached request stream (regenerated when gamma or
+/// request count changes).
 class BenchContext {
  public:
   /// \p scale multiplies the preset's request/fleet counts and duration.
   BenchContext(const std::string& dataset, double scale);
 
   /// \brief Run one (algorithm, parameters) point and return its metrics.
+  /// Every call gets a fresh travel-cost engine over the context's index,
+  /// so each run starts on a cold cache and its sp_queries depend neither
+  /// on the runs before it nor on their order.
   RunMetrics Run(const std::string& algorithm, const PointParams& params);
 
   const DatasetSpec& spec() const { return spec_; }
   const RoadNetwork& network() const { return graph_.network; }
   const GraphBundle& graph() const { return graph_; }
-  TravelCostEngine* engine() { return engine_.get(); }
 
  private:
   void EnsureStream(double gamma, int num_requests);
 
   DatasetSpec spec_;
-  /// Network plus any snapshot-loaded indices; the engine adopts the latter
-  /// through TravelCostOptions::prebuilt_* instead of rebuilding.
+  /// Network plus the selected backend's index — loaded from a snapshot or
+  /// built once here — which every engine adopts through
+  /// TravelCostOptions::prebuilt_* instead of rebuilding.
   GraphBundle graph_;
-  std::unique_ptr<TravelCostEngine> engine_;
+  TravelCostOptions engine_options_;
   std::vector<Request> requests_;
   double stream_gamma_ = -1;
   int stream_requests_ = -1;

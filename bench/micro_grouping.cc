@@ -35,7 +35,6 @@ struct Fixture {
     wopts.seed = 8;
     requests = GenerateWorkload(net, &engine, policy, wopts);
     ShareGraphBuilderOptions bopts;
-    bopts.use_angle_pruning = false;
     bopts.vehicle_capacity = 6;
     builder = std::make_unique<ShareGraphBuilder>(&engine, bopts);
     builder->AddBatch(requests);

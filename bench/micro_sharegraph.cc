@@ -1,5 +1,5 @@
-// Microbenchmarks for the shareability graph: batch folding with and
-// without angle pruning (the Alg. 1 cost), shareability loss evaluation and
+// Microbenchmarks for the shareability graph: batch folding (the Alg. 1
+// cost, lower-bound pair screen included), shareability loss evaluation and
 // supernode substitution.
 
 #include <benchmark/benchmark.h>
@@ -43,26 +43,21 @@ Fixture& F() {
 
 void BM_BuildShareGraph(benchmark::State& state) {
   Fixture& f = F();
-  ShareGraphBuilderOptions opts;
-  opts.use_angle_pruning = state.range(0) != 0;
   for (auto _ : state) {
-    ShareGraphBuilder builder(&f.engine, opts);
+    ShareGraphBuilder builder(&f.engine, {});
     builder.AddBatch(f.requests);
     benchmark::DoNotOptimize(builder.graph().NumEdges());
   }
-  state.SetLabel(opts.use_angle_pruning ? "angle pruning" : "no pruning");
 }
-BENCHMARK(BM_BuildShareGraph)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->Iterations(10);
+BENCHMARK(BM_BuildShareGraph)->Unit(benchmark::kMillisecond)->Iterations(10);
 
 void BM_IncrementalAddBatch(benchmark::State& state) {
   // The per-batch incremental cost: fold 20 new requests into a populated
   // graph.
   Fixture& f = F();
-  ShareGraphBuilderOptions opts;
-  opts.use_angle_pruning = true;
   for (auto _ : state) {
     state.PauseTiming();
-    ShareGraphBuilder builder(&f.engine, opts);
+    ShareGraphBuilder builder(&f.engine, {});
     std::vector<Request> base(f.requests.begin(), f.requests.end() - 20);
     std::vector<Request> batch(f.requests.end() - 20, f.requests.end());
     builder.AddBatch(base);
@@ -75,7 +70,7 @@ BENCHMARK(BM_IncrementalAddBatch)->Unit(benchmark::kMillisecond)->Iterations(10)
 
 void BM_ShareabilityLoss(benchmark::State& state) {
   static ShareGraphBuilder* builder = [] {
-    auto* b = new ShareGraphBuilder(&F().engine, ShareGraphBuilderOptions{false});
+    auto* b = new ShareGraphBuilder(&F().engine, {});
     b->AddBatch(F().requests);
     return b;
   }();
@@ -112,11 +107,9 @@ BENCHMARK(BM_ShareabilityLoss)->Arg(2)->Arg(3);
 
 void BM_SupernodeSubstitution(benchmark::State& state) {
   Fixture& f = F();
-  ShareGraphBuilderOptions opts;
-  opts.use_angle_pruning = false;
   for (auto _ : state) {
     state.PauseTiming();
-    ShareGraphBuilder builder(&f.engine, opts);
+    ShareGraphBuilder builder(&f.engine, {});
     builder.AddBatch(f.requests);
     ShareGraph sg = builder.graph();
     // First edge found.

@@ -13,8 +13,9 @@ std::unique_ptr<Dispatcher> MakeRtv(const DispatchConfig&);
 std::unique_ptr<Dispatcher> MakeSard(const DispatchConfig&);
 
 std::vector<std::string> AllDispatcherNames() {
-  // The paper's six comparison methods, in its table order. SARD-O is SARD
-  // with DispatchConfig::sharegraph.use_angle_pruning set.
+  // The paper's six comparison methods, in its table order. SARD-O (SARD
+  // plus angle pruning) is an alias of SARD: the share-graph builder screens
+  // every pair with the pruning's lossless lower-bound form.
   return {"RTV", "pruneGDP", "GAS", "TicketAssign+", "DARM+DPRS", "SARD"};
 }
 

@@ -1,6 +1,7 @@
 // SARD: the paper's structure-aware ridesharing dispatcher. Per batch:
-// fold the new requests into a persistent shareability graph (Alg. 1, with
-// the optional angle pruning = SARD-O), partition the open requests into
+// fold the new requests into a persistent shareability graph (Alg. 1, every
+// pair screened by the lower-bound walk that makes SARD-O's angle pruning
+// lossless — SARD-O is an alias), partition the open requests into
 // capacity-bounded cliques (the grouping stage), then run the
 // proposal/acceptance stage (Alg. 3): each group is proposed to nearby
 // vehicles, each vehicle prices the group by linear insertion in ascending

@@ -18,12 +18,13 @@
 // the system assumes (see ImportOptions):
 //
 //  * Admissibility rescale: generators guarantee edge cost >= Euclidean
-//    length, which A*, insertion pruning and angle pruning rely on. File
-//    coordinates and costs come in unrelated units, so positions are
+//    length, which A*, pruneGDP's reachability prune and the share-graph
+//    builder's lower-bound pair screen rely on (roadnet/road_network.h).
+//    File coordinates and costs come in unrelated units, so positions are
 //    uniformly scaled by min(1, min_edge cost/euclid) — angles and
 //    relative distances are preserved, and the Euclidean lower bound
 //    becomes admissible again (in the worst case it degrades toward 0,
-//    which is still admissible).
+//    which is still admissible, only a weaker screen).
 //
 //  * Largest-component restriction: workload generation samples random
 //    endpoints and expects finite costs; real extracts ship disconnected
@@ -48,6 +49,8 @@ struct ImportOptions {
   /// Drop everything outside the largest connected component (see above).
   bool restrict_to_largest_component = true;
   /// Uniformly rescale positions so every edge cost >= Euclidean length.
+  /// Turning this off makes the share-graph pair screen lossy on any file
+  /// whose coordinates outrun its costs: it would drop shareable pairs.
   bool scale_positions_to_admissible = true;
 };
 

@@ -1,9 +1,12 @@
 // The road network substrate: an undirected weighted graph with planar node
 // positions. Edge weights are travel costs (abstract seconds) and are
-// guaranteed by every generator — and by the importer's admissibility
-// rescale (roadnet/importer.h) — to be >= the Euclidean distance between
-// the endpoints, so straight-line distance is an admissible lower bound for
-// all search and pruning code (A*, insertion pruning, angle pruning).
+// guaranteed by every generator (>= 1.05x by default) — and by the
+// importer's admissibility rescale (roadnet/importer.h, on by default) — to
+// be >= the Euclidean distance between the endpoints, so straight-line
+// distance never exceeds road cost. A*, pruneGDP's reachability prune and
+// the share-graph builder's lower-bound pair screen rely on this for
+// exactness; on a network that breaks it the screen drops shareable pairs
+// and changes every SARD/GAS/RTV outcome.
 //
 // Memory layout (DESIGN.md §"Memory layout"): the graph is built through
 // AddNode/AddEdge into per-node vectors, then *frozen* into a CSR view —

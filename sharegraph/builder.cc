@@ -56,9 +56,12 @@ bool ShareGraphBuilder::AnyJointOrderFeasible(const Request& a,
 }
 
 bool ShareGraphBuilder::Shareable(const Request& a, const Request& b) const {
+  // An order the lower-bound walk rejects fails the exact walk too, so it is
+  // skipped without pricing a leg.
   return AnyJointOrderFeasible(
       a, b, [this](const RouteState& state, Span<const Stop> stops) {
-        return CheckSchedule(state, stops, engine_).first;
+        return CheckScheduleLowerBound(state, stops, engine_).first &&
+               CheckSchedule(state, stops, engine_).first;
       });
 }
 
@@ -87,17 +90,6 @@ bool ShareGraphBuilder::LowerBoundShareable(const Request& a,
       a, b, [this](const RouteState& state, Span<const Stop> stops) {
         return CheckScheduleLowerBound(state, stops, engine_).first;
       });
-}
-
-bool ShareGraphBuilder::AngleWide(const Request& a, const Request& b) const {
-  const RoadNetwork& net = engine_->network();
-  Point sa = net.position(a.source), ea = net.position(a.destination);
-  Point sb = net.position(b.source), eb = net.position(b.destination);
-  // Directions of both trips as seen from the other trip's origin.
-  double theta_ab = AngleBetween(ea - sb, eb - sb);
-  double theta_ba = AngleBetween(eb - sa, ea - sa);
-  return theta_ab >= options_.angle_threshold ||
-         theta_ba >= options_.angle_threshold;
 }
 
 void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
@@ -142,6 +134,11 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
       // Temporal screen: if one ride must end before the other exists, no
       // overlapping order can be feasible.
       if (a.release_time > b.deadline || b.release_time > a.deadline) continue;
+      // Lower-bound screen: no joint order survives even straight-line legs.
+      if (!LowerBoundShareable(a, b)) {
+        ++pruned[task];
+        continue;
+      }
       // Per-lifetime memo: a pair already exact-checked while both requests
       // were present answers for free. Never hits on the engine's event
       // flow (a pair is presented once per lifetime by construction) —
@@ -154,35 +151,22 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
           continue;
         }
       }
-      if (options_.use_angle_pruning && AngleWide(a, b) &&
-          !LowerBoundShareable(a, b)) {
-        ++pruned[task];
-        continue;
-      }
       pending_slot.push_back(list.size());
       list.push_back({b.id, false, /*from_memo=*/false});
       candidates.push_back(&b);
     }
-    // Batched warm-up: every surviving pair reaches Shareable, whose first
-    // evaluated joint order starts at one rider's pickup and prices the leg
-    // to the other pickup before any deadline can fail — so the
-    // (a.source, b.source) cost is queried for every candidate regardless
-    // of which order wins. Fetching those legs one-to-many pins a's source
-    // label once; CostMany's per-target cache fill/count keeps the query
-    // set — and hence sp_queries — identical to the point-to-point path.
+    // Batched warm-up: every candidate has a joint order the lower-bound
+    // walk accepts, so its leading rider makes its own pickup and Shareable's
+    // first exact walk prices the leg to the other pickup before any other
+    // deadline can fail — the (a.source, b.source) cost is queried for every
+    // candidate regardless of which order wins. Fetching those legs
+    // one-to-many pins a's source label once; CostMany's per-target cache
+    // fill/count keeps the query set — and hence sp_queries — identical to
+    // the point-to-point path.
     if (candidates.size() > 1) {
-      // The leading rider must be able to make its own pickup, or every
-      // joint order starting with it bails before pricing any leg; a pair
-      // where neither rider can lead performs zero queries and must not be
-      // warmed.
-      const bool a_can_lead = a.release_time <= a.latest_pickup + 1e-7;
       std::vector<NodeId> pickups;
       pickups.reserve(candidates.size());
-      for (const Request* b : candidates) {
-        if (a_can_lead || b->release_time <= b->latest_pickup + 1e-7) {
-          pickups.push_back(b->source);
-        }
-      }
+      for (const Request* b : candidates) pickups.push_back(b->source);
       std::vector<double> warmed(pickups.size());
       engine_->CostMany(a.source, {pickups.data(), pickups.size()},
                         warmed.data());

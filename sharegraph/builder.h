@@ -3,11 +3,12 @@
 // pairwise joint-service feasibility with the travel-cost engine, and peel
 // closed requests back out in O(degree) as assignment / cancellation /
 // expiry events retire them — instead of rebuilding the graph from scratch
-// over the whole pending pool every batch. The angle pruning (Sec. III-B)
-// screens divergent-direction pairs with a free Euclidean lower-bound walk
-// before spending shortest-path queries; because the lower bound never
-// overestimates, the pruned graph is identical to the unpruned one — only
-// cheaper to build.
+// over the whole pending pool every batch. Every time-overlapping pair is
+// screened with a free Euclidean lower-bound walk of its joint stop orders
+// before any shortest-path query (the lossless form of the paper's angle
+// pruning, Sec. III-B): because the lower bound never exceeds road cost, an
+// order the screen rejects fails the exact walk too, so the graph is the
+// one exact checking alone would build — only cheaper.
 //
 // Lifetimes and the per-pair memo: a pair (a, b) is exactly-checked at most
 // once per request lifetime. While both requests stay in the builder the
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "core/schedule.h"
-#include "geo/angle.h"
 #include "sharegraph/share_graph.h"
 #include "util/span.h"
 
@@ -38,13 +38,9 @@ namespace structride {
 class ThreadPool;
 
 struct ShareGraphBuilderOptions {
-  bool use_angle_pruning = false;
   /// Seats on the (hypothetical) shared vehicle; pairs share iff
   /// min(2, vehicle_capacity) seats admit an overlapping order.
   int vehicle_capacity = 4;
-  /// Pairs whose trip directions diverge by at least this angle go through
-  /// the lower-bound screen first (paper default: pi/2).
-  double angle_threshold = kPi / 2;
 };
 
 class ShareGraphBuilder {
@@ -53,15 +49,17 @@ class ShareGraphBuilder {
       : engine_(engine), options_(options) {}
 
   /// Adds a batch: nodes for every request, then shareability edges among
-  /// the batch and against all previously added requests. With a pool set,
+  /// the batch and against all previously added requests. Each new-vs-
+  /// present pair passes a temporal screen and the lower-bound screen
+  /// (counted in pruned_pairs()) before its exact check. With a pool set,
   /// the pairwise feasibility checks (the dominant cost of a dispatch
   /// batch) run on the workers; edges are still committed serially in the
   /// canonical (insertion-order) sequence, so the graph — and, because pair
   /// checks are mutually independent, the set of travel-cost pairs queried —
   /// is identical at any thread count. Each new request's pickup-to-pickup
   /// legs are prefetched through TravelCostEngine::CostMany (one source, all
-  /// candidate partners), which pins the source's hub label once without
-  /// changing the query set (DESIGN.md §5).
+  /// partners that survived the screens), which pins the source's hub label
+  /// once without changing the query set (DESIGN.md §5).
   void AddRequests(Span<const Request> batch);
   void AddRequests(const std::vector<Request>& batch) {
     AddRequests(Span<const Request>(batch));
@@ -117,7 +115,8 @@ class ShareGraphBuilder {
   size_t num_requests() const { return requests_.size(); }
 
   /// Exact pairwise test: can one two-seat vehicle serve both requests with
-  /// overlapping rides, within both deadlines? Costs shortest-path queries.
+  /// overlapping rides, within both deadlines? Costs shortest-path queries,
+  /// but only for the joint orders the lower-bound walk cannot rule out.
   /// Bypasses the memo; prefer CheckedShareable for repeated probing.
   bool Shareable(const Request& a, const Request& b) const;
 
@@ -127,7 +126,8 @@ class ShareGraphBuilder {
   /// queries.
   bool CheckedShareable(RequestId a, RequestId b);
 
-  /// Pairs short-circuited by the angle screen (no shortest-path queries).
+  /// Pairs AddRequests proved unshareable with the lower-bound walk alone
+  /// (no shortest-path queries, no exact check).
   uint64_t pruned_pairs() const { return pruned_pairs_; }
   /// Exact pairwise feasibility evaluations (Shareable runs) performed —
   /// the redundancy metric the incremental-vs-rebuild bench gates on.
@@ -153,7 +153,6 @@ class ShareGraphBuilder {
 
   void RecordMemo(RequestId a, RequestId b, bool shareable);
 
-  bool AngleWide(const Request& a, const Request& b) const;
   /// False only when the pair is provably unshareable under the Euclidean
   /// lower-bound metric.
   bool LowerBoundShareable(const Request& a, const Request& b) const;

@@ -1,7 +1,7 @@
-// The bench harness's JSON emission: every string value (dataset, bench,
-// series, point names) flows through JsonEscape before landing in
+// The bench harness: its JSON emission — every string value (dataset,
+// bench, series, point names) flows through JsonEscape before landing in
 // BENCH_*.json, so one quote or backslash in a name must never corrupt the
-// file.
+// file — and BenchContext's run isolation.
 
 #include <gtest/gtest.h>
 
@@ -43,6 +43,18 @@ TEST(JsonEscapeTest, KeepsUtf8MultibyteSequencesIntact) {
   // Bytes >= 0x80 are not control characters; a UTF-8 dataset name must
   // survive byte-for-byte.
   EXPECT_EQ(JsonEscape("Chéngdū"), "Chéngdū");
+}
+
+// Each Run starts on a cold travel-cost cache, so a row's sp_queries does
+// not depend on which runs came before it in the same context.
+TEST(BenchContextTest, IdenticalConsecutiveRunsReportEqualQueries) {
+  BenchContext ctx("CHD", 0.02);
+  RunMetrics first = ctx.Run("SARD", PointParams{});
+  RunMetrics second = ctx.Run("SARD", PointParams{});
+  EXPECT_GT(first.sp_queries, 0u);
+  EXPECT_EQ(first.sp_queries, second.sp_queries);
+  EXPECT_EQ(first.served, second.served);
+  EXPECT_EQ(first.unified_cost, second.unified_cost);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // ShareGraph structure operations, and the load-bearing property of the
-// angle pruning: it must never drop a feasible share pair — the pruned and
-// unpruned builders must produce identical graphs (the pruning only saves
-// shortest-path queries).
+// builder's lower-bound pair screen: it must never drop a feasible share
+// pair — the screened graph must equal the one exact checking of every
+// joint order would build (the screen only saves shortest-path queries).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "roadnet/generator.h"
+#include "roadnet/importer.h"
 #include "sharegraph/analysis.h"
 #include "sharegraph/builder.h"
 #include "sharegraph/loss.h"
@@ -19,6 +20,39 @@
 
 namespace structride {
 namespace {
+
+// Both walks of each joint stop order of a pair, rebuilt independently of
+// the builder: the four orders in which the rides overlap (both pickups
+// before both dropoffs), each walked from the leading rider's pickup at its
+// release time with two seats.
+struct JointOrderWalks {
+  bool exact[4];
+  bool lower_bound[4];
+};
+
+JointOrderWalks WalkJointOrders(const Request& a, const Request& b,
+                                TravelCostEngine* engine) {
+  const Stop pa = PickupStop(a), pb = PickupStop(b);
+  const Stop da = DropoffStop(a), db = DropoffStop(b);
+  const std::vector<Stop> orders[4] = {
+      {pa, pb, da, db}, {pa, pb, db, da}, {pb, pa, da, db}, {pb, pa, db, da}};
+  JointOrderWalks walks;
+  for (int k = 0; k < 4; ++k) {
+    const Request& lead = k < 2 ? a : b;
+    RouteState state;
+    state.start = lead.source;
+    state.start_time = lead.release_time;
+    state.capacity = 2;
+    walks.exact[k] = CheckSchedule(state, orders[k], engine).first;
+    walks.lower_bound[k] =
+        CheckScheduleLowerBound(state, orders[k], engine).first;
+  }
+  return walks;
+}
+
+bool TimeOverlapping(const Request& a, const Request& b) {
+  return a.release_time <= b.deadline && b.release_time <= a.deadline;
+}
 
 TEST(ShareGraphTest, BasicOperations) {
   ShareGraph g;
@@ -86,42 +120,79 @@ TEST(ShareGraphTest, AnalysisOnKnownGraph) {
   EXPECT_EQ(covered, g.NumNodes());
 }
 
-TEST(ShareGraphBuilderTest, AnglePruningNeverDropsAFeasiblePair) {
-  CityOptions copt;
-  copt.rows = 15;
-  copt.cols = 15;
-  copt.seed = 21;
-  RoadNetwork net = GenerateGridCity(copt);
+// Screen losslessness on a seeded workload over \p net: every
+// time-overlapping pair's edge equals the unscreened reference (any joint
+// order feasible under the exact walk), every order the lower-bound walk
+// rejects also fails the exact walk, and each overlapping pair was either
+// pruned by the screen or exact-checked — with the screen actually firing.
+void ExpectScreenLossless(const RoadNetwork& net, uint64_t seed) {
   TravelCostEngine engine(net);
   DeadlinePolicy policy;
   policy.gamma = 1.5;
   WorkloadOptions wopts;
   wopts.num_requests = 90;
   wopts.duration = 120;
-  wopts.seed = 4;
+  wopts.seed = seed;
   auto requests = GenerateWorkload(net, &engine, policy, wopts);
 
-  ShareGraphBuilderOptions plain;
-  plain.use_angle_pruning = false;
-  ShareGraphBuilder unpruned(&engine, plain);
-  unpruned.AddBatch(requests);
+  ShareGraphBuilder builder(&engine, {});
+  builder.AddBatch(requests);
+  EXPECT_GT(builder.pruned_pairs(), 0u);
 
-  ShareGraphBuilderOptions pruned_opts;
-  pruned_opts.use_angle_pruning = true;
-  ShareGraphBuilder pruned(&engine, pruned_opts);
-  pruned.AddBatch(requests);
+  uint64_t overlapping = 0, screened_orders = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    for (size_t j = i + 1; j < requests.size(); ++j) {
+      const Request& a = requests[i];
+      const Request& b = requests[j];
+      const bool edge = builder.graph().HasEdge(a.id, b.id);
+      if (!TimeOverlapping(a, b)) {
+        EXPECT_FALSE(edge) << "pair " << a.id << "," << b.id;
+        continue;
+      }
+      ++overlapping;
+      const JointOrderWalks walks = WalkJointOrders(a, b, &engine);
+      bool reference = false;
+      for (int k = 0; k < 4; ++k) {
+        reference = reference || walks.exact[k];
+        if (!walks.lower_bound[k]) {
+          ++screened_orders;
+          EXPECT_FALSE(walks.exact[k])
+              << "screen rejected feasible order " << k << " of pair " << a.id
+              << "," << b.id;
+        }
+      }
+      EXPECT_EQ(edge, reference) << "pair " << a.id << "," << b.id;
+    }
+  }
+  EXPECT_GT(screened_orders, 0u);
+  EXPECT_EQ(builder.pair_checks() + builder.pruned_pairs(), overlapping);
+}
 
-  // The screen must have fired (otherwise this test checks nothing)...
-  EXPECT_GT(pruned.pruned_pairs(), 0u);
-  // ...and the graphs must still be identical.
-  ASSERT_EQ(unpruned.graph().NumNodes(), pruned.graph().NumNodes());
-  EXPECT_EQ(unpruned.graph().NumEdges(), pruned.graph().NumEdges());
-  for (RequestId v : unpruned.graph().Nodes()) {
-    auto a = unpruned.graph().Neighbors(v);
-    auto b = pruned.graph().Neighbors(v);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "neighborhood mismatch at request " << v;
+TEST(ShareGraphBuilderTest, LowerBoundScreenIsLosslessOnGridCities) {
+  for (uint64_t seed : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
+    SCOPED_TRACE("city seed " + std::to_string(seed));
+    CityOptions copt;
+    copt.rows = 15;
+    copt.cols = 15;
+    copt.seed = seed;
+    ExpectScreenLossless(GenerateGridCity(copt), seed + 100);
+  }
+}
+
+// The same differential on the bundled DIMACS fixture, whose integer costs
+// and coordinates come from files through the importer rather than from
+// the grid generator.
+TEST(ShareGraphBuilderTest, LowerBoundScreenIsLosslessOnImportedGraph) {
+  const std::string dir = STRUCTRIDE_TEST_DATA_DIR;
+  RoadNetwork net;
+  ImportStats stats;
+  std::string error;
+  ASSERT_TRUE(ImportDimacs(dir + "/mini.gr", dir + "/mini.co", {}, &net,
+                           &stats, &error))
+      << error;
+  for (uint64_t seed : {uint64_t{4}, uint64_t{5}}) {
+    SCOPED_TRACE("workload seed " + std::to_string(seed));
+    ExpectScreenLossless(net, seed);
   }
 }
 
@@ -163,14 +234,16 @@ TEST(ShareGraphBuilderTest, PairMemoAnswersRepeatsAndResetsOnRemoval) {
   wopts.seed = 5;
   auto requests = GenerateWorkload(net, &engine, policy, wopts);
 
-  // A pair that survives the temporal screen, so adding it costs exactly
-  // one exact check.
+  // A pair that survives the temporal and lower-bound screens, so adding it
+  // costs exactly one exact check.
   const Request* a = nullptr;
   const Request* b = nullptr;
   for (size_t i = 0; i < requests.size() && a == nullptr; ++i) {
     for (size_t j = i + 1; j < requests.size(); ++j) {
-      if (requests[i].release_time <= requests[j].deadline &&
-          requests[j].release_time <= requests[i].deadline) {
+      if (!TimeOverlapping(requests[i], requests[j])) continue;
+      const JointOrderWalks walks =
+          WalkJointOrders(requests[i], requests[j], &engine);
+      if (std::count(walks.lower_bound, walks.lower_bound + 4, true) > 0) {
         a = &requests[i];
         b = &requests[j];
         break;
@@ -229,80 +302,75 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
   std::unordered_map<RequestId, const Request*> by_id;
   for (const Request& r : requests) by_id[r.id] = &r;
 
-  for (bool angle_pruning : {false, true}) {
-    for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
-      SCOPED_TRACE(std::string("pruning=") + (angle_pruning ? "on" : "off") +
-                   " seed=" + std::to_string(seed));
-      Rng rng(seed);
-      ShareGraphBuilderOptions opts;
-      opts.use_angle_pruning = angle_pruning;
-      ShareGraphBuilder inc(&engine, opts);
-      inc.set_memoize_pairs(true);  // the maintained role
-      std::vector<char> alive(requests.size(), 0);
-      uint64_t rebuild_checks_total = 0;
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    ShareGraphBuilder inc(&engine, {});
+    inc.set_memoize_pairs(true);  // the maintained role
+    std::vector<char> alive(requests.size(), 0);
+    uint64_t rebuild_checks_total = 0;
 
-      for (int step = 0; step < 25; ++step) {
-        const int op = static_cast<int>(rng.UniformInt(0, 2));
-        if (op == 0 || inc.num_requests() == 0) {
-          // Release a batch: fresh requests and re-adds of retired ones.
-          std::vector<Request> batch;
-          const int k = static_cast<int>(rng.UniformInt(1, 8));
-          for (int t = 0; t < k; ++t) {
-            size_t idx = static_cast<size_t>(
-                rng.UniformInt(0, static_cast<int64_t>(requests.size()) - 1));
-            if (alive[idx]) continue;
-            alive[idx] = 1;
-            batch.push_back(requests[idx]);
-          }
-          inc.AddRequests(batch);
-        } else if (op == 1) {
-          // Assignment / cancellation / expiry events: retire a few.
-          std::vector<RequestId> drop;
-          for (size_t idx = 0; idx < requests.size(); ++idx) {
-            if (alive[idx] && rng.Uniform(0, 1) < 0.3) {
-              alive[idx] = 0;
-              drop.push_back(requests[idx].id);
-            }
-          }
-          inc.RemoveRequests(drop);
-        } else {
-          // A dispatch-round sweep: keep a random subset of the open pool.
-          std::vector<RequestId> keep;
-          for (size_t idx = 0; idx < requests.size(); ++idx) {
-            if (!alive[idx]) continue;
-            if (rng.Uniform(0, 1) < 0.7) {
-              keep.push_back(requests[idx].id);
-            } else {
-              alive[idx] = 0;
-            }
-          }
-          inc.Retain(keep);
+    for (int step = 0; step < 25; ++step) {
+      const int op = static_cast<int>(rng.UniformInt(0, 2));
+      if (op == 0 || inc.num_requests() == 0) {
+        // Release a batch: fresh requests and re-adds of retired ones.
+        std::vector<Request> batch;
+        const int k = static_cast<int>(rng.UniformInt(1, 8));
+        for (int t = 0; t < k; ++t) {
+          size_t idx = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(requests.size()) - 1));
+          if (alive[idx]) continue;
+          alive[idx] = 1;
+          batch.push_back(requests[idx]);
         }
-
-        // From-scratch reference over the survivors, in the incremental
-        // builder's insertion order.
-        std::vector<Request> pool;
-        for (RequestId id : inc.graph().Nodes()) pool.push_back(*by_id.at(id));
-        ShareGraphBuilder ref(&engine, opts);
-        ref.AddRequests(pool);
-        rebuild_checks_total += ref.pair_checks();
-
-        ASSERT_EQ(inc.graph().NumNodes(), ref.graph().NumNodes())
-            << "step " << step;
-        ASSERT_EQ(inc.graph().NumEdges(), ref.graph().NumEdges())
-            << "step " << step;
-        ASSERT_EQ(inc.graph().Nodes(), ref.graph().Nodes()) << "step " << step;
-        for (RequestId v : ref.graph().Nodes()) {
-          ASSERT_EQ(inc.graph().Neighbors(v), ref.graph().Neighbors(v))
-              << "neighbor sequence mismatch at request " << v << ", step "
-              << step;
+        inc.AddRequests(batch);
+      } else if (op == 1) {
+        // Assignment / cancellation / expiry events: retire a few.
+        std::vector<RequestId> drop;
+        for (size_t idx = 0; idx < requests.size(); ++idx) {
+          if (alive[idx] && rng.Uniform(0, 1) < 0.3) {
+            alive[idx] = 0;
+            drop.push_back(requests[idx].id);
+          }
         }
+        inc.RemoveRequests(drop);
+      } else {
+        // A dispatch-round sweep: keep a random subset of the open pool.
+        std::vector<RequestId> keep;
+        for (size_t idx = 0; idx < requests.size(); ++idx) {
+          if (!alive[idx]) continue;
+          if (rng.Uniform(0, 1) < 0.7) {
+            keep.push_back(requests[idx].id);
+          } else {
+            alive[idx] = 0;
+          }
+        }
+        inc.Retain(keep);
       }
-      // The economics of maintenance: across the whole sequence the
-      // incremental builder spent strictly fewer exact checks than the
-      // rebuild-after-every-step discipline it replaces.
-      EXPECT_LT(inc.pair_checks(), rebuild_checks_total);
+
+      // From-scratch reference over the survivors, in the incremental
+      // builder's insertion order.
+      std::vector<Request> pool;
+      for (RequestId id : inc.graph().Nodes()) pool.push_back(*by_id.at(id));
+      ShareGraphBuilder ref(&engine, {});
+      ref.AddRequests(pool);
+      rebuild_checks_total += ref.pair_checks();
+
+      ASSERT_EQ(inc.graph().NumNodes(), ref.graph().NumNodes())
+          << "step " << step;
+      ASSERT_EQ(inc.graph().NumEdges(), ref.graph().NumEdges())
+          << "step " << step;
+      ASSERT_EQ(inc.graph().Nodes(), ref.graph().Nodes()) << "step " << step;
+      for (RequestId v : ref.graph().Nodes()) {
+        ASSERT_EQ(inc.graph().Neighbors(v), ref.graph().Neighbors(v))
+            << "neighbor sequence mismatch at request " << v << ", step "
+            << step;
+      }
     }
+    // The economics of maintenance: across the whole sequence the
+    // incremental builder spent strictly fewer exact checks than the
+    // rebuild-after-every-step discipline it replaces.
+    EXPECT_LT(inc.pair_checks(), rebuild_checks_total);
   }
 }
 
