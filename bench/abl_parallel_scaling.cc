@@ -1,18 +1,17 @@
 // Ablation for the paper's scalability note ("multi-threading can speed up
 // the Shareability Graph building and acceptance stage as each vehicle
 // decides independently"): SARD swept over worker-thread counts × fleet
-// sizes, against the *serial baseline* — one thread on the legacy dispatch
-// path (full-fleet distance sort per group scan, no worker pool), i.e. the
-// pre-refactor code the sharded cache / spatial index / thread pool
-// replaced. Result quality (service rate, unified cost, served, #SP
-// queries) must be identical in every cell: the parallelism prices
-// proposals only, commits stay serial and deterministic, and the spatial
-// index is outcome-identical by construction. The bench exits nonzero if
-// any cell's outcome diverges from its fleet's baseline, so the nightly
-// smoke run doubles as a determinism check.
+// sizes, against the one-thread cell of the same fleet. Result quality
+// (service rate, unified cost, served, #SP queries) must be identical in
+// every cell: the parallelism prices proposals only, and commits stay
+// serial and deterministic. The bench exits nonzero if any cell's outcome
+// diverges from its fleet's one-thread cell, so the nightly smoke run
+// doubles as a determinism check. Every cell runs on its own cold
+// travel-cost engine, so #SP queries compare backend work, not cache state.
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,60 +26,54 @@ using namespace structride::bench;
 int main() {
   const double scale = BenchScale();
   std::printf("\n================================================================\n");
-  std::printf("Scalability ablation: SARD threads x fleet sweep vs serial baseline\n");
+  std::printf("Scalability ablation: SARD threads x fleet sweep vs one thread\n");
   std::printf("================================================================\n");
   std::printf("%-8s%-8s%-10s%10s%16s%12s%10s%12s\n", "city", "fleet",
               "threads", "service", "unified cost", "time (s)", "speedup",
               "allocs p50");
   if (HeapAllocCountingActive()) {
-    std::printf("(counting allocator active: steady-state rounds on the "
-                "pooled path must allocate nothing)\n");
+    std::printf("(counting allocator active: steady-state rounds must "
+                "allocate nothing)\n");
   }
 
   int divergences = 0;
   int alloc_gate_failures = 0;
   for (const std::string& ds : {std::string("CHD"), std::string("NYC")}) {
-    DatasetSpec spec = DatasetByName(ds, scale);
+    BenchContext context(ds, scale);
+    const DatasetSpec& spec = context.spec();
     // Triple the arrival rate: graph building and proposal pricing are what
     // parallelize, so batches must be busy enough for the sweep to mean
     // something.
-    spec.workload.num_requests *= 3;
-    RoadNetwork net = BuildNetwork(&spec);
-    TravelCostEngine engine(net);
-    auto reqs = GenerateWorkload(net, &engine, spec.policy, spec.workload);
+    const std::vector<Request>& reqs =
+        context.Requests(spec.policy.gamma, 3 * spec.workload.num_requests);
     SimulationOptions sopts;
     sopts.batch_period = 10;
     sopts.seed = 4242;
     sopts.dataset = ds;
 
-    for (int fleet_mult : {1, 4}) {
-      SimulationEngine sim(&engine, reqs, sopts);
-      sim.SpawnFleet(spec.num_vehicles * fleet_mult, spec.capacity);
+    // One cell: a cold travel-cost engine and a fresh simulation.
+    auto run_cell = [&](int vehicles, const DispatchConfig& config) {
+      std::unique_ptr<TravelCostEngine> engine = context.MakeEngine();
+      SimulationEngine sim(engine.get(), reqs, sopts);
+      sim.SpawnFleet(vehicles, spec.capacity);
+      return sim.Run("SARD", config);
+    };
 
-      auto config_for = [&](int threads, bool spatial_index) {
+    for (int fleet_mult : {1, 4}) {
+      auto config_for = [&](int threads) {
         DispatchConfig c;
         c.vehicle_capacity = spec.capacity;
         c.grouping.max_group_size = spec.capacity;
-        c.use_spatial_index = spatial_index;
         c.sard_parallel_acceptance = threads > 1;
         c.num_threads = threads;
         return c;
       };
 
-      // Warm the shared travel-cost cache so every measured cell sees the
-      // same (hot) cache and #SP-query comparisons are apples-to-apples.
-      sim.Run("SARD", config_for(1, true));
-
-      // Serial baseline: one thread, legacy full-sort candidate scans.
-      RunMetrics base = sim.Run("SARD", config_for(1, false));
-      RecordJsonRow("SARD", ds + " x" + std::to_string(fleet_mult) + " base",
-                    base);
-      std::printf("%-8sx%-7d%-10s%10.3f%16.0f%12.2f%10s%12s\n", ds.c_str(),
-                  fleet_mult, "base", base.service_rate, base.unified_cost,
-                  base.running_time, "1.00", "-");
-
+      RunMetrics base;
       for (int threads : {1, 2, 4, 8}) {
-        RunMetrics r = sim.Run("SARD", config_for(threads, true));
+        RunMetrics r =
+            run_cell(spec.num_vehicles * fleet_mult, config_for(threads));
+        if (threads == 1) base = r;
         RecordJsonRow("SARD", ds + " x" + std::to_string(fleet_mult) + " t" +
                                   std::to_string(threads),
                       r);
@@ -89,10 +82,8 @@ int main() {
                     r.sp_queries == base.sp_queries;
         if (!same) ++divergences;
         // The allocation gate (DESIGN.md §8): with the counting allocator
-        // linked in, the pooled dispatch path must keep its zero-heap
-        // promise on steady-state rounds at every thread count. The serial
-        // baseline cell is exempt — use_spatial_index=false runs the legacy
-        // allocating candidate scans by design.
+        // linked in, the dispatch path must keep its zero-heap promise on
+        // steady-state rounds in every cell.
         bool allocs_ok =
             !HeapAllocCountingActive() || r.allocs_per_batch_p50 == 0;
         if (!allocs_ok) ++alloc_gate_failures;
@@ -102,7 +93,7 @@ int main() {
                     r.running_time > 0 ? base.running_time / r.running_time
                                        : 0.0,
                     static_cast<unsigned long long>(r.allocs_per_batch_p50),
-                    same ? "" : "  << DIVERGED from baseline",
+                    same ? "" : "  << DIVERGED from one thread",
                     allocs_ok ? "" : "  << STEADY BATCHES ALLOCATED");
       }
     }
@@ -118,13 +109,12 @@ int main() {
     // reference. Outcomes legitimately differ *across* shard counts (zonal
     // dispatch is a different policy), so speedup is reported against the
     // 1-shard 1-thread cell but parity is gated only within a shard count.
+    // Every cell runs on a cold engine (cold shard cache partitions too).
     std::printf("%-8s%-8s%-10s%10s%16s%12s%10s%12s\n", "city", "shards",
                 "threads", "service", "unified cost", "time (s)", "speedup",
                 "allocs p50");
     double z1t1_time = 0;
     for (int shards : {1, 2, 4}) {
-      SimulationEngine zsim(&engine, reqs, sopts);
-      zsim.SpawnFleet(spec.num_vehicles, spec.capacity);
       auto zconfig = [&](int threads) {
         DispatchConfig c;
         c.vehicle_capacity = spec.capacity;
@@ -135,11 +125,9 @@ int main() {
         c.concurrent_shards = BenchConcurrentShards();
         return c;
       };
-      // Warm both the shared root cache and this engine's shard partitions.
-      zsim.Run("SARD", zconfig(1));
       RunMetrics zbase;
       for (int threads : {1, 8}) {
-        RunMetrics r = zsim.Run("SARD", zconfig(threads));
+        RunMetrics r = run_cell(spec.num_vehicles, zconfig(threads));
         RecordJsonRow("SARD", ds + " z" + std::to_string(shards) + " t" +
                                   std::to_string(threads),
                       r);
@@ -169,20 +157,18 @@ int main() {
     }
   }
 
-  std::printf("\nEvery cell must match its fleet's baseline on served, unified\n"
-              "cost and #SP queries: pricing is a pure read of batch-start\n"
-              "fleet state, commits are serial in group order, and the grid\n"
-              "fleet index returns the exact prefix of the legacy distance\n"
-              "sort. Speedup at 1 thread isolates the spatial index + sharded\n"
-              "cache; higher thread counts add pooled parallel graph building\n"
-              "and proposal pricing, and scale with the cores the host\n"
-              "actually has (on a single-core container they only measure\n"
-              "pool overhead). The shards block sweeps the second parallel\n"
+  std::printf("\nEvery cell must match its fleet's one-thread cell on served,\n"
+              "unified cost and #SP queries: pricing is a pure read of\n"
+              "batch-start fleet state and commits are serial in group order.\n"
+              "Higher thread counts add pooled parallel graph building and\n"
+              "proposal pricing, and scale with the cores the host actually\n"
+              "has (on a single-core container they only measure pool\n"
+              "overhead). The shards block sweeps the second parallel\n"
               "axis: with acceptance serial, 8 threads must be bitwise\n"
               "identical to 1 thread at every shard count — concurrent shard\n"
               "batches change wall-clock only.\n");
   if (divergences > 0) {
-    std::fprintf(stderr, "FAIL: %d cells diverged from the serial baseline\n",
+    std::fprintf(stderr, "FAIL: %d cells diverged from the one-thread cell\n",
                  divergences);
     return 1;
   }

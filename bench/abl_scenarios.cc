@@ -1,10 +1,6 @@
 // Scenario-subsystem ablation (DESIGN.md §6): SARD replayed on the
 // event-driven core under each scenario and the repositioning policy, per
-// dataset preset. The "baseline" cell (no scenarios) must be *bitwise*
-// identical to the frozen legacy fixed-batch engine on served / unified
-// cost / #SP queries — the bench exits nonzero on any divergence, so the
-// nightly smoke run doubles as the equivalence check at bench scale, the
-// same discipline abl_parallel_scaling applies to the parallel path.
+// dataset preset, next to the no-scenario baseline row.
 //
 // Scenario timings are fractions of the preset's (scaled) arrival window:
 //   surge      releases in [0.25D, 0.50D) compressed 3x toward 0.25D
@@ -13,11 +9,12 @@
 //   reposition greedy move-toward-demand-centroid for idle vehicles
 //   combined   all four at once
 // Every cell gets a freshly constructed SimulationEngine (fault-model RNG
-// statefulness) over a shared warm travel-cost cache; the first (unrecorded)
-// warm-up run makes #SP queries comparable across cells.
+// statefulness) over its own cold travel-cost engine, so each row's #SP
+// queries are independent of the rows before it.
 
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +31,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct Cell {
   std::string name;
-  bool legacy = false;
   bool surge = false;
   bool downtime = false;
   bool online = false;
@@ -52,13 +48,12 @@ int main() {
               "served", "service", "unified cost", "cancelled", "repos",
               "wait p50", "time (s)");
 
-  int divergences = 0;
   for (const std::string& ds :
        {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
-    DatasetSpec spec = DatasetByName(ds, scale);
-    RoadNetwork net = BuildNetwork(&spec);
-    TravelCostEngine engine(net);
-    auto requests = GenerateWorkload(net, &engine, spec.policy, spec.workload);
+    BenchContext context(ds, scale);
+    const DatasetSpec& spec = context.spec();
+    const std::vector<Request>& requests =
+        context.Requests(spec.policy.gamma, spec.workload.num_requests);
     const double d = spec.workload.duration;
 
     DispatchConfig config;
@@ -67,11 +62,12 @@ int main() {
     config.sharegraph.vehicle_capacity = spec.capacity;
 
     auto run_cell = [&](const Cell& cell) {
+      std::unique_ptr<TravelCostEngine> engine = context.MakeEngine();
       SimulationOptions sopts;
       sopts.batch_period = 5;
       sopts.seed = 4242;
       sopts.dataset = ds;
-      SimulationEngine sim(&engine, requests, sopts);
+      SimulationEngine sim(engine.get(), requests, sopts);
       sim.SpawnFleet(spec.num_vehicles, spec.capacity);
       if (cell.surge) sim.AddScenario(MakeDemandSurge(0.25 * d, 0.5 * d, 3.0));
       if (cell.downtime) {
@@ -81,63 +77,33 @@ int main() {
       if (cell.reposition) {
         sim.SetRepositioningPolicy(MakeGreedyCentroidRepositioning());
       }
-      return cell.legacy ? sim.RunLegacy("SARD", config)
-                         : sim.Run("SARD", config);
+      return sim.Run("SARD", config);
     };
-
-    // Warm the shared travel-cost cache so every recorded cell sees the
-    // same (hot) cache and #SP-query comparisons are apples-to-apples.
-    run_cell({"warmup"});
 
     const std::vector<Cell> cells = {
-        {"legacy", true},
         {"baseline"},
-        {"surge", false, true},
-        {"downtime", false, false, true},
-        {"online", false, false, false, true},
-        {"reposition", false, false, false, false, true},
-        {"combined", false, true, true, true, true},
+        {"surge", true},
+        {"downtime", false, true},
+        {"online", false, false, true},
+        {"reposition", false, false, false, true},
+        {"combined", true, true, true, true},
     };
-    RunMetrics legacy;
     for (const Cell& cell : cells) {
       RunMetrics m = run_cell(cell);
-      if (cell.name == "legacy") legacy = m;
       std::string label = ds + " " + cell.name;
       RecordJsonRow("SARD", label, m);
       std::printf("%-9s%-12s%8d%10.3f%16.0f%10d%8d%10.1f%10.2f\n", ds.c_str(),
                   cell.name.c_str(), m.served, m.service_rate, m.unified_cost,
                   m.cancelled, m.repositions, m.pickup_wait_p50,
                   m.running_time);
-      if (cell.name == "baseline") {
-        bool same = m.served == legacy.served &&
-                    m.unified_cost == legacy.unified_cost &&
-                    m.sp_queries == legacy.sp_queries &&
-                    m.cancelled == legacy.cancelled &&
-                    m.pickup_wait_p50 == legacy.pickup_wait_p50 &&
-                    m.pickup_wait_p99 == legacy.pickup_wait_p99 &&
-                    m.mean_detour_ratio == legacy.mean_detour_ratio;
-        if (!same) {
-          ++divergences;
-          std::fprintf(stderr,
-                       "DIVERGED: %s event-core baseline != legacy engine\n",
-                       ds.c_str());
-        }
-      }
     }
   }
 
   std::printf(
-      "\nThe baseline row must reproduce the legacy row bitwise (served,\n"
-      "unified cost, #SP queries, service-quality stats): with no scenarios\n"
-      "installed the event core schedules the same batch ticks the legacy\n"
-      "loop ran. Scenario rows are honest perturbations — surge packs the\n"
+      "\nThe baseline row is plain batch dispatch with no scenario\n"
+      "installed. Scenario rows are honest perturbations — surge packs the\n"
       "same demand into a tighter window, downtime removes supply mid-run,\n"
       "online dispatches each request at release, reposition spends empty\n"
       "miles to move idle supply toward open demand.\n");
-  if (divergences > 0) {
-    std::fprintf(stderr, "FAIL: %d dataset(s) diverged from legacy\n",
-                 divergences);
-    return 1;
-  }
   return 0;
 }

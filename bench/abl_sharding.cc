@@ -1,21 +1,20 @@
 // Geo-sharding ablation (DESIGN.md §12): SARD on the event core at 1, 2 and
-// 4 shards over the CHD preset, plus a 4-shard NYC wall-clock cell. Three
-// hard gates, all fatal (nonzero exit):
+// 4 shards over the CHD preset, plus a 4-shard NYC wall-clock cell. Two
+// hard gates, both fatal (nonzero exit):
 //
-//   1-shard parity   the num_shards=1 cell must be *bitwise* identical to
-//                    the frozen legacy fixed-batch engine on served /
-//                    unified cost / #SP queries / service-quality stats —
-//                    the whole shard machinery must vanish at Z=1.
-//   serial==conc     every multi-shard cell runs twice, with
-//                    concurrent_shards off (the serial shard-id-order
-//                    reference) and on (the pool-task batch phase); the two
-//                    must agree bitwise on every parity metric, per-shard
-//                    sp_queries included.
-//   N-shard census   at 2 and 4 shards every request must reach exactly one
-//                    terminal outcome: served + cancelled + expired +
-//                    rejected + late == total. (The engine additionally
+//   serial==conc     every cell runs twice, with concurrent_shards off
+//                    (the serial shard-id-order reference) and on (the
+//                    pool-task batch phase); the two must agree bitwise on
+//                    every parity metric, per-shard sp_queries included.
+//   census           at every shard count every request must reach exactly
+//                    one terminal outcome: served + cancelled + expired +
+//                    rejected + late == total, with no cross-shard trip in
+//                    a single-region run. (The engine additionally
 //                    SR_CHECKs vehicle/request conservation every round,
 //                    so a violation aborts the binary — also nonzero.)
+//
+// Every run gets its own cold travel-cost engine, so each row's #SP queries
+// are independent of the rows before it.
 //
 // The sweep reports the sharding observables per cell: per-shard load
 // balance (max/mean of per-shard assignment counts), the cross-shard trip
@@ -27,6 +26,7 @@
 // serial execution for the two-directory comparison.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,10 +73,10 @@ int main() {
               "service", "unified cost", "x-shard", "x-fraction", "load m/m",
               "time m/m", "time (s)");
 
-  DatasetSpec spec = DatasetByName("CHD", scale);
-  RoadNetwork net = BuildNetwork(&spec);
-  TravelCostEngine engine(net);
-  auto requests = GenerateWorkload(net, &engine, spec.policy, spec.workload);
+  BenchContext chd("CHD", scale);
+  const DatasetSpec& spec = chd.spec();
+  const std::vector<Request>& requests =
+      chd.Requests(spec.policy.gamma, spec.workload.num_requests);
 
   DispatchConfig config;
   config.vehicle_capacity = spec.capacity;
@@ -84,35 +84,27 @@ int main() {
   config.sharegraph.vehicle_capacity = spec.capacity;
   config.num_threads = 8;
 
-  auto run_cell = [&](int num_shards, bool legacy, bool concurrent) {
+  auto run_cell = [&](int num_shards, bool concurrent) {
+    std::unique_ptr<TravelCostEngine> engine = chd.MakeEngine();
     SimulationOptions sopts;
     sopts.batch_period = 5;
     sopts.seed = 4242;
     sopts.dataset = "CHD";
-    SimulationEngine sim(&engine, requests, sopts);
+    SimulationEngine sim(engine.get(), requests, sopts);
     sim.SpawnFleet(spec.num_vehicles, spec.capacity);
     DispatchConfig cell_config = config;
     cell_config.num_shards = num_shards;
     cell_config.concurrent_shards = concurrent;
-    return legacy ? sim.RunLegacy("SARD", cell_config)
-                  : sim.Run("SARD", cell_config);
+    return sim.Run("SARD", cell_config);
   };
 
-  // Warm the shared travel-cost cache so every recorded cell sees the same
-  // (hot) root cache and #SP-query comparisons are apples-to-apples. (The
-  // per-shard cache partitions live on each cell's own SimulationEngine and
-  // start cold either way, identically for the serial and concurrent runs.)
-  run_cell(1, /*legacy=*/false, /*concurrent=*/false);
-
   const bool conc_mode = BenchConcurrentShards();
-  const RunMetrics legacy = run_cell(1, /*legacy=*/true, false);
   for (int shards : {1, 2, 4}) {
-    const RunMetrics serial = run_cell(shards, /*legacy=*/false, false);
+    const RunMetrics serial = run_cell(shards, false);
     // The recorded cell honours STRUCTRIDE_CONC_SHARDS so two bench
     // invocations (env 0 vs default) record serial vs concurrent rows under
     // the same point names for compare_bench.py.
-    const RunMetrics m =
-        conc_mode ? run_cell(shards, /*legacy=*/false, true) : serial;
+    const RunMetrics m = conc_mode ? run_cell(shards, true) : serial;
     double frac = m.served > 0 ? static_cast<double>(m.cross_shard_trips) /
                                      static_cast<double>(m.served)
                                : 0;
@@ -131,32 +123,18 @@ int main() {
                    "loop at %d shards\n",
                    shards);
     }
-    if (shards == 1) {
-      bool same = m.served == legacy.served &&
-                  m.unified_cost == legacy.unified_cost &&
-                  m.sp_queries == legacy.sp_queries &&
-                  m.cancelled == legacy.cancelled &&
-                  m.expired == legacy.expired &&
-                  m.pickup_wait_p50 == legacy.pickup_wait_p50 &&
-                  m.pickup_wait_p99 == legacy.pickup_wait_p99 &&
-                  m.mean_detour_ratio == legacy.mean_detour_ratio;
-      if (!same || m.cross_shard_trips != 0 || m.num_shards != 1) {
-        ++failures;
-        std::fprintf(stderr,
-                     "FAIL: 1-shard run diverged from the legacy engine\n");
-      }
-    } else {
-      long closed = static_cast<long>(m.served) +
-                    static_cast<long>(m.cancelled) +
-                    static_cast<long>(m.expired) +
-                    static_cast<long>(m.rejected) +
-                    static_cast<long>(m.late_dropoffs);
-      if (closed != m.total_requests || m.num_shards != shards) {
-        ++failures;
-        std::fprintf(stderr,
-                     "FAIL: %d-shard census %ld != %d total requests\n",
-                     shards, closed, m.total_requests);
-      }
+    long closed = static_cast<long>(m.served) +
+                  static_cast<long>(m.cancelled) +
+                  static_cast<long>(m.expired) +
+                  static_cast<long>(m.rejected) +
+                  static_cast<long>(m.late_dropoffs);
+    if (closed != m.total_requests || m.num_shards != shards ||
+        (shards == 1 && m.cross_shard_trips != 0)) {
+      ++failures;
+      std::fprintf(stderr,
+                   "FAIL: %d-shard census %ld != %d total requests (or "
+                   "cross-shard trips in a single-region run)\n",
+                   shards, closed, m.total_requests);
     }
   }
 
@@ -167,11 +145,10 @@ int main() {
   std::printf("\nNYC preset, 4 shards, 8 threads: serial vs concurrent "
               "batch phase\n");
   {
-    DatasetSpec nyc = DatasetByName("NYC", scale);
-    RoadNetwork nyc_net = BuildNetwork(&nyc);
-    TravelCostEngine nyc_engine(nyc_net);
-    auto nyc_requests =
-        GenerateWorkload(nyc_net, &nyc_engine, nyc.policy, nyc.workload);
+    BenchContext nyc_context("NYC", scale);
+    const DatasetSpec& nyc = nyc_context.spec();
+    const std::vector<Request>& nyc_requests =
+        nyc_context.Requests(nyc.policy.gamma, nyc.workload.num_requests);
     DispatchConfig nyc_config;
     nyc_config.vehicle_capacity = nyc.capacity;
     nyc_config.grouping.max_group_size = nyc.capacity;
@@ -179,17 +156,17 @@ int main() {
     nyc_config.num_threads = 8;
     nyc_config.num_shards = 4;
     auto run_nyc = [&](bool concurrent) {
+      std::unique_ptr<TravelCostEngine> engine = nyc_context.MakeEngine();
       SimulationOptions sopts;
       sopts.batch_period = 5;
       sopts.seed = 4242;
       sopts.dataset = "NYC";
-      SimulationEngine sim(&nyc_engine, nyc_requests, sopts);
+      SimulationEngine sim(engine.get(), nyc_requests, sopts);
       sim.SpawnFleet(nyc.num_vehicles, nyc.capacity);
       DispatchConfig cell_config = nyc_config;
       cell_config.concurrent_shards = concurrent;
       return sim.Run("SARD", cell_config);
     };
-    run_nyc(false);  // warm the root cache, as above
     const RunMetrics serial = run_nyc(false);
     const RunMetrics conc = conc_mode ? run_nyc(true) : run_nyc(false);
     if (!SameOutcome(serial, conc)) {
@@ -214,10 +191,9 @@ int main() {
   }
 
   std::printf(
-      "\nThe shards=1 row must reproduce the legacy engine bitwise — the\n"
-      "partition degenerates to one zone and the coordinator replays the\n"
-      "exact single-region round. At 2/4 shards each zone dispatches its\n"
-      "own requests over its resident fleet (against its own travel-cost\n"
+      "\nAt shards=1 the partition degenerates to one zone and the\n"
+      "coordinator runs the single-region round. At 2/4 shards each zone\n"
+      "dispatches its own requests over its resident fleet (against its own travel-cost\n"
       "cache partition); boundary requests re-home through the escrow (the\n"
       "x-shard column counts trips assigned by a foreign shard), the census\n"
       "must balance exactly, and the concurrent batch phase must agree\n"

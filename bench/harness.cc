@@ -359,16 +359,24 @@ BenchContext::BenchContext(const std::string& dataset, double scale)
                spec_.num_vehicles);
 }
 
-void BenchContext::EnsureStream(double gamma, int num_requests) {
-  if (stream_gamma_ == gamma && stream_requests_ == num_requests) return;
+const std::vector<Request>& BenchContext::Requests(double gamma,
+                                                  int num_requests) {
+  if (stream_gamma_ == gamma && stream_requests_ == num_requests) {
+    return requests_;
+  }
   DeadlinePolicy policy = spec_.policy;
   policy.gamma = gamma;
   WorkloadOptions wopts = spec_.workload;
   wopts.num_requests = num_requests;
-  TravelCostEngine engine(graph_.network, engine_options_);
-  requests_ = GenerateWorkload(graph_.network, &engine, policy, wopts);
+  requests_ = GenerateWorkload(graph_.network, MakeEngine().get(), policy,
+                               wopts);
   stream_gamma_ = gamma;
   stream_requests_ = num_requests;
+  return requests_;
+}
+
+std::unique_ptr<TravelCostEngine> BenchContext::MakeEngine() const {
+  return std::make_unique<TravelCostEngine>(graph_.network, engine_options_);
 }
 
 RunMetrics BenchContext::Run(const std::string& algorithm,
@@ -376,7 +384,7 @@ RunMetrics BenchContext::Run(const std::string& algorithm,
   double gamma = params.gamma > 0 ? params.gamma : spec_.policy.gamma;
   int n = params.num_requests > 0 ? params.num_requests
                                   : spec_.workload.num_requests;
-  EnsureStream(gamma, n);
+  const std::vector<Request>& requests = Requests(gamma, n);
 
   SimulationOptions sopts;
   sopts.batch_period = params.batch_period;
@@ -392,8 +400,8 @@ RunMetrics BenchContext::Run(const std::string& algorithm,
     sopts.service_qps = qps;
   }
 
-  TravelCostEngine engine(graph_.network, engine_options_);
-  SimulationEngine sim(&engine, requests_, sopts);
+  std::unique_ptr<TravelCostEngine> engine = MakeEngine();
+  SimulationEngine sim(engine.get(), requests, sopts);
   int vehicles = params.num_vehicles > 0 ? params.num_vehicles : spec_.num_vehicles;
   sim.SpawnFleet(vehicles, capacity);
 

@@ -48,13 +48,20 @@ class BenchContext {
   /// on the runs before it nor on their order.
   RunMetrics Run(const std::string& algorithm, const PointParams& params);
 
+  /// \brief The request stream for \p gamma and \p num_requests, generated
+  /// on first use and cached until either changes.
+  const std::vector<Request>& Requests(double gamma, int num_requests);
+
+  /// \brief A fresh travel-cost engine over the context's index: a cold
+  /// cache and no index rebuild. Run uses one per call; benches that drive
+  /// SimulationEngine themselves take one per cell for the same isolation.
+  std::unique_ptr<TravelCostEngine> MakeEngine() const;
+
   const DatasetSpec& spec() const { return spec_; }
   const RoadNetwork& network() const { return graph_.network; }
   const GraphBundle& graph() const { return graph_; }
 
  private:
-  void EnsureStream(double gamma, int num_requests);
-
   DatasetSpec spec_;
   /// Network plus the selected backend's index — loaded from a snapshot or
   /// built once here — which every engine adopts through

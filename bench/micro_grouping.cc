@@ -51,23 +51,29 @@ void BM_EnumerateGroups(benchmark::State& state) {
   size_t pool_size = static_cast<size_t>(state.range(0));
   int capacity = static_cast<int>(state.range(1));
   bool best_of_all = state.range(2) != 0;
-  std::vector<Request> pool(f.requests.begin(),
-                            f.requests.begin() +
-                                std::min(pool_size, f.requests.size()));
+  std::vector<const Request*> pool;
+  for (size_t i = 0; i < std::min(pool_size, f.requests.size()); ++i) {
+    pool.push_back(&f.requests[i]);
+  }
   RouteState rs;
-  rs.start = pool[0].source;
+  rs.start = pool[0]->source;
   rs.start_time = 0;
   rs.capacity = capacity;
   GroupingOptions opts;
   opts.max_group_size = capacity;
   opts.insertion_order = best_of_all ? InsertionOrderPolicy::kBestOfAllParents
                                      : InsertionOrderPolicy::kByShareability;
+  GroupingScratch scratch;
   size_t produced = 0;
   for (auto _ : state) {
-    GroupingResult res = EnumerateGroups(rs, Schedule(), pool, &f.builder->graph(),
-                                         &f.engine, opts);
-    produced = res.groups.size();
+    scratch.Reset();
+    PooledGroupingResult res = EnumerateGroupsPooled(
+        rs, Span<const Stop>(nullptr, 0),
+        Span<const Request* const>(pool.data(), pool.size()),
+        &f.builder->graph(), &f.engine, opts, &scratch);
+    produced = res.count;
     benchmark::DoNotOptimize(res);
+    benchmark::DoNotOptimize(scratch.groups.data());
   }
   state.SetLabel("pool=" + std::to_string(pool.size()) + " c=" +
                  std::to_string(capacity) + " groups=" + std::to_string(produced) +

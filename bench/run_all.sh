@@ -7,8 +7,7 @@
 #   STRUCTRIDE_ALGOS      algorithm filter passthrough
 #   STRUCTRIDE_BENCH_SET  all | sweep | micro (default all)
 #   STRUCTRIDE_SHARDS     geo-shard count for the sweep benches (default 1;
-#                         note abl_scenarios' legacy-parity baseline only
-#                         holds at 1 shard — see DESIGN.md §12)
+#                         see DESIGN.md §12)
 #   STRUCTRIDE_JSON_DIR   where BENCH_<name>.json results land
 #                         (default <build-dir>/bench_json)
 #   STRUCTRIDE_CONC_SHARDS  0 forces the serial shard loop in every bench

@@ -33,27 +33,12 @@ InsertionCandidate BestInsertion(const RouteState& state,
   InsertionCandidate best;
   size_t n = stops.size();
 
-  // Scratch: the base-walk planes plus one candidate buffer. Both paths
-  // produce identical results; the arena path just parks the bytes on the
-  // calling thread's scratch arena instead of the heap.
+  // Scratch: the base-walk planes plus one candidate buffer, parked on the
+  // calling thread's scratch arena so pricing never touches the heap.
   ArenaScope scope(ScratchArena());
-  std::vector<double> vec_time, vec_leg;
-  std::vector<Stop> vec_cand;
-  double* base_time;
-  double* base_leg;
-  Stop* candidate;
-  if (options.use_arena_scratch) {
-    base_time = scope.AllocateArray<double>(n);
-    base_leg = scope.AllocateArray<double>(n);
-    candidate = scope.AllocateArray<Stop>(n + 2);
-  } else {
-    vec_time.resize(n);
-    vec_leg.resize(n);
-    vec_cand.resize(n + 2);
-    base_time = vec_time.data();
-    base_leg = vec_leg.data();
-    candidate = vec_cand.data();
-  }
+  double* base_time = scope.AllocateArray<double>(n);
+  double* base_leg = scope.AllocateArray<double>(n);
+  Stop* candidate = scope.AllocateArray<Stop>(n + 2);
 
   // Base walk: per-stop service times and leg costs (also the base cost the
   // delta is measured against).

@@ -15,12 +15,6 @@ namespace structride {
 
 struct InsertionOptions {
   bool use_pruning = true;
-  /// Scratch placement for the base walk and candidate buffers: the
-  /// calling thread's epoch arena (the allocation-free hot path) or plain
-  /// vectors (the legacy reference the differential tests compare
-  /// against). Outcome-identical by construction — it only moves where the
-  /// same bytes briefly live.
-  bool use_arena_scratch = true;
 };
 
 struct InsertionCandidate {

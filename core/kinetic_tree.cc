@@ -8,12 +8,6 @@
 namespace structride {
 
 bool KineticTree::Insert(const Request& request, TravelCostEngine* engine) {
-  return use_pool_ ? InsertPooled(request, engine)
-                   : InsertLegacy(request, engine);
-}
-
-bool KineticTree::InsertPooled(const Request& request,
-                               TravelCostEngine* engine) {
   SchedulePool& src = pools_[cur_];
   SchedulePool& dst = pools_[1 - cur_];
   dst.Reset();
@@ -49,9 +43,8 @@ bool KineticTree::InsertPooled(const Request& request,
 
   if (produced > kMaxSchedules) {
     // One cost per ordering, then an index sort: the cheapest survive, in
-    // cost order (ties by production index — the same sequence the legacy
-    // stable_sort yields). The survivors are rewritten into the source
-    // pool, which becomes the next generation.
+    // cost order (ties by production index). The survivors are rewritten
+    // into the source pool, which becomes the next generation.
     ArenaScope scope(ScratchArena());
     double* cost = scope.AllocateArray<double>(produced);
     size_t* order = scope.AllocateArray<size_t>(produced);
@@ -76,60 +69,6 @@ bool KineticTree::InsertPooled(const Request& request,
   return true;
 }
 
-bool KineticTree::InsertLegacy(const Request& request,
-                               TravelCostEngine* engine) {
-  std::vector<std::vector<Stop>> next;
-  auto expand = [&](const std::vector<Stop>& stops) {
-    size_t n = stops.size();
-    std::vector<Stop> candidate;
-    candidate.reserve(n + 2);
-    for (size_t i = 0; i <= n; ++i) {
-      for (size_t j = i; j <= n; ++j) {
-        candidate.clear();
-        candidate.insert(candidate.end(), stops.begin(),
-                         stops.begin() + static_cast<long>(i));
-        candidate.push_back(PickupStop(request));
-        candidate.insert(candidate.end(), stops.begin() + static_cast<long>(i),
-                         stops.begin() + static_cast<long>(j));
-        candidate.push_back(DropoffStop(request));
-        candidate.insert(candidate.end(), stops.begin() + static_cast<long>(j),
-                         stops.end());
-        if (CheckSchedule(root_, candidate, engine).first) {
-          next.push_back(candidate);
-        }
-      }
-    }
-  };
-
-  if (empty_tree_) {
-    expand({});
-  } else {
-    for (const auto& stops : schedules_) expand(stops);
-  }
-  if (next.empty()) return false;
-
-  if (next.size() > kMaxSchedules) {
-    // One cost per schedule, then an index sort: the cheapest survive.
-    std::vector<double> cost(next.size());
-    std::vector<size_t> order(next.size());
-    for (size_t i = 0; i < next.size(); ++i) {
-      cost[i] = CheckSchedule(root_, next[i], engine).second;
-      order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) { return cost[a] < cost[b]; });
-    std::vector<std::vector<Stop>> kept;
-    kept.reserve(kMaxSchedules);
-    for (size_t k = 0; k < kMaxSchedules; ++k) {
-      kept.push_back(std::move(next[order[k]]));
-    }
-    next = std::move(kept);
-  }
-  schedules_ = std::move(next);
-  empty_tree_ = false;
-  return true;
-}
-
 double KineticTree::BestCost(TravelCostEngine* engine) const {
   double best = std::numeric_limits<double>::infinity();
   const size_t count = NumSchedules();
@@ -138,15 +77,6 @@ double KineticTree::BestCost(TravelCostEngine* engine) const {
     if (ok && cost < best) best = cost;
   }
   return best;
-}
-
-size_t KineticTree::MemoryBytes() const {
-  if (use_pool_) {
-    return pools_[0].MemoryBytes() + pools_[1].MemoryBytes();
-  }
-  size_t bytes = schedules_.size() * sizeof(std::vector<Stop>);
-  for (const auto& stops : schedules_) bytes += stops.size() * sizeof(Stop);
-  return bytes;
 }
 
 }  // namespace structride

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/entity_pools.h"
 #include "core/schedule.h"
@@ -14,13 +13,10 @@ namespace structride {
 
 class KineticTree {
  public:
-  /// \p use_pool selects the storage backend: ping-pong SchedulePools
-  /// (default — orderings live in arena chunks, one generation is rewound
-  /// per Insert, allocation-free once warm) or the legacy one-vector-per-
-  /// ordering representation the differential tests compare against. Both
-  /// produce identical orderings in identical sequence.
-  explicit KineticTree(const RouteState& root, bool use_pool = true)
-      : root_(root), use_pool_(use_pool) {}
+  /// Orderings live in two ping-pong SchedulePools: each Insert expands the
+  /// current generation into the other pool and rewinds the old one, so a
+  /// warmed tree inserts without heap allocation.
+  explicit KineticTree(const RouteState& root) : root_(root) {}
 
   /// Inserts the request into every held ordering at every feasible
   /// position pair. Returns false — leaving the tree unchanged — if no
@@ -28,39 +24,31 @@ class KineticTree {
   bool Insert(const Request& request, TravelCostEngine* engine);
 
   /// Number of feasible stop orderings currently held.
-  size_t NumSchedules() const {
-    return use_pool_ ? pools_[cur_].NumSchedules() : schedules_.size();
-  }
+  size_t NumSchedules() const { return pools_[cur_].NumSchedules(); }
 
   /// Minimum travel cost over all held orderings (+infinity when empty).
   double BestCost(TravelCostEngine* engine) const;
 
   /// The i-th held ordering; valid until the next Insert.
   Span<const Stop> ScheduleAt(size_t i) const {
-    if (use_pool_) return pools_[cur_].View(static_cast<uint32_t>(i));
-    return schedules_[i];
+    return pools_[cur_].View(static_cast<uint32_t>(i));
   }
 
-  size_t MemoryBytes() const;
+  size_t MemoryBytes() const {
+    return pools_[0].MemoryBytes() + pools_[1].MemoryBytes();
+  }
 
  private:
   // Safety valve: beyond this many orderings the cheapest ones are kept.
   static constexpr size_t kMaxSchedules = 4096;
 
-  bool InsertPooled(const Request& request, TravelCostEngine* engine);
-  bool InsertLegacy(const Request& request, TravelCostEngine* engine);
-
   RouteState root_;
-  bool use_pool_;
   bool empty_tree_ = true;  ///< distinguishes "no requests yet" from pruned
 
-  // Pooled backend: the current generation lives in pools_[cur_]; Insert
-  // expands it into the other pool and flips cur_.
+  // The current generation lives in pools_[cur_]; Insert expands it into
+  // the other pool and flips cur_.
   SchedulePool pools_[2];
   size_t cur_ = 0;
-
-  // Legacy backend.
-  std::vector<std::vector<Stop>> schedules_;
 };
 
 }  // namespace structride

@@ -7,11 +7,6 @@
 
 namespace structride {
 
-bool Vehicle::CommitSchedule(const Schedule& schedule, double now,
-                             TravelCostEngine* engine) {
-  return CommitStops(schedule.stops(), now, engine);
-}
-
 bool Vehicle::CommitStops(Span<const Stop> stops, double now,
                           TravelCostEngine* engine) {
   RouteState state = route_state(now);

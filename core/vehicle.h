@@ -72,17 +72,14 @@ class Vehicle {
     return {node_, now > time_ ? now : time_, capacity_, onboard_};
   }
 
-  /// Replaces the remaining schedule, re-timing every stop from
-  /// route_state(now). Returns false (and leaves the vehicle untouched) if
-  /// the new schedule is infeasible. Success abandons any in-flight
-  /// reposition leg (committed model: the vehicle never left, no cost).
-  bool CommitSchedule(const Schedule& schedule, double now,
-                      TravelCostEngine* engine);
-
-  /// Span form of CommitSchedule — the pooled hot path: \p stops may live in
-  /// an arena or SchedulePool, and the vehicle's retained stop/arrival/leg
-  /// vectors are re-filled in place (no heap allocation once their capacity
-  /// has warmed). \p stops may view the vehicle's own schedule storage.
+  /// Replaces the remaining schedule with \p stops, re-timing every stop
+  /// from route_state(now). Returns false (and leaves the vehicle
+  /// untouched) if the new schedule is infeasible. Success abandons any
+  /// in-flight reposition leg (committed model: the vehicle never left, no
+  /// cost). \p stops may live in an arena or SchedulePool, or view the
+  /// vehicle's own schedule storage; the retained stop/arrival/leg vectors
+  /// are re-filled in place (no heap allocation once their capacity has
+  /// warmed).
   bool CommitStops(Span<const Stop> stops, double now,
                    TravelCostEngine* engine);
 

@@ -9,16 +9,13 @@
 //    tolerant batched insertion that holds a request back while its slack
 //    allows a cheaper shared match (DESIGN.md §4).
 //
-// Each baseline carries a pooled twin (DispatchConfig::soa_pools): a
-// persistent scanner whose planes refill in place, *Into candidate queries
-// into thread-scratch buffers, and winner-only schedule materialization
-// staged in the scratch arena (ApplyInsertion issues no engine queries, so
-// deferring it past the scan changes nothing) — zero heap allocations per
-// steady-state batch once pools are warm. The legacy bodies are kept
-// verbatim as the bitwise parity reference.
+// Each baseline keeps a persistent fleet index whose planes refill in
+// place, answers candidate queries into thread-scratch buffers, and stages
+// only the winning schedule in the scratch arena (materializing it issues
+// no engine queries, so deferring it past the scan changes nothing) — zero
+// heap allocations per steady-state batch once pools are warm.
 
 #include <limits>
-#include <unordered_set>
 
 #include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
@@ -33,18 +30,9 @@ class PruneGdpDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (config_.soa_pools) {
-      OnBatchPooled(ctx);
-    } else {
-      OnBatchLegacy(ctx);
-    }
-  }
-
- private:
-  void OnBatchPooled(DispatchContext* ctx) {
     if (ctx->pending.empty()) return;  // drain phase: don't build the index
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    scanner_.Rebuild(fleet, ctx->engine->network());
     ArenaScope batch_scope(ScratchArena());
     size_t* nearest = batch_scope.AllocateArray<size_t>(fleet.size());
     for (const Request* r : ctx->pending) {
@@ -56,7 +44,7 @@ class PruneGdpDispatcher : public Dispatcher {
       // positions are fixed within a batch, so the radius query visits
       // exactly the prefix the sorted full-fleet scan used to.
       double reach = r->latest_pickup - ctx->now;
-      const size_t num_near = scanner_.NearestWithinInto(
+      const size_t num_near = scanner_.KNearestWithinInto(
           r->source, fleet.size(), reach, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
@@ -87,44 +75,8 @@ class PruneGdpDispatcher : public Dispatcher {
              ctx->pending.size() * sizeof(Request*));
   }
 
-  void OnBatchLegacy(DispatchContext* ctx) {
-    if (ctx->pending.empty()) return;  // drain phase: don't build the index
-    const FleetView& fleet = ctx->fleet;
-    const RoadNetwork& net = ctx->engine->network();
-    dispatch::CandidateScanner scanner(fleet, net, config_.use_spatial_index);
-    for (const Request* r : ctx->pending) {
-      double best = kInf;
-      size_t best_vehicle = 0;
-      Schedule best_schedule;
-      // Reachability prune: only vehicles whose straight-line distance still
-      // makes the pickup deadline can serve the request, and vehicle
-      // positions are fixed within a batch, so the radius query visits
-      // exactly the prefix the sorted full-fleet scan used to.
-      double reach = r->latest_pickup - ctx->now;
-      for (size_t vi : scanner.NearestWithin(r->source, fleet.size(), reach)) {
-        Vehicle& v = fleet[vi];
-        InsertionCandidate cand =
-            BestInsertion(v.route_state(ctx->now), v.schedule(), *r,
-                          ctx->engine);
-        if (cand.feasible && cand.delta_cost < best) {
-          best = cand.delta_cost;
-          best_vehicle = vi;
-          best_schedule = ApplyInsertion(v.schedule(), *r, cand);
-        }
-      }
-      if (best < kInf &&
-          fleet[best_vehicle].CommitSchedule(best_schedule, ctx->now,
-                                             ctx->engine)) {
-        ctx->assigned.push_back(r->id);
-      } else {
-        ctx->rejected.push_back(r->id);  // online: no second chance
-      }
-    }
-    NotePeak(fleet.size() * sizeof(double) + scanner.MemoryBytes() +
-             ctx->pending.size() * sizeof(Request*));
-  }
-
-  dispatch::CandidateScanner scanner_;
+ private:
+  dispatch::FleetSpatialIndex scanner_;
 };
 
 class TicketAssignDispatcher : public Dispatcher {
@@ -132,25 +84,14 @@ class TicketAssignDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (config_.soa_pools) {
-      OnBatchPooled(ctx);
-    } else {
-      OnBatchLegacy(ctx);
-    }
-  }
-
- private:
-  static constexpr size_t kScanLimit = 16;
-
-  void OnBatchPooled(DispatchContext* ctx) {
     if (ctx->pending.empty()) return;  // drain phase: don't build the index
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    scanner_.Rebuild(fleet, ctx->engine->network());
     for (const Request* r : ctx->pending) {
       bool placed = false;
       size_t nearest[kScanLimit];
       const size_t num_near =
-          scanner_.NearestInto(r->source, kScanLimit, nearest);
+          scanner_.KNearestInto(r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
         InsertionCandidate cand = BestInsertion(
@@ -172,33 +113,10 @@ class TicketAssignDispatcher : public Dispatcher {
              ctx->pending.size() * sizeof(Request*));
   }
 
-  void OnBatchLegacy(DispatchContext* ctx) {
-    if (ctx->pending.empty()) return;  // drain phase: don't build the index
-    const FleetView& fleet = ctx->fleet;
-    const RoadNetwork& net = ctx->engine->network();
-    dispatch::CandidateScanner scanner(fleet, net, config_.use_spatial_index);
-    for (const Request* r : ctx->pending) {
-      bool placed = false;
-      for (size_t vi : scanner.Nearest(r->source, kScanLimit)) {
-        Vehicle& v = fleet[vi];
-        InsertionCandidate cand =
-            BestInsertion(v.route_state(ctx->now), v.schedule(), *r,
-                          ctx->engine);
-        if (!cand.feasible) continue;
-        Schedule updated = ApplyInsertion(v.schedule(), *r, cand);
-        if (v.CommitSchedule(updated, ctx->now, ctx->engine)) {
-          ctx->assigned.push_back(r->id);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) ctx->rejected.push_back(r->id);
-    }
-    NotePeak(kScanLimit * sizeof(size_t) + scanner.MemoryBytes() +
-             ctx->pending.size() * sizeof(Request*));
-  }
+ private:
+  static constexpr size_t kScanLimit = 16;
 
-  dispatch::CandidateScanner scanner_;
+  dispatch::FleetSpatialIndex scanner_;
 };
 
 class DarmDprsDispatcher : public Dispatcher {
@@ -206,31 +124,16 @@ class DarmDprsDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (config_.soa_pools) {
-      OnBatchPooled(ctx);
-    } else {
-      OnBatchLegacy(ctx);
-    }
-  }
-
- private:
-  // Hold a request back while it still has slack and no cheap (likely
-  // shared) placement exists; assign unconditionally once it gets urgent.
-  static constexpr size_t kScanLimit = 16;
-  static constexpr double kCheapRatio = 0.6;  // delta <= 60% of direct cost
-  static constexpr double kUrgentSlack = 60;  // seconds of pickup slack
-
-  void OnBatchPooled(DispatchContext* ctx) {
     if (ctx->pending.empty()) return;  // drain phase: don't build the index
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    scanner_.Rebuild(fleet, ctx->engine->network());
     for (const Request* r : ctx->pending) {
       double best = kInf;
       size_t best_vehicle = 0;
       InsertionCandidate best_cand;
       size_t nearest[kScanLimit];
       const size_t num_near =
-          scanner_.NearestInto(r->source, kScanLimit, nearest);
+          scanner_.KNearestInto(r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
         InsertionCandidate cand = BestInsertion(
@@ -258,40 +161,14 @@ class DarmDprsDispatcher : public Dispatcher {
              scanner_.MemoryBytes() + kScanLimit * sizeof(size_t));
   }
 
-  void OnBatchLegacy(DispatchContext* ctx) {
-    if (ctx->pending.empty()) return;  // drain phase: don't build the index
-    const FleetView& fleet = ctx->fleet;
-    const RoadNetwork& net = ctx->engine->network();
-    dispatch::CandidateScanner scanner(fleet, net, config_.use_spatial_index);
-    for (const Request* r : ctx->pending) {
-      double best = kInf;
-      size_t best_vehicle = 0;
-      Schedule best_schedule;
-      for (size_t vi : scanner.Nearest(r->source, kScanLimit)) {
-        Vehicle& v = fleet[vi];
-        InsertionCandidate cand =
-            BestInsertion(v.route_state(ctx->now), v.schedule(), *r,
-                          ctx->engine);
-        if (cand.feasible && cand.delta_cost < best) {
-          best = cand.delta_cost;
-          best_vehicle = vi;
-          best_schedule = ApplyInsertion(v.schedule(), *r, cand);
-        }
-      }
-      if (best == kInf) continue;  // stays pending until slack runs out
-      double slack = r->latest_pickup - ctx->now;
-      if (best <= kCheapRatio * r->direct_cost || slack <= kUrgentSlack) {
-        if (fleet[best_vehicle].CommitSchedule(best_schedule, ctx->now,
-                                               ctx->engine)) {
-          ctx->assigned.push_back(r->id);
-        }
-      }
-    }
-    NotePeak(ctx->pending.size() * (sizeof(Request*) + sizeof(double)) +
-             scanner.MemoryBytes() + kScanLimit * sizeof(size_t));
-  }
+ private:
+  // Hold a request back while it still has slack and no cheap (likely
+  // shared) placement exists; assign unconditionally once it gets urgent.
+  static constexpr size_t kScanLimit = 16;
+  static constexpr double kCheapRatio = 0.6;  // delta <= 60% of direct cost
+  static constexpr double kUrgentSlack = 60;  // seconds of pickup slack
 
-  dispatch::CandidateScanner scanner_;
+  dispatch::FleetSpatialIndex scanner_;
 };
 
 }  // namespace

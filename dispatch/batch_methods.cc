@@ -1,52 +1,36 @@
 // The batch comparison methods.
 //
 //  - GAS: shareability graph over the open pool (the run's incrementally
-//    maintained graph when the engine provides one, rebuilt per batch on
-//    the frozen reference path), best-of-all-parents group enumeration per
-//    vehicle, then a cost-per-rider greedy assignment.
+//    maintained graph when the engine provides one, rebuilt per batch
+//    otherwise), best-of-all-parents group enumeration per vehicle, then a
+//    cost-per-rider greedy assignment.
 //  - RTV: the request-trip-vehicle pipeline — the same enumeration but
 //    exhaustive up to the ILP node cap, with every trip materialized (the
 //    memory hog of Fig. 14) and an anytime assignment: penalty-folded
 //    greedy over trips plus a per-request improvement pass standing in for
 //    the ILP solve (degrading to the incumbent instead of blowing up).
 //
-// Each method carries two representations of the same algorithm
-// (DispatchConfig::soa_pools): the pooled path enumerates into a persistent
-// GroupingScratch (SchedulePool-backed), keys conflict sets through the
-// RequestSoA id plane instead of hash sets, and stages ordering/selection
-// arrays in the batch arena — zero heap allocations per steady-state batch
-// once pools are warm — while the legacy path keeps the original per-batch
-// containers as the bitwise parity reference. Every enumeration, sort key
-// and commit decision is evaluated in the identical order, so the two
-// paths reproduce each other exactly on served / unified_cost /
-// sp_queries.
+// Each method enumerates into a persistent GroupingScratch
+// (SchedulePool-backed), keys conflict sets through the RequestSoA id
+// plane, and stages ordering/selection arrays in the batch arena — zero
+// heap allocations per steady-state batch once pools are warm.
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
+#include "util/logging.h"
 
 namespace structride {
 namespace {
 
-struct TripCandidate {
-  size_t vehicle = 0;
-  CandidateGroup group;
-};
-
-// Deterministic candidate ordering shared by both methods.
-bool OrderCandidates(const TripCandidate& a, const TripCandidate& b,
-                     double a_key, double b_key) {
-  if (a_key != b_key) return a_key < b_key;
-  if (a.vehicle != b.vehicle) return a.vehicle < b.vehicle;
-  return a.group.members < b.group.members;
-}
+// Instrumented bytes per enumerated (vehicle, group) candidate: the vehicle
+// index plus the group record (the Fig.-14 accounting).
+constexpr size_t kTripRecordBytes = sizeof(size_t) + kGroupRecordBytes;
 
 // Shared base of the two graph-consuming batch methods: picks the round's
-// share graph, keeps the pair-check books, and owns the pooled-path
-// persistent state (grouping scratch, fallback arena and SoA views).
+// share graph, keeps the pair-check books, and owns the grouping scratch.
 class GraphBatchDispatcher : public Dispatcher {
  protected:
   using Dispatcher::Dispatcher;
@@ -54,32 +38,18 @@ class GraphBatchDispatcher : public Dispatcher {
   // The share graph for one round: the engine-maintained incremental
   // builder when the run provides one (closed requests already retired by
   // lifecycle events; only the fresh slice is folded in here), else
-  // \p local after a from-scratch rebuild over the whole pool — the frozen
-  // reference path behind DispatchConfig::incremental_sharegraph
+  // \p local after a from-scratch rebuild over the whole pool — the
+  // rebuild path behind DispatchConfig::incremental_sharegraph
   // (DESIGN.md §7). Both paths yield the identical graph over the open
   // set; the incremental one just skips re-checking every pair that
   // already ran in an earlier round. Accounting follows the builder's
   // lifetime: a persistent builder's running total is adopted, a per-batch
-  // throwaway's is accumulated.
+  // throwaway's is accumulated. The throwaway is only constructed on the
+  // rebuild path (its per-batch rebuild allocates by design); the request
+  // copies it folds in are staged in the batch arena.
   ShareGraphBuilder* RoundShareGraph(DispatchContext* ctx,
-                                     const std::vector<Request>& pool,
-                                     ShareGraphBuilder* local) {
-    if (ctx->sharegraph != nullptr) {
-      ctx->sharegraph->SyncToPending(ctx->pending);
-      SetPairChecks(ctx->sharegraph->pair_checks());
-      return ctx->sharegraph;
-    }
-    local->AddBatch(pool);
-    AddPairChecks(local->pair_checks());
-    return local;
-  }
-
-  // Pooled twin: the throwaway builder is only even constructed on the
-  // from-scratch reference path (its per-batch rebuild allocates by
-  // design); the request copies it folds in are staged in the batch arena.
-  ShareGraphBuilder* RoundShareGraphPooled(
-      DispatchContext* ctx, std::optional<ShareGraphBuilder>* local,
-      EpochArena* arena) {
+                                     std::optional<ShareGraphBuilder>* local,
+                                     EpochArena* arena) {
     if (ctx->sharegraph != nullptr) {
       ctx->sharegraph->SyncToPending(ctx->pending);
       SetPairChecks(ctx->sharegraph->pair_checks());
@@ -94,31 +64,9 @@ class GraphBatchDispatcher : public Dispatcher {
     return &**local;
   }
 
-  EpochArena* BatchArena(DispatchContext* ctx) {
-    if (ctx->arena != nullptr) return ctx->arena;
-    own_arena_.Reset();
-    return &own_arena_;
-  }
-  const RequestSoA* PendingView(DispatchContext* ctx) {
-    if (ctx->pending_soa != nullptr) return ctx->pending_soa;
-    pending_soa_.Refresh({ctx->pending.data(), ctx->pending.size()});
-    return &pending_soa_;
-  }
-  const FleetSoA* FleetPlanes(DispatchContext* ctx) {
-    if (ctx->fleet_soa != nullptr) return ctx->fleet_soa;
-    fleet_soa_.Refresh(ctx->fleet);
-    return &fleet_soa_;
-  }
-
-  /// Pooled-path persistent state: the enumeration scratch's pool and
-  /// vectors stay warm across batches, as do the fallback planes/arena for
-  /// callers that provide none.
+  /// The enumeration scratch: its pool and vectors stay warm across
+  /// batches.
   GroupingScratch scratch_;
-
- private:
-  EpochArena own_arena_;
-  RequestSoA pending_soa_;
-  FleetSoA fleet_soa_;
 };
 
 class GasDispatcher : public GraphBatchDispatcher {
@@ -126,24 +74,18 @@ class GasDispatcher : public GraphBatchDispatcher {
   using GraphBatchDispatcher::GraphBatchDispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (config_.soa_pools) {
-      OnBatchPooled(ctx);
-    } else {
-      OnBatchLegacy(ctx);
-    }
-  }
-
- private:
-  void OnBatchPooled(DispatchContext* ctx) {
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
-    EpochArena* arena = BatchArena(ctx);
-    const RequestSoA* soa = PendingView(ctx);
-    const FleetSoA* fsoa = FleetPlanes(ctx);
+    // The batch arena and SoA planes are the caller's (DESIGN.md §8).
+    SR_CHECK(ctx->arena != nullptr && ctx->pending_soa != nullptr &&
+             ctx->fleet_soa != nullptr);
+    EpochArena* arena = ctx->arena;
+    const RequestSoA* soa = ctx->pending_soa;
+    const FleetSoA* fsoa = ctx->fleet_soa;
     const size_t num_pending = ctx->pending.size();
 
     std::optional<ShareGraphBuilder> local;
-    ShareGraphBuilder* builder = RoundShareGraphPooled(ctx, &local, arena);
+    ShareGraphBuilder* builder = RoundShareGraph(ctx, &local, arena);
 
     GroupingOptions gopts = config_.grouping;
     gopts.insertion_order = InsertionOrderPolicy::kBestOfAllParents;
@@ -170,14 +112,12 @@ class GasDispatcher : public GraphBatchDispatcher {
         cand_vehicle[per_vehicle[vi].first_group + i] = vi;
       }
     }
-    // Same accounting terms as the legacy path, so the metric is
-    // representation-invariant.
     NotePeak(builder->MemoryBytes() + grouping_bytes +
-             num_cands * sizeof(TripCandidate));
+             num_cands * kTripRecordBytes);
 
-    // (key, vehicle, members) is unique per candidate (best-of-all-parents
-    // dedups member sets per vehicle), so this std::sort realizes the
-    // legacy OrderCandidates order exactly.
+    // Deterministic candidate order: cost per rider, then vehicle, then
+    // members. (key, vehicle, members) is unique per candidate (best-of-
+    // all-parents dedups member sets per vehicle), so std::sort suffices.
     size_t* order = arena->AllocateArray<size_t>(num_cands);
     for (size_t i = 0; i < num_cands; ++i) order[i] = i;
     std::sort(order, order + num_cands, [&](size_t a, size_t b) {
@@ -196,7 +136,7 @@ class GasDispatcher : public GraphBatchDispatcher {
     });
 
     // Conflict sets as flat flags over fleet index / pending-pool index
-    // (the RequestSoA id plane replaces the legacy hash sets).
+    // (the RequestSoA id plane resolves member ids).
     char* used_vehicle = arena->AllocateArray<char>(fleet.size());
     std::fill(used_vehicle, used_vehicle + fleet.size(), 0);
     char* taken = arena->AllocateArray<char>(num_pending);
@@ -225,68 +165,6 @@ class GasDispatcher : public GraphBatchDispatcher {
       }
     }
   }
-
-  void OnBatchLegacy(DispatchContext* ctx) {
-    const FleetView& fleet = ctx->fleet;
-    std::vector<Request> pool;
-    pool.reserve(ctx->pending.size());
-    for (const Request* r : ctx->pending) pool.push_back(*r);
-    if (pool.empty()) return;
-
-    ShareGraphBuilder local(ctx->engine, config_.sharegraph);
-    ShareGraphBuilder* builder = RoundShareGraph(ctx, pool, &local);
-
-    GroupingOptions gopts = config_.grouping;
-    gopts.insertion_order = InsertionOrderPolicy::kBestOfAllParents;
-    gopts.max_group_size =
-        std::min(gopts.max_group_size, config_.vehicle_capacity);
-
-    std::vector<TripCandidate> candidates;
-    size_t grouping_bytes = 0;
-    for (size_t vi = 0; vi < fleet.size(); ++vi) {
-      if (!fleet[vi].in_service()) continue;  // downtime: no new work
-      GroupingResult res =
-          EnumerateGroups(fleet[vi].route_state(ctx->now), fleet[vi].schedule(),
-                          pool, &builder->graph(), ctx->engine, gopts);
-      grouping_bytes += GroupingMemoryBytes(res);
-      for (CandidateGroup& g : res.groups) {
-        candidates.push_back({vi, std::move(g)});
-      }
-    }
-    NotePeak(builder->MemoryBytes() + grouping_bytes +
-             candidates.size() * sizeof(TripCandidate));
-
-    std::sort(candidates.begin(), candidates.end(),
-              [](const TripCandidate& a, const TripCandidate& b) {
-                return OrderCandidates(
-                    a, b,
-                    a.group.delta_cost / static_cast<double>(a.group.members.size()),
-                    b.group.delta_cost / static_cast<double>(b.group.members.size()));
-              });
-
-    std::unordered_set<size_t> used_vehicles;
-    std::unordered_set<RequestId> taken;
-    for (const TripCandidate& c : candidates) {
-      if (used_vehicles.count(c.vehicle)) continue;
-      bool conflict = false;
-      for (RequestId id : c.group.members) {
-        if (taken.count(id)) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) continue;
-      if (!fleet[c.vehicle].CommitSchedule(c.group.schedule, ctx->now,
-                                           ctx->engine)) {
-        continue;
-      }
-      used_vehicles.insert(c.vehicle);
-      for (RequestId id : c.group.members) {
-        taken.insert(id);
-        ctx->assigned.push_back(id);
-      }
-    }
-  }
 };
 
 class RtvDispatcher : public GraphBatchDispatcher {
@@ -294,25 +172,19 @@ class RtvDispatcher : public GraphBatchDispatcher {
   using GraphBatchDispatcher::GraphBatchDispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (config_.soa_pools) {
-      OnBatchPooled(ctx);
-    } else {
-      OnBatchLegacy(ctx);
-    }
-  }
-
- private:
-  void OnBatchPooled(DispatchContext* ctx) {
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
-    EpochArena* arena = BatchArena(ctx);
-    const RequestSoA* soa = PendingView(ctx);
-    const FleetSoA* fsoa = FleetPlanes(ctx);
+    // The batch arena and SoA planes are the caller's (DESIGN.md §8).
+    SR_CHECK(ctx->arena != nullptr && ctx->pending_soa != nullptr &&
+             ctx->fleet_soa != nullptr);
+    EpochArena* arena = ctx->arena;
+    const RequestSoA* soa = ctx->pending_soa;
+    const FleetSoA* fsoa = ctx->fleet_soa;
     const size_t num_pending = ctx->pending.size();
 
     // RR edges (the shareability graph) and per-vehicle trip enumeration.
     std::optional<ShareGraphBuilder> local;
-    ShareGraphBuilder* builder = RoundShareGraphPooled(ctx, &local, arena);
+    ShareGraphBuilder* builder = RoundShareGraph(ctx, &local, arena);
 
     GroupingOptions gopts = config_.grouping;
     gopts.insertion_order = InsertionOrderPolicy::kBestOfAllParents;
@@ -341,9 +213,8 @@ class RtvDispatcher : public GraphBatchDispatcher {
         trip_vehicle[per_vehicle[vi].first_group + i] = vi;
       }
     }
-    // Same accounting terms as the legacy path (every trip materialized —
-    // the memory hog the figure is about), representation-invariant.
-    size_t trip_bytes = num_trips * sizeof(TripCandidate);
+    // Every trip materialized — the memory hog the figure is about.
+    size_t trip_bytes = num_trips * kTripRecordBytes;
     for (const PooledGroup& g : scratch_.groups) {
       trip_bytes += g.members_len * sizeof(RequestId) +
                     scratch_.ScheduleOf(g).size() * sizeof(Stop);
@@ -351,9 +222,9 @@ class RtvDispatcher : public GraphBatchDispatcher {
     NotePeak(builder->MemoryBytes() + trip_bytes);
 
     // The assignment objective folds the unassignment penalty in: picking a
-    // trip saves penalty * sum(direct costs) against its extra travel. The
-    // RequestSoA direct plane replaces the legacy id->direct hash map.
-    // Decorate-sort: one net cost per trip, not one per comparison.
+    // trip saves penalty * sum(direct costs) against its extra travel, read
+    // from the RequestSoA direct plane. Decorate-sort: one net cost per
+    // trip, not one per comparison.
     double* net = arena->AllocateArray<double>(num_trips);
     size_t* order = arena->AllocateArray<size_t>(num_trips);
     for (size_t i = 0; i < num_trips; ++i) {
@@ -437,111 +308,6 @@ class RtvDispatcher : public GraphBatchDispatcher {
           taken[ri] = 1;
           ctx->assigned.push_back(r.id);
         }
-      }
-    }
-  }
-
-  void OnBatchLegacy(DispatchContext* ctx) {
-    const FleetView& fleet = ctx->fleet;
-    std::vector<Request> pool;
-    pool.reserve(ctx->pending.size());
-    for (const Request* r : ctx->pending) pool.push_back(*r);
-    if (pool.empty()) return;
-
-    // RR edges (the shareability graph) and per-vehicle trip enumeration.
-    ShareGraphBuilder local(ctx->engine, config_.sharegraph);
-    ShareGraphBuilder* builder = RoundShareGraph(ctx, pool, &local);
-
-    GroupingOptions gopts = config_.grouping;
-    gopts.insertion_order = InsertionOrderPolicy::kBestOfAllParents;
-    gopts.max_group_size = config_.vehicle_capacity;
-
-    std::vector<TripCandidate> trips;
-    int64_t node_budget = config_.ilp_node_cap;
-    for (size_t vi = 0; vi < fleet.size() && node_budget > 0; ++vi) {
-      if (!fleet[vi].in_service()) continue;  // downtime: no new work
-      gopts.max_groups = static_cast<size_t>(node_budget);
-      GroupingResult res =
-          EnumerateGroups(fleet[vi].route_state(ctx->now), fleet[vi].schedule(),
-                          pool, &builder->graph(), ctx->engine, gopts);
-      node_budget -= static_cast<int64_t>(res.groups.size());
-      for (CandidateGroup& g : res.groups) {
-        trips.push_back({vi, std::move(g)});
-      }
-    }
-    size_t trip_bytes = trips.size() * sizeof(TripCandidate);
-    for (const TripCandidate& t : trips) {
-      trip_bytes += t.group.members.size() * sizeof(RequestId) +
-                    t.group.schedule.size() * sizeof(Stop);
-    }
-    NotePeak(builder->MemoryBytes() + trip_bytes);
-
-    // The assignment objective folds the unassignment penalty in: picking a
-    // trip saves penalty * sum(direct costs) against its extra travel.
-    std::unordered_map<RequestId, double> direct;
-    for (const Request& r : pool) direct[r.id] = r.direct_cost;
-    // Decorate-sort: one net cost per trip, not one per comparison.
-    std::vector<double> net(trips.size());
-    std::vector<size_t> order(trips.size());
-    for (size_t i = 0; i < trips.size(); ++i) {
-      double saved = 0;
-      for (RequestId id : trips[i].group.members) saved += direct[id];
-      net[i] = trips[i].group.delta_cost - config_.penalty_coefficient * saved;
-      order[i] = i;
-    }
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return OrderCandidates(trips[a], trips[b], net[a], net[b]);
-    });
-
-    std::unordered_set<size_t> used_vehicles;
-    std::unordered_set<RequestId> taken;
-    for (size_t i : order) {
-      const TripCandidate& t = trips[i];
-      if (net[i] >= 0) break;  // remaining trips cannot help
-      if (used_vehicles.count(t.vehicle)) continue;
-      bool conflict = false;
-      for (RequestId id : t.group.members) {
-        if (taken.count(id)) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) continue;
-      if (!fleet[t.vehicle].CommitSchedule(t.group.schedule, ctx->now,
-                                           ctx->engine)) {
-        continue;
-      }
-      used_vehicles.insert(t.vehicle);
-      for (RequestId id : t.group.members) {
-        taken.insert(id);
-        ctx->assigned.push_back(id);
-      }
-    }
-
-    // Improvement pass (the anytime stand-in for the ILP): leftover requests
-    // get a plain best-insertion over the whole fleet, including vehicles
-    // already extended this round.
-    for (const Request& r : pool) {
-      if (taken.count(r.id)) continue;
-      double best = std::numeric_limits<double>::infinity();
-      size_t best_vehicle = 0;
-      Schedule best_schedule;
-      for (size_t vi = 0; vi < fleet.size(); ++vi) {
-        if (!fleet[vi].in_service()) continue;
-        InsertionCandidate cand =
-            BestInsertion(fleet[vi].route_state(ctx->now), fleet[vi].schedule(),
-                          r, ctx->engine);
-        if (cand.feasible && cand.delta_cost < best) {
-          best = cand.delta_cost;
-          best_vehicle = vi;
-          best_schedule = ApplyInsertion(fleet[vi].schedule(), r, cand);
-        }
-      }
-      if (best < config_.penalty_coefficient * r.direct_cost &&
-          fleet[best_vehicle].CommitSchedule(best_schedule, ctx->now,
-                                             ctx->engine)) {
-        taken.insert(r.id);
-        ctx->assigned.push_back(r.id);
       }
     }
   }

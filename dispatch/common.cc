@@ -1,103 +1,7 @@
 #include "dispatch/common.h"
 
-#include <algorithm>
-
 namespace structride {
 namespace dispatch {
-
-std::vector<size_t> VehiclesByDistance(const FleetView& fleet,
-                                       const RoadNetwork& net, NodeId from) {
-  std::vector<size_t> order;
-  order.reserve(fleet.size());
-  std::vector<double> dist(fleet.size());
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    if (!fleet[i].in_service()) continue;  // scenario downtime: no new work
-    order.push_back(i);
-    dist[i] = net.EuclidLowerBound(fleet[i].node(), from);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (dist[a] != dist[b]) return dist[a] < dist[b];
-    return a < b;
-  });
-  return order;
-}
-
-std::vector<size_t> VehiclesByDistance(const std::vector<Vehicle>& fleet,
-                                       const RoadNetwork& net, NodeId from) {
-  // Read-only delegation; nothing mutates through the view.
-  return VehiclesByDistance(
-      FleetView(const_cast<std::vector<Vehicle>*>(&fleet)), net, from);
-}
-
-void CandidateScanner::Rebuild(const FleetView& fleet, const RoadNetwork& net,
-                               bool use_index) {
-  fleet_ = fleet;
-  net_ = &net;
-  use_index_ = use_index;
-  if (use_index_) index_.Rebuild(fleet, net);
-}
-
-void CandidateScanner::Rebuild(const std::vector<Vehicle>& fleet,
-                               const RoadNetwork& net, bool use_index) {
-  Rebuild(FleetView(const_cast<std::vector<Vehicle>*>(&fleet)), net,
-          use_index);
-}
-
-std::vector<size_t> CandidateScanner::Nearest(NodeId from, size_t k) const {
-  if (use_index_) return index_.KNearest(from, k);
-  std::vector<size_t> order = VehiclesByDistance(fleet_, *net_, from);
-  if (order.size() > k) order.resize(k);
-  return order;
-}
-
-std::vector<size_t> CandidateScanner::NearestWithin(NodeId from, size_t k,
-                                                    double max_dist) const {
-  if (use_index_) return index_.KNearestWithin(from, k, max_dist);
-  std::vector<size_t> order = VehiclesByDistance(fleet_, *net_, from);
-  std::vector<size_t> out;
-  for (size_t vi : order) {
-    if (out.size() >= k) break;
-    if (net_->EuclidLowerBound(fleet_[vi].node(), from) > max_dist) break;
-    out.push_back(vi);
-  }
-  return out;
-}
-
-size_t CandidateScanner::NearestInto(NodeId from, size_t k,
-                                     size_t* out) const {
-  if (use_index_) return index_.KNearestInto(from, k, out);
-  std::vector<size_t> order = Nearest(from, k);  // legacy path may allocate
-  std::copy(order.begin(), order.end(), out);
-  return order.size();
-}
-
-size_t CandidateScanner::NearestWithinInto(NodeId from, size_t k,
-                                           double max_dist,
-                                           size_t* out) const {
-  if (use_index_) return index_.KNearestWithinInto(from, k, max_dist, out);
-  std::vector<size_t> order = NearestWithin(from, k, max_dist);
-  std::copy(order.begin(), order.end(), out);
-  return order.size();
-}
-
-GroupInsertion InsertGroupSequential(const RouteState& state,
-                                     const Schedule& committed,
-                                     const std::vector<const Request*>& members,
-                                     TravelCostEngine* engine) {
-  GroupInsertion out;
-  Schedule schedule = committed;
-  double delta = 0;
-  for (const Request* r : members) {
-    InsertionCandidate cand = BestInsertion(state, schedule, *r, engine);
-    if (!cand.feasible) return out;
-    schedule = ApplyInsertion(schedule, *r, cand);
-    delta += cand.delta_cost;
-  }
-  out.feasible = true;
-  out.delta_cost = delta;
-  out.schedule = std::move(schedule);
-  return out;
-}
 
 PooledGroupInsertion InsertGroupSequentialPooled(
     const RouteState& state, Span<const Stop> committed,

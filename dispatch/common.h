@@ -2,8 +2,6 @@
 
 #pragma once
 
-#include <vector>
-
 #include "core/insertion.h"
 #include "core/vehicle.h"
 #include "dispatch/spatial_index.h"
@@ -12,79 +10,8 @@
 namespace structride {
 namespace dispatch {
 
-/// In-service view-local fleet indices sorted by straight-line distance from
-/// \p from (ties by vehicle index, so orderings are deterministic); vehicles
-/// a scenario pulled out of service are omitted. The legacy full-fleet scan:
-/// O(F log F) per call. Kept as the spatial index's ground truth and as the
-/// serial baseline behind `DispatchConfig::use_spatial_index=false`. Under
-/// geo-sharding the view restricts the scan to one shard's residents.
-std::vector<size_t> VehiclesByDistance(const FleetView& fleet,
-                                       const RoadNetwork& net, NodeId from);
-std::vector<size_t> VehiclesByDistance(const std::vector<Vehicle>& fleet,
-                                       const RoadNetwork& net, NodeId from);
-
-/// Per-batch nearest-candidate scanner. Rebuilt once per batch from the
-/// batch-start fleet positions; answers from the grid-bucket index when
-/// enabled, or from the legacy full sort when not. Both paths return the
-/// identical (distance, index)-ordered prefix, so the knob only moves time.
-/// A persistent instance reuses the index's planes across Rebuild calls —
-/// steady-state batches rebuild without heap allocation — and the *Into
-/// query variants answer into caller buffers.
-class CandidateScanner {
- public:
-  CandidateScanner() = default;
-  CandidateScanner(const FleetView& fleet, const RoadNetwork& net,
-                   bool use_index) {
-    Rebuild(fleet, net, use_index);
-  }
-  CandidateScanner(const std::vector<Vehicle>& fleet, const RoadNetwork& net,
-                   bool use_index) {
-    Rebuild(fleet, net, use_index);
-  }
-
-  void Rebuild(const FleetView& fleet, const RoadNetwork& net, bool use_index);
-  void Rebuild(const std::vector<Vehicle>& fleet, const RoadNetwork& net,
-               bool use_index);
-
-  /// The k nearest fleet indices to \p from.
-  std::vector<size_t> Nearest(NodeId from, size_t k) const;
-
-  /// Fleet indices with straight-line distance <= \p max_dist, nearest
-  /// first, capped at \p k.
-  std::vector<size_t> NearestWithin(NodeId from, size_t k,
-                                    double max_dist) const;
-
-  /// Allocation-free twins (on the indexed path): write up to \p k fleet
-  /// indices into \p out (room for k), return the count. Safe to call from
-  /// concurrent workers — staging uses the calling thread's scratch arena.
-  size_t NearestInto(NodeId from, size_t k, size_t* out) const;
-  size_t NearestWithinInto(NodeId from, size_t k, double max_dist,
-                           size_t* out) const;
-
-  size_t MemoryBytes() const { return use_index_ ? index_.MemoryBytes() : 0; }
-
- private:
-  FleetView fleet_;
-  const RoadNetwork* net_ = nullptr;
-  bool use_index_ = false;
-  FleetSpatialIndex index_;
-};
-
-struct GroupInsertion {
-  bool feasible = false;
-  double delta_cost = 0;
-  Schedule schedule;
-};
-
-/// Linear insertion of \p members, in the given order, into \p committed
-/// evaluated from \p state; infeasible if any member fails.
-GroupInsertion InsertGroupSequential(const RouteState& state,
-                                     const Schedule& committed,
-                                     const std::vector<const Request*>& members,
-                                     TravelCostEngine* engine);
-
-/// Pooled result: the stop sequence lives in the arena passed to
-/// InsertGroupSequentialPooled, valid until that arena rewinds.
+/// Result of InsertGroupSequentialPooled: the stop sequence lives in the
+/// arena passed to it, valid until that arena rewinds.
 struct PooledGroupInsertion {
   bool feasible = false;
   double delta_cost = 0;
@@ -92,10 +19,10 @@ struct PooledGroupInsertion {
   size_t len = 0;
 };
 
-/// The allocation-free twin of InsertGroupSequential: identical insertions
-/// in identical order (hence identical feasibility, delta and travel-cost
-/// query sequence), with every intermediate stage ping-ponged between two
-/// \p arena blocks instead of materialized as a Schedule.
+/// Linear insertion of \p members, in the given order, into \p committed
+/// evaluated from \p state; infeasible if any member fails. Every
+/// intermediate stage is ping-ponged between two \p arena blocks instead of
+/// materialized as a Schedule.
 PooledGroupInsertion InsertGroupSequentialPooled(
     const RouteState& state, Span<const Stop> committed,
     Span<const Request* const> members, TravelCostEngine* engine,

@@ -40,29 +40,17 @@ struct DispatchConfig {
   /// pending — otherwise the clique partition re-forms the identical group
   /// next batch and its members starve until they expire (DESIGN.md §4).
   bool sard_split_rejected_groups = true;
-  /// Answer nearest-candidate scans from a per-batch grid-bucket fleet index
-  /// instead of a full O(F log F) distance sort per scan. Outcome-identical
-  /// by construction; `false` restores the legacy scan (the serial baseline
-  /// `abl_parallel_scaling` measures against).
-  bool use_spatial_index = true;
   /// Maintain one share graph per run, incrementally: the engine owns a
   /// ShareGraphBuilder, retires requests at assignment / cancellation /
   /// expiry events, and hands it to every round via
   /// DispatchContext::sharegraph; GAS, RTV and SARD fold only the fresh
-  /// slice in. `false` restores the frozen reference path — GAS/RTV rebuild
-  /// the graph from scratch over the whole pending pool each batch, SARD
-  /// keeps a private persistent builder — which the incremental path must
-  /// match on served / unified_cost / sp_queries and the graph edge set
-  /// (DESIGN.md §7; pinned by tests and abl_incremental_sharegraph).
+  /// slice in. `false` runs the rebuild path — GAS/RTV rebuild the graph
+  /// from scratch over the whole pending pool each batch, SARD keeps a
+  /// private persistent builder — which the incremental path must match on
+  /// served / unified_cost / sp_queries and the graph edge set (DESIGN.md
+  /// §7; pinned by tests, and abl_incremental_sharegraph measures the pair
+  /// checks it saves).
   bool incremental_sharegraph = true;
-  /// Run the pooled structure-of-arrays hot path (DESIGN.md §8): entity
-  /// state viewed through FleetSoA/RequestSoA planes, candidate schedules
-  /// built in SchedulePool / epoch-arena storage, per-batch scratch
-  /// bump-allocated and reset once per round — zero heap allocations per
-  /// steady-state batch once the pools are warm. `false` restores the
-  /// legacy vector-backed representation, which the pooled path must match
-  /// bitwise on served / unified_cost / sp_queries (pinned by tests).
-  bool soa_pools = true;
   /// Geo-sharding (DESIGN.md §12): partition the metro into this many zones
   /// and run one ShardRuntime (dispatcher + share graph + SoA planes + arena)
   /// per zone, with cross-shard trips handled by the boundary escrow and
@@ -111,14 +99,15 @@ struct DispatchContext {
   FleetView fleet;
   /// Worker pool owned by the caller (the simulation engine keeps one per
   /// run); dispatchers that parallelize use it instead of spawning threads
-  /// per batch. Null means no pool — dispatchers fall back to a private one.
+  /// per batch. Required when the config runs SARD's parallel acceptance
+  /// on more than one thread.
   ThreadPool* pool = nullptr;
   /// Open requests in release order.
   std::vector<const Request*> pending;
   /// Streaming service mode only (DESIGN.md §13): wall-clock seconds (run
   /// epoch) at which the ingestion thread pushed each pending request,
   /// parallel to `pending`. Dispatchers may consult it for latency-aware
-  /// ordering; empty in replay mode and in hand-built contexts.
+  /// ordering; empty in replay mode.
   std::vector<double> pending_ingest_wall;
   /// True when this invocation was triggered by a single request-release
   /// event (the scenario-enabled online dispatch mode) rather than a batch
@@ -129,20 +118,16 @@ struct DispatchContext {
   /// DispatchConfig::incremental_sharegraph is on: closed requests have
   /// already been retired by lifecycle events, so a dispatcher only syncs
   /// the fresh slice in (ShareGraphBuilder::SyncToPending) and consumes the
-  /// graph. Null when the caller keeps no persistent graph (the frozen
-  /// legacy engine, hand-built contexts) — graph dispatchers then fall back
-  /// to their per-batch / private builders.
+  /// graph. Null when incremental_sharegraph is off — graph dispatchers
+  /// then use their per-batch / private builders.
   ShareGraphBuilder* sharegraph = nullptr;
   /// Batch-scoped bump arena, owned by the caller and reset between rounds
-  /// (after the dispatcher returns). Pooled dispatcher paths stage
-  /// proposals, candidate schedules and scratch here. Null when the caller
-  /// keeps no arena (the frozen legacy engine, hand-built contexts) —
-  /// dispatchers then fall back to a private arena.
+  /// (after the dispatcher returns). Dispatchers stage proposals, candidate
+  /// schedules and scratch here. Required by SARD, GAS and RTV.
   EpochArena* arena = nullptr;
   /// Structure-of-arrays views over the batch-start fleet and pending pool,
-  /// refreshed by the caller each round (DESIGN.md §8). Null when the
-  /// caller maintains no pools; pooled dispatcher paths then refresh
-  /// private planes.
+  /// refreshed by the caller each round (DESIGN.md §8). Required by SARD,
+  /// GAS and RTV.
   const FleetSoA* fleet_soa = nullptr;
   const RequestSoA* pending_soa = nullptr;
   /// Outputs: requests assigned this round; requests the dispatcher gives up

@@ -16,25 +16,16 @@
 // the clique partition would otherwise re-form the identical group next
 // batch and starve its members.
 //
-// Two representations of the same algorithm (DispatchConfig::soa_pools):
-// the pooled path stages the induced subgraph, clique partition, member
-// order and proposal slots as flat arrays in the batch arena and prices
-// groups through InsertGroupSequentialPooled (thread-scratch ping-pong
-// buffers) — zero heap allocations per steady-state batch once pools are
-// warm — while the legacy path below it keeps the original per-batch
-// containers as the bitwise parity reference. Every decision point (clique
-// seeds, member picks, proposal order, commit order, travel-cost query
-// sequence) is evaluated in the identical order, so the two paths reproduce
-// each other exactly on served / unified_cost / sp_queries.
+// The batch stages the induced subgraph, clique partition, member order
+// and proposal slots as flat arrays in the batch arena and prices groups
+// through InsertGroupSequentialPooled (thread-scratch ping-pong buffers) —
+// zero heap allocations per steady-state batch once pools are warm.
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
-#include "sharegraph/analysis.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace structride {
@@ -43,14 +34,6 @@ namespace {
 class SardDispatcher : public Dispatcher {
  public:
   using Dispatcher::Dispatcher;
-
-  void OnBatch(DispatchContext* ctx) override {
-    if (config_.soa_pools) {
-      OnBatchPooled(ctx);
-    } else {
-      OnBatchLegacy(ctx);
-    }
-  }
 
  private:
   static constexpr size_t kCandidateVehicles = 16;
@@ -76,9 +59,9 @@ class SardDispatcher : public Dispatcher {
   ShareGraphBuilder* SyncedBuilder(DispatchContext* ctx, ThreadPool* pool) {
     // The run's engine-maintained builder when provided (closed requests
     // already retired by lifecycle events), else the private persistent
-    // builder — both paths then do the same delta sync: drop anything no
-    // longer pending, fold the fresh slice in, so the graph tracks the
-    // open set (DESIGN.md §7).
+    // builder (incremental_sharegraph off) — both then do the same delta
+    // sync: drop anything no longer pending, fold the fresh slice in, so
+    // the graph tracks the open set (DESIGN.md §7).
     ShareGraphBuilder* builder = ctx->sharegraph;
     if (builder == nullptr) {
       if (!builder_) {
@@ -94,11 +77,8 @@ class SardDispatcher : public Dispatcher {
     return builder;
   }
 
-  // ---------------------------------------------------------------------
-  // Pooled path (DispatchConfig::soa_pools = true, DESIGN.md §8).
-  // ---------------------------------------------------------------------
-
-  void OnBatchPooled(DispatchContext* ctx) {
+ public:
+  void OnBatch(DispatchContext* ctx) override {
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
 
@@ -106,26 +86,17 @@ class SardDispatcher : public Dispatcher {
     ShareGraphBuilder* builder = SyncedBuilder(ctx, pool);
 
     // SoA view of the pending pool (id -> pool-index without a hash map)
-    // and the batch arena — the caller's when provided, else the private
-    // fallbacks, so hand-built contexts work unchanged.
+    // and the batch arena, both owned by the caller.
+    SR_CHECK(ctx->pending_soa != nullptr && ctx->arena != nullptr);
     const RequestSoA* soa = ctx->pending_soa;
-    if (soa == nullptr) {
-      pending_soa_.Refresh({ctx->pending.data(), ctx->pending.size()});
-      soa = &pending_soa_;
-    }
     EpochArena* arena = ctx->arena;
-    if (arena == nullptr) {
-      own_arena_.Reset();
-      arena = &own_arena_;
-    }
     const size_t num_pending = ctx->pending.size();
 
     // Induced share subgraph over the open requests as a CSR adjacency in
-    // the batch arena: the same edge set the legacy path materializes as a
-    // per-batch ShareGraph (assigned/expired nodes fall out naturally
-    // because only pending ids resolve through IndexOfId). Each adjacency
-    // run is sorted so membership tests are binary searches; no decision
-    // below depends on adjacency order beyond the edge set.
+    // the batch arena (assigned/expired nodes fall out naturally because
+    // only pending ids resolve through IndexOfId). Each adjacency run is
+    // sorted so membership tests are binary searches; no decision below
+    // depends on adjacency order beyond the edge set.
     size_t* deg = arena->AllocateArray<size_t>(num_pending);
     size_t* offsets = arena->AllocateArray<size_t>(num_pending + 1);
     size_t num_adj = 0;
@@ -155,9 +126,8 @@ class SardDispatcher : public Dispatcher {
     // GreedyCliquePartition on the flat representation. Seeds in ascending
     // (degree, id) order; each clique grows by the eligible neighbor of its
     // seed minimizing (degree, id). Both rules are min-over-a-set, so they
-    // match the legacy ShareGraph walk regardless of adjacency order, and
-    // (degree, id) is a total order (ids unique), so std::sort reproduces
-    // the legacy stable_sort.
+    // are independent of adjacency order, and (degree, id) is a total order
+    // (ids unique), so std::sort is deterministic.
     int raw_bound = std::min(config_.vehicle_capacity,
                              config_.grouping.max_group_size);
     const size_t bound = static_cast<size_t>(raw_bound > 0 ? raw_bound : 1);
@@ -229,7 +199,7 @@ class SardDispatcher : public Dispatcher {
 
     // One fleet index per batch; the persistent scanner refills its planes
     // in place (steady-state rebuilds without heap allocation).
-    scanner_.Rebuild(fleet, ctx->engine->network(), config_.use_spatial_index);
+    scanner_.Rebuild(fleet, ctx->engine->network());
 
     // Proposal pricing (phase A; pure, parallelizable): workers fill
     // disjoint fixed-size proposal slots in the batch arena.
@@ -262,8 +232,7 @@ class SardDispatcher : public Dispatcher {
       proposal_bytes += prop_count[gi] * sizeof(Proposal);
     }
     // Size-based (not capacity-based) accounting, so the figure is
-    // deterministic and identical across caller-provided vs fallback
-    // arenas; arena retention is reported separately as
+    // deterministic; arena retention is reported separately as
     // RunMetrics::arena_peak_bytes.
     const size_t graph_bytes = (2 * num_pending + 1 + num_adj) * sizeof(size_t);
     const size_t group_bytes =
@@ -273,6 +242,7 @@ class SardDispatcher : public Dispatcher {
              scanner_.MemoryBytes() + group_bytes);
   }
 
+ private:
   /// Prices \p mem against its nearby vehicles into \p out (room for
   /// kCandidateVehicles), returning the count; (delta, vehicle)-sorted per
   /// the proposal policy. Pure read of the current fleet state; scratch
@@ -285,7 +255,7 @@ class SardDispatcher : public Dispatcher {
     NodeId anchor = mem[0]->source;
     size_t nearest[kCandidateVehicles];
     const size_t num_near =
-        scanner_.NearestInto(anchor, kCandidateVehicles, nearest);
+        scanner_.KNearestInto(anchor, kCandidateVehicles, nearest);
     // Batched warm-up of the first insertion leg: an *idle* candidate's
     // pricing provably starts with Cost(vehicle node, anchor) — the first
     // member goes to position 0 of an empty schedule, that position's
@@ -319,8 +289,8 @@ class SardDispatcher : public Dispatcher {
         ++count;
       }
     }
-    // (delta, vehicle) is a total order (vehicle unique), so std::sort
-    // reproduces the legacy stable_sort.
+    // (delta, vehicle) is a total order (vehicle unique), so std::sort is
+    // deterministic.
     std::sort(out, out + count, [this](const Proposal& a, const Proposal& b) {
       if (a.delta != b.delta) {
         return config_.sard_propose_worst_first ? a.delta > b.delta
@@ -368,181 +338,21 @@ class SardDispatcher : public Dispatcher {
                  nullptr, 0);
   }
 
-  // ---------------------------------------------------------------------
-  // Legacy path (soa_pools = false): the original vector-backed batch,
-  // kept verbatim as the pooled path's bitwise parity reference.
-  // ---------------------------------------------------------------------
-
-  void OnBatchLegacy(DispatchContext* ctx) {
-    const FleetView& fleet = ctx->fleet;
-    if (ctx->pending.empty()) return;
-
-    ThreadPool* pool = WorkerPool(ctx);
-    ShareGraphBuilder* builder = SyncedBuilder(ctx, pool);
-
-    // Induced subgraph over the open requests (assigned/expired nodes fall
-    // out naturally because only pending ids are copied in).
-    ShareGraph open;
-    std::unordered_map<RequestId, const Request*> by_id;
-    for (const Request* r : ctx->pending) {
-      open.AddNode(r->id);
-      by_id[r->id] = r;
-    }
-    for (const Request* r : ctx->pending) {
-      for (RequestId nb : builder->graph().Neighbors(r->id)) {
-        if (nb > r->id && by_id.count(nb)) open.AddEdge(r->id, nb);
-      }
-    }
-
-    int bound = std::min(config_.vehicle_capacity,
-                         config_.grouping.max_group_size);
-    std::vector<std::vector<RequestId>> groups =
-        GreedyCliquePartition(open, static_cast<size_t>(bound > 0 ? bound : 1));
-
-    // Members inside a group join schedules in ascending shareability order.
-    std::vector<std::vector<const Request*>> group_members(groups.size());
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      std::vector<RequestId> ids = groups[gi];
-      std::stable_sort(ids.begin(), ids.end(), [&](RequestId a, RequestId b) {
-        size_t da = open.Degree(a), db = open.Degree(b);
-        if (da != db) return da < db;
-        return a < b;
-      });
-      for (RequestId id : ids) group_members[gi].push_back(by_id[id]);
-    }
-
-    // One fleet index per batch; every nearest-candidate scan below answers
-    // from it (or from the legacy full sort when the knob is off).
-    dispatch::CandidateScanner scanner(fleet, ctx->engine->network(),
-                                       config_.use_spatial_index);
-
-    // Proposal pricing (phase A; pure, parallelizable): for each group, the
-    // feasible nearby vehicles ordered by the configured proposal policy.
-    auto price_group = [&](const std::vector<const Request*>& members) {
-      std::vector<Proposal> props;
-      NodeId anchor = members.front()->source;
-      const std::vector<size_t> nearest =
-          scanner.Nearest(anchor, kCandidateVehicles);
-      // Batched warm-up of the first insertion leg (see the pooled twin for
-      // the full provenance argument).
-      std::vector<NodeId> idle_nodes;
-      for (size_t vi : nearest) {
-        if (fleet[vi].schedule().empty()) idle_nodes.push_back(fleet[vi].node());
-      }
-      if (idle_nodes.size() > 1) {
-        std::vector<double> warmed(idle_nodes.size());
-        ctx->engine->CostMany(anchor, {idle_nodes.data(), idle_nodes.size()},
-                              warmed.data());
-      }
-      for (size_t vi : nearest) {
-        dispatch::GroupInsertion ins = dispatch::InsertGroupSequential(
-            fleet[vi].route_state(ctx->now), fleet[vi].schedule(), members,
-            ctx->engine);
-        if (ins.feasible) props.push_back({ins.delta_cost, vi});
-      }
-      std::stable_sort(props.begin(), props.end(),
-                       [&](const Proposal& a, const Proposal& b) {
-                         if (a.delta != b.delta) {
-                           return config_.sard_propose_worst_first
-                                      ? a.delta > b.delta
-                                      : a.delta < b.delta;
-                         }
-                         return a.vehicle < b.vehicle;
-                       });
-      return props;
-    };
-
-    std::vector<std::vector<Proposal>> proposals(groups.size());
-    auto price_task = [&](size_t gi) {
-      proposals[gi] = price_group(group_members[gi]);
-    };
-    if (pool && groups.size() > 1) {
-      pool->ParallelFor(groups.size(), price_task);
-    } else {
-      for (size_t gi = 0; gi < groups.size(); ++gi) price_task(gi);
-    }
-
-    // Acceptance commits (phase B; serial, deterministic group order). A
-    // vehicle's schedule may have grown since pricing, so each proposal is
-    // re-validated before committing. A group nobody accepts retries as
-    // halves (recursively, down to singletons): the split subgroups are
-    // priced on the spot against the current fleet state.
-    std::function<void(const std::vector<const Request*>&,
-                       const std::vector<Proposal>*)>
-        assign = [&](const std::vector<const Request*>& members,
-                     const std::vector<Proposal>* priced) {
-          std::vector<Proposal> local;
-          if (priced == nullptr) {
-            local = price_group(members);
-            priced = &local;
-          }
-          for (const Proposal& p : *priced) {
-            Vehicle& v = fleet[p.vehicle];
-            dispatch::GroupInsertion ins = dispatch::InsertGroupSequential(
-                v.route_state(ctx->now), v.schedule(), members, ctx->engine);
-            if (!ins.feasible) continue;
-            if (!v.CommitSchedule(ins.schedule, ctx->now, ctx->engine)) {
-              continue;
-            }
-            for (const Request* r : members) ctx->assigned.push_back(r->id);
-            return;
-          }
-          if (members.size() <= 1 || !config_.sard_split_rejected_groups) {
-            return;
-          }
-          auto mid = members.begin() +
-                     static_cast<ptrdiff_t>(members.size() / 2);
-          std::vector<const Request*> lo(members.begin(), mid);
-          std::vector<const Request*> hi(mid, members.end());
-          assign(lo, nullptr);
-          assign(hi, nullptr);
-        };
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      assign(group_members[gi], &proposals[gi]);
-    }
-
-    size_t proposal_bytes = 0;
-    for (const auto& plist : proposals) {
-      proposal_bytes += plist.size() * sizeof(Proposal);
-    }
-    // Size-based accounting over the same content terms as the pooled twin
-    // (CSR offsets + adjacency, member/group records), so memory_bytes is
-    // identical across the two representations (pinned by tests/soa_test).
-    size_t num_adj = 0;
-    for (const Request* r : ctx->pending) num_adj += open.Degree(r->id);
-    size_t num_members = 0;
-    for (const auto& g : groups) num_members += g.size();
-    const size_t graph_bytes =
-        (2 * ctx->pending.size() + 1 + num_adj) * sizeof(size_t);
-    const size_t group_bytes =
-        num_members * (sizeof(size_t) + sizeof(const Request*)) +
-        groups.size() * 2 * sizeof(size_t);
-    NotePeak(builder->MemoryBytes() + graph_bytes + proposal_bytes +
-             scanner.MemoryBytes() + group_bytes);
-  }
-
-  // The caller's per-run pool when provided; otherwise a private pool built
-  // once and reused for every batch (never fresh threads per batch).
+  // The caller's per-run worker pool, which the engine provides whenever
+  // parallel acceptance runs on more than one thread.
   ThreadPool* WorkerPool(DispatchContext* ctx) {
-    int threads = config_.sard_parallel_acceptance
-                      ? std::max(1, config_.num_threads)
-                      : 1;
-    if (threads <= 1) return nullptr;
-    if (ctx->pool) return ctx->pool;
-    if (!own_pool_) own_pool_ = std::make_unique<ThreadPool>(threads);
-    return own_pool_.get();
+    if (!config_.sard_parallel_acceptance || config_.num_threads <= 1) {
+      return nullptr;
+    }
+    SR_CHECK(ctx->pool != nullptr);
+    return ctx->pool;
   }
 
-  /// Fallback when the caller keeps no run-scoped builder (the frozen
-  /// legacy engine, hand-built contexts): SARD stays persistent either way.
+  /// The persistent builder when the caller keeps no run-scoped one
+  /// (incremental_sharegraph off): SARD stays incremental either way.
   std::unique_ptr<ShareGraphBuilder> builder_;
-  std::unique_ptr<ThreadPool> own_pool_;
-  /// Pooled-path persistent state: the per-batch fleet index (planes
-  /// refilled in place), the fallback pending-pool SoA view and the
-  /// fallback batch arena for callers that provide none.
-  dispatch::CandidateScanner scanner_;
-  RequestSoA pending_soa_;
-  EpochArena own_arena_;
+  /// The per-batch fleet index; its planes are refilled in place.
+  dispatch::FleetSpatialIndex scanner_;
 };
 
 }  // namespace

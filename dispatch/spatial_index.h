@@ -1,15 +1,14 @@
 // Grid-bucket spatial index over the fleet's current positions. Dispatchers
 // rebuild it once per batch (vehicle positions only change between batches;
 // committing a schedule does not move a vehicle) and answer every
-// nearest-candidate scan from it, replacing the O(F log F) full-fleet
-// distance sort that used to run once per group per batch.
+// nearest-candidate scan from it instead of sorting the whole fleet by
+// distance per scan.
 //
 // Exactness contract: KNearest(from, k) returns exactly the first k entries
-// of dispatch::VehiclesByDistance(fleet, net, from) — straight-line distance
-// ascending, vehicle index ascending on ties — so swapping the index in
-// changes running time, never dispatch outcomes. Both sides of the contract
-// omit vehicles that are out of service (scenario downtime takes them off
-// the candidate market; they still finish their committed stops).
+// of the fleet sorted by straight-line distance ascending, vehicle index
+// ascending on ties (tests/dispatch_test.cc holds it to that full sort).
+// Vehicles that are out of service are omitted (scenario downtime takes
+// them off the candidate market; they still finish their committed stops).
 //
 // Storage is CSR (one offsets plane, one flat item plane) rather than a
 // vector-of-vectors, and Rebuild() refills the planes in place — a

@@ -1,27 +1,12 @@
 #include "group/grouping.h"
 
-#include <map>
-
 #include "util/arena.h"
 
 namespace structride {
 
 namespace {
 
-struct Node {
-  std::vector<size_t> member_idx;  // indices into the ordered pool
-  CandidateGroup group;
-};
-
 bool AdjacentToAll(const ShareGraph* graph, RequestId candidate,
-                   const std::vector<RequestId>& members) {
-  for (RequestId m : members) {
-    if (!graph->HasEdge(candidate, m)) return false;
-  }
-  return true;
-}
-
-bool AdjacentToAllSpan(const ShareGraph* graph, RequestId candidate,
                        const RequestId* members, uint32_t len) {
   for (uint32_t k = 0; k < len; ++k) {
     if (!graph->HasEdge(candidate, members[k])) return false;
@@ -62,139 +47,6 @@ bool SameKey(const ChildRec* a, const ChildRec* b) {
 
 }  // namespace
 
-GroupingResult EnumerateGroups(const RouteState& state,
-                               const Schedule& committed,
-                               const std::vector<Request>& pool,
-                               const ShareGraph* graph,
-                               TravelCostEngine* engine,
-                               const GroupingOptions& options) {
-  GroupingResult result;
-  if (options.max_group_size <= 0) return result;
-
-  std::vector<const Request*> ordered;
-  ordered.reserve(pool.size());
-  for (const Request& r : pool) ordered.push_back(&r);
-  if (options.insertion_order == InsertionOrderPolicy::kByShareability &&
-      graph != nullptr) {
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [graph](const Request* a, const Request* b) {
-                       size_t da = graph->Degree(a->id);
-                       size_t db = graph->Degree(b->id);
-                       if (da != db) return da < db;
-                       return a->id < b->id;
-                     });
-  }
-
-  auto capped = [&] { return result.groups.size() >= options.max_groups; };
-
-  std::vector<Node> level;
-  level.reserve(ordered.size());
-  result.groups.reserve(std::min(options.max_groups, ordered.size()));
-  for (size_t idx = 0; idx < ordered.size(); ++idx) {
-    if (capped()) {
-      result.truncated = true;
-      return result;
-    }
-    InsertionCandidate cand =
-        BestInsertion(state, committed, *ordered[idx], engine);
-    if (!cand.feasible) continue;
-    Node node;
-    node.member_idx = {idx};
-    node.group.members = {ordered[idx]->id};
-    node.group.schedule = ApplyInsertion(committed, *ordered[idx], cand);
-    node.group.delta_cost = cand.delta_cost;
-    result.groups.push_back(node.group);
-    level.push_back(std::move(node));
-  }
-
-  int size = 1;
-  while (!level.empty() && size < options.max_group_size && graph != nullptr) {
-    std::vector<Node> next;
-    next.reserve(level.size());
-    if (options.insertion_order == InsertionOrderPolicy::kByShareability) {
-      // Additive tree: each set is generated once, along the index-increasing
-      // path, i.e. members join in ascending shareability order.
-      for (const Node& node : level) {
-        for (size_t idx = node.member_idx.back() + 1; idx < ordered.size();
-             ++idx) {
-          const Request& r = *ordered[idx];
-          if (!AdjacentToAll(graph, r.id, node.group.members)) continue;
-          InsertionCandidate cand =
-              BestInsertion(state, node.group.schedule, r, engine);
-          if (!cand.feasible) continue;
-          Node child;
-          child.member_idx.reserve(node.member_idx.size() + 1);
-          child.member_idx = node.member_idx;
-          child.member_idx.push_back(idx);
-          child.group.members.reserve(node.group.members.size() + 1);
-          child.group.members = node.group.members;
-          child.group.members.push_back(r.id);
-          child.group.schedule = ApplyInsertion(node.group.schedule, r, cand);
-          child.group.delta_cost = node.group.delta_cost + cand.delta_cost;
-          next.push_back(std::move(child));
-          if (result.groups.size() + next.size() >= options.max_groups) {
-            result.truncated = true;
-            break;
-          }
-        }
-        if (result.truncated) break;
-      }
-    } else {
-      // Best-of-all-parents: a set of size k+1 is reachable from each of its
-      // k+1 parents; keep the cheapest schedule found.
-      std::map<std::vector<RequestId>, Node> dedup;
-      for (const Node& node : level) {
-        for (size_t idx = 0; idx < ordered.size(); ++idx) {
-          const Request& r = *ordered[idx];
-          if (std::find(node.member_idx.begin(), node.member_idx.end(), idx) !=
-              node.member_idx.end()) {
-            continue;
-          }
-          if (!AdjacentToAll(graph, r.id, node.group.members)) continue;
-          std::vector<RequestId> key;
-          key.reserve(node.group.members.size() + 1);
-          key = node.group.members;
-          key.push_back(r.id);
-          std::sort(key.begin(), key.end());
-          InsertionCandidate cand =
-              BestInsertion(state, node.group.schedule, r, engine);
-          if (!cand.feasible) continue;
-          double delta = node.group.delta_cost + cand.delta_cost;
-          auto it = dedup.find(key);
-          if (it != dedup.end() && it->second.group.delta_cost <= delta) {
-            continue;
-          }
-          Node child;
-          child.member_idx.reserve(node.member_idx.size() + 1);
-          child.member_idx = node.member_idx;
-          child.member_idx.push_back(idx);
-          std::sort(child.member_idx.begin(), child.member_idx.end());
-          child.group.members = key;
-          child.group.schedule = ApplyInsertion(node.group.schedule, r, cand);
-          child.group.delta_cost = delta;
-          dedup[key] = std::move(child);
-          if (result.groups.size() + dedup.size() >= options.max_groups) {
-            result.truncated = true;
-            break;
-          }
-        }
-        if (result.truncated) break;
-      }
-      next.reserve(dedup.size());
-      for (auto& [key, node] : dedup) {
-        (void)key;
-        next.push_back(std::move(node));
-      }
-    }
-    result.groups.reserve(result.groups.size() + next.size());
-    for (const Node& node : next) result.groups.push_back(node.group);
-    level = std::move(next);
-    ++size;
-    if (result.truncated) break;
-  }
-  return result;
-}
-
 PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
                                            Span<const Stop> committed,
                                            Span<const Request* const> pool,
@@ -213,7 +65,7 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
   if (options.insertion_order == InsertionOrderPolicy::kByShareability &&
       graph != nullptr) {
     // (degree, id) is a strict total order — ids are unique — so the
-    // allocation-free std::sort reproduces the legacy stable_sort.
+    // allocation-free std::sort is deterministic.
     std::sort(ordered, ordered + n,
               [graph](const Request* a, const Request* b) {
                 size_t da = graph->Degree(a->id);
@@ -271,13 +123,13 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
   while (!level.empty() && size < options.max_group_size && graph != nullptr) {
     next.clear();
     if (options.insertion_order == InsertionOrderPolicy::kByShareability) {
-      // Additive tree, as in EnumerateGroups; children are emitted at
-      // production time, which is exactly the order the legacy path appends
-      // them after the level completes.
+      // Additive tree: each set is generated once, along the index-
+      // increasing path, i.e. members join in ascending shareability order.
+      // Children are emitted at production time.
       for (const auto& node : level) {
         for (size_t idx = node.member_idx[node.len - 1] + 1; idx < n; ++idx) {
           const Request& r = *ordered[idx];
-          if (!AdjacentToAllSpan(graph, r.id, node.members, node.len)) continue;
+          if (!AdjacentToAll(graph, r.id, node.members, node.len)) continue;
           Span<const Stop> parent = scratch->schedules.View(node.schedule);
           InsertionCandidate cand = BestInsertion(state, parent, r, engine);
           if (!cand.feasible) continue;
@@ -299,13 +151,13 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
         if (result.truncated) break;
       }
     } else {
-      // Best-of-all-parents. Children are recorded in production order; the
-      // winners — cheapest per member set, earliest producer on delta ties,
-      // exactly the survivor of the legacy replace-if-cheaper map — are
-      // selected and materialized afterwards in ascending key order, the
-      // legacy map's iteration order. The member-key set (open addressing
-      // over the arena) tracks the distinct-set count the truncation cap is
-      // defined on.
+      // Best-of-all-parents: a set of size k+1 is reachable from each of its
+      // k+1 parents; keep the cheapest schedule found. Children are
+      // recorded in production order; the winners — cheapest per member
+      // set, earliest producer on delta ties — are selected and
+      // materialized afterwards in ascending key order. The member-key set
+      // (open addressing over the arena) tracks the distinct-set count the
+      // truncation cap is defined on.
       ChildRec* head = nullptr;
       ChildRec** tail = &head;
       size_t num_children = 0;
@@ -345,7 +197,7 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
             }
           }
           if (contains) continue;
-          if (!AdjacentToAllSpan(graph, r.id, node.members, node.len)) continue;
+          if (!AdjacentToAll(graph, r.id, node.members, node.len)) continue;
           RequestId* key = scope.AllocateArray<RequestId>(node.len + 1);
           std::copy(node.members, node.members + node.len, key);
           key[node.len] = r.id;
@@ -416,18 +268,9 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
   return result;
 }
 
-size_t GroupingMemoryBytes(const GroupingResult& result) {
-  size_t bytes = result.groups.size() * sizeof(CandidateGroup);
-  for (const CandidateGroup& g : result.groups) {
-    bytes += g.members.size() * sizeof(RequestId);
-    bytes += g.schedule.size() * sizeof(Stop);
-  }
-  return bytes;
-}
-
 size_t PooledGroupingMemoryBytes(const GroupingScratch& scratch,
                                  const PooledGroupingResult& result) {
-  size_t bytes = result.count * sizeof(CandidateGroup);
+  size_t bytes = result.count * kGroupRecordBytes;
   for (size_t i = 0; i < result.count; ++i) {
     const PooledGroup& g = scratch.groups[result.first_group + i];
     bytes += g.members_len * sizeof(RequestId);

@@ -10,14 +10,10 @@
 //    schedule is tried for the new member and the cheapest kept; more work,
 //    occasionally better schedules.
 //
-// Two representations of the output (DESIGN.md §8):
-//  - EnumerateGroups: one CandidateGroup per group, each owning vectors —
-//    the legacy reference the differential tests pin against.
-//  - EnumerateGroupsPooled: groups append into a caller-owned
-//    GroupingScratch (schedules in a SchedulePool, member ids in one flat
-//    vector) that persists across batches — a warmed scratch serves a
-//    steady-state batch without heap allocation. Identical groups in
-//    identical order, bitwise-identical schedules and deltas.
+// Groups append into a caller-owned GroupingScratch (schedules in a
+// SchedulePool, member ids in one flat vector) that persists across
+// batches, so a warmed scratch serves a steady-state batch without heap
+// allocation (DESIGN.md §8).
 
 #pragma once
 
@@ -44,26 +40,11 @@ struct GroupingOptions {
   size_t max_groups = 200000;
 };
 
-struct CandidateGroup {
-  std::vector<RequestId> members;
-  Schedule schedule;       ///< committed stops + all members spliced in
-  double delta_cost = 0;   ///< extra travel vs. the committed schedule
-};
-
-struct GroupingResult {
-  std::vector<CandidateGroup> groups;
-  bool truncated = false;  ///< hit max_groups before finishing a level
-};
-
-/// Enumerates feasible groups from \p pool for a vehicle at \p state with
-/// \p committed stops. Groups must be cliques in \p graph (a null graph
-/// admits only singleton groups).
-GroupingResult EnumerateGroups(const RouteState& state,
-                               const Schedule& committed,
-                               const std::vector<Request>& pool,
-                               const ShareGraph* graph,
-                               TravelCostEngine* engine,
-                               const GroupingOptions& options);
+/// Instrumented bytes charged per enumerated group on top of its member ids
+/// and stops (the Fig.-14 accounting): the record of one group held as
+/// owning containers — a member-id vector, a stop schedule and the delta.
+constexpr size_t kGroupRecordBytes =
+    sizeof(std::vector<RequestId>) + sizeof(Schedule) + sizeof(double);
 
 /// One enumerated group in the pooled representation: members are a slice
 /// of GroupingScratch::member_ids, the schedule a SchedulePool handle.
@@ -122,10 +103,11 @@ struct PooledGroupingResult {
   bool truncated = false;  ///< hit max_groups before finishing a level
 };
 
-/// The pooled twin of EnumerateGroups: same groups, same order, same
-/// schedules and deltas, same travel-cost query sequence — appended into
-/// \p scratch instead of freshly allocated. \p options.max_groups caps this
-/// call's group count (not the scratch total).
+/// Enumerates feasible groups from \p pool for a vehicle at \p state with
+/// \p committed stops, appending them to \p scratch. Groups must be cliques
+/// in \p graph (a null graph admits only singleton groups).
+/// \p options.max_groups caps this call's group count (not the scratch
+/// total).
 PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
                                            Span<const Stop> committed,
                                            Span<const Request* const> pool,
@@ -134,13 +116,8 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
                                            const GroupingOptions& options,
                                            GroupingScratch* scratch);
 
-/// Estimated heap footprint of a grouping result (for Fig.-14-style
-/// instrumented memory accounting).
-size_t GroupingMemoryBytes(const GroupingResult& result);
-
-/// Pooled counterpart of GroupingMemoryBytes for one call's slice: counts
-/// the same content bytes (group records, member ids, schedule stops), so
-/// the instrumented accounting stays representation-independent.
+/// Instrumented footprint of one call's slice (Fig.-14 accounting): a
+/// group record per group plus its member ids and schedule stops.
 size_t PooledGroupingMemoryBytes(const GroupingScratch& scratch,
                                  const PooledGroupingResult& result);
 

@@ -9,7 +9,6 @@
 #include <numeric>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "dispatch/shard.h"
 #include "roadnet/travel_cost.h"
@@ -36,9 +35,8 @@ double NearestRank(const std::vector<double>& sorted, double q) {
   return sorted[rank - 1];
 }
 
-// Service-quality stats over the served riders, shared by the event core
-// and the frozen legacy loop so both emit identical numbers: pickup wait =
-// pickup - release; detour ratio = in-vehicle time / direct cost.
+// Service-quality stats over the served riders: pickup wait = pickup -
+// release; detour ratio = in-vehicle time / direct cost.
 void FinalizeServiceQuality(const std::vector<Request>& requests,
                             const std::vector<char>& served_mask,
                             const std::vector<double>& pickup_time,
@@ -78,21 +76,6 @@ double MaxOverMean(const std::vector<double>& values) {
 }
 
 }  // namespace
-
-RiderOutcome ClassifyRider(double now, double latest_pickup,
-                           double cancel_time) {
-  const bool expired = now > latest_pickup;
-  const bool cancelled = cancel_time < now;
-  if (!expired && !cancelled) return RiderOutcome::kOpen;
-  if (expired && cancelled) {
-    // Both happened within this batch period: the earlier event wins (a
-    // cancellation at exactly the deadline counts as cancelled — the rider
-    // left; the deadline merely also passed).
-    return cancel_time <= latest_pickup ? RiderOutcome::kCancelled
-                                        : RiderOutcome::kExpired;
-  }
-  return expired ? RiderOutcome::kExpired : RiderOutcome::kCancelled;
-}
 
 SimulationEngine::SimulationEngine(TravelCostEngine* engine,
                                    std::vector<Request> requests,
@@ -136,8 +119,7 @@ void SimulationEngine::SetRepositioningPolicy(
 
 std::vector<Vehicle> SimulationEngine::BuildFleet() {
   // Fresh fleet from the fixed spawn; per-run capacity draws under the
-  // Appendix-C variance model. The draw order is shared with the legacy
-  // loop, so both engines consume run_rng_ identically.
+  // Appendix-C variance model, in fleet order.
   std::vector<Vehicle> fleet;
   fleet.reserve(spawn_nodes_.size());
   for (size_t i = 0; i < spawn_nodes_.size(); ++i) {
@@ -486,7 +468,7 @@ RunMetrics SimulationEngine::EventRun::Execute() {
 
   // Schedule every release. Stable sort on (possibly retimed) release times
   // keeps equal-time requests in stored order, and the queue's FIFO tie
-  // break preserves it — exactly the legacy pending order.
+  // break preserves it, so pending pools list requests in release order.
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -504,8 +486,8 @@ RunMetrics SimulationEngine::EventRun::Execute() {
     }
   }
 
-  // Batch ticks accumulate exactly like the legacy `now += period` loop so
-  // the tick timestamps are the same doubles.
+  // Batch ticks accumulate as `tick += period`, so tick timestamps are the
+  // same doubles in every run.
   const double period = options_.batch_period > 0 ? options_.batch_period : 1;
   tick_time_ = period;
   queue_.Push({tick_time_, EventType::kBatchTick, 0, 0});
@@ -545,7 +527,7 @@ RunMetrics SimulationEngine::EventRun::Execute() {
         // arrival admitted by now joins this round's pending pool.
         if (service_) DrainIngest();
         DispatchRound(/*online=*/false);
-        // The legacy termination condition, evaluated after the round:
+        // The termination condition, evaluated after the round:
         // stream exhausted, nothing open, fleet idle. In service mode the
         // stream is exhausted when the producer finished and the ring is
         // empty — shed arrivals never release, so released_ can't reach n.
@@ -752,7 +734,7 @@ void SimulationEngine::EventRun::DispatchRound(bool online) {
 
   // The one mark-and-sweep over request state: lifecycle events and the
   // previous round's assignments only *marked* states; this compaction
-  // replaces both of the legacy loop's pending-filter passes.
+  // drops every closed request from the pending pool.
   SweepPending();
 
   // Steady-state classification (RunMetrics doc): the round counts when
@@ -889,19 +871,13 @@ void SimulationEngine::EventRun::RunShardBatch(ShardRuntime& sh, bool online) {
     ctx.pending.push_back(&requests_[idx]);
     if (service_) ctx.pending_ingest_wall.push_back(ingest_wall_[idx]);
   }
-  if (config_.soa_pools) {
-    sh.arena.Reset();
-    sh.fleet_soa.Refresh(ctx.fleet);
-    sh.pending_soa.Refresh(
-        Span<const Request* const>(ctx.pending.data(), ctx.pending.size()));
-    ctx.arena = &sh.arena;
-    ctx.fleet_soa = &sh.fleet_soa;
-    ctx.pending_soa = &sh.pending_soa;
-  } else {
-    ctx.arena = nullptr;
-    ctx.fleet_soa = nullptr;
-    ctx.pending_soa = nullptr;
-  }
+  sh.arena.Reset();
+  sh.fleet_soa.Refresh(ctx.fleet);
+  sh.pending_soa.Refresh(
+      Span<const Request* const>(ctx.pending.data(), ctx.pending.size()));
+  ctx.arena = &sh.arena;
+  ctx.fleet_soa = &sh.fleet_soa;
+  ctx.pending_soa = &sh.pending_soa;
 
   const uint64_t allocs_before = CurrentHeapAllocCount();
   auto t0 = std::chrono::steady_clock::now();
@@ -919,15 +895,13 @@ void SimulationEngine::EventRun::CommitShardOutputs(ShardRuntime& sh) {
     auto it = id2idx_.find(id);
     SR_CHECK(it != id2idx_.end());
     const size_t idx = it->second;
-    if (num_shards_ > 1) {
-      // Conservation gates: no other shard may have closed it this round,
-      // and a shard may only ever assign requests homed to it (its pending
-      // view was filtered on exactly that).
-      SR_CHECK(state_[idx] == ReqState::kOpen);
-      SR_CHECK(request_shard_[idx] == sh.id);
-      if (partition_.ShardOfNode(requests_[idx].source) != sh.id) {
-        ++cross_shard_trips_;  // the trip went through the escrow handoff
-      }
+    // Conservation gates: no other shard (or earlier output) may have
+    // closed it this round, and a shard may only ever assign requests homed
+    // to it (its pending view was filtered on exactly that).
+    SR_CHECK(state_[idx] == ReqState::kOpen);
+    SR_CHECK(request_shard_[idx] == sh.id);
+    if (partition_.ShardOfNode(requests_[idx].source) != sh.id) {
+      ++cross_shard_trips_;  // the trip went through the escrow handoff
     }
     CloseRequest(idx, ReqState::kAssigned);
     ++sh.assigned_total;
@@ -935,10 +909,8 @@ void SimulationEngine::EventRun::CommitShardOutputs(ShardRuntime& sh) {
   for (RequestId id : ctx.rejected) {
     auto it = id2idx_.find(id);
     SR_CHECK(it != id2idx_.end());
-    if (num_shards_ > 1) {
-      SR_CHECK(state_[it->second] == ReqState::kOpen);
-      SR_CHECK(request_shard_[it->second] == sh.id);
-    }
+    SR_CHECK(state_[it->second] == ReqState::kOpen);
+    SR_CHECK(request_shard_[it->second] == sh.id);
     CloseRequest(it->second, ReqState::kRejected);
     ++rejected_;
   }
@@ -1148,8 +1120,8 @@ RunMetrics SimulationEngine::EventRun::Finalize() {
   }
   // Unified cost (Sec. II): total travel plus p_r for every request not
   // served, with p_r = coefficient * direct cost. Cancelled riders count as
-  // unserved — the platform lost them. Same summation order as the legacy
-  // loop (stored request order), so the doubles match bitwise.
+  // unserved — the platform lost them. Summed in stored request order, so
+  // the double is deterministic.
   double penalty = 0;
   for (size_t i = 0; i < n; ++i) {
     if (!served_mask_[i]) {
@@ -1195,17 +1167,14 @@ RunMetrics SimulationEngine::EventRun::Finalize() {
   metrics.shard_load_max_over_mean = ShardLoadMaxOverMean(loads);
   metrics.shard_round_time_max_over_mean = MaxOverMean(batch_times);
   metrics.late_dropoffs = late_dropoffs_;
-  if (num_shards_ > 1) {
-    // Final census: every request reached exactly one terminal outcome.
-    // Committed riders all completed (termination drains the fleet), so
-    // served + late covers the assigned. Shed arrivals never released —
-    // they are the only way a request stays kUnreleased to the end.
-    SR_CHECK(static_cast<size_t>(served_) + static_cast<size_t>(cancelled_) +
-                 static_cast<size_t>(expired_) +
-                 static_cast<size_t>(rejected_) +
-                 static_cast<size_t>(late_dropoffs_) + shed_.size() ==
-             n);
-  }
+  // Final census: every request reached exactly one terminal outcome.
+  // Committed riders all completed (termination drains the fleet), so
+  // served + late covers the assigned. Shed arrivals never released — they
+  // are the only way a request stays kUnreleased to the end.
+  SR_CHECK(static_cast<size_t>(served_) + static_cast<size_t>(cancelled_) +
+               static_cast<size_t>(expired_) + static_cast<size_t>(rejected_) +
+               static_cast<size_t>(late_dropoffs_) + shed_.size() ==
+           n);
   if (service_) {
     metrics.shed_requests = shed_.size();
     metrics.ingest_queue_depth_max =
@@ -1257,197 +1226,6 @@ void SimulationEngine::EnsureCachePartitions(int num_shards,
   }
   partition_capacity_ = capacity;
   partition_stripes_ = stripes;
-}
-
-// ---------------------------------------------------------------------------
-// The frozen fixed-batch loop: the pre-event engine, kept verbatim (modulo
-// the shared fleet/cancellation draw helpers and the service-quality
-// bookkeeping both paths emit). tests/engine_test.cc holds Run() to bitwise
-// equality against this when no scenarios are installed. Do not "improve"
-// it — its exact semantics are the contract.
-// ---------------------------------------------------------------------------
-
-RunMetrics SimulationEngine::RunLegacy(const std::string& algorithm,
-                                       const DispatchConfig& config) {
-  SR_CHECK(!spawn_nodes_.empty());  // SpawnFleet first
-  const size_t n = requests_.size();
-
-  std::vector<Vehicle> fleet = BuildFleet();
-
-  // Rider impatience draws.
-  std::vector<double> offset = DrawCancelOffsets();
-  std::vector<double> cancel_time(n, kInf);
-  for (size_t i = 0; i < n; ++i) {
-    cancel_time[i] = requests_[i].release_time + offset[i];
-  }
-
-  std::unique_ptr<Dispatcher> dispatcher = MakeDispatcher(algorithm, config);
-  std::unique_ptr<ThreadPool> pool;
-  if (config.num_threads > 1 && config.sard_parallel_acceptance) {
-    pool = std::make_unique<ThreadPool>(config.num_threads);
-  }
-  const uint64_t queries_before = engine_->num_queries();
-  const uint64_t lookups_before = engine_->num_lookups();
-
-  std::unordered_map<RequestId, size_t> id2idx;
-  id2idx.reserve(n);
-  for (size_t i = 0; i < n; ++i) id2idx[requests_[i].id] = i;
-
-  int served = 0;
-  int cancelled = 0;
-  int expired = 0;
-  int rejected = 0;
-  bool any_assigned = false;
-  int late_dropoffs = 0;
-  std::vector<char> served_mask(n, 0);
-  std::vector<double> pickup_time(n, 0);
-  std::vector<double> dropoff_time(n, 0);
-  auto on_stop = [&](const Stop& stop, double when) {
-    auto it = id2idx.find(stop.request);
-    SR_CHECK(it != id2idx.end());
-    size_t idx = it->second;
-    if (stop.kind == StopKind::kPickup) {
-      pickup_time[idx] = when;
-      return;
-    }
-    dropoff_time[idx] = when;
-    if (when <= stop.deadline + 1e-6) {
-      ++served;
-      served_mask[idx] = 1;
-    } else {
-      ++late_dropoffs;
-    }
-  };
-
-  std::vector<const Request*> pending;
-  std::vector<size_t> pending_idx;  // parallel: index into requests_
-  size_t next_release = 0;
-  double now = 0;
-  double dispatch_seconds = 0;
-  const double period = options_.batch_period > 0 ? options_.batch_period : 1;
-
-  while (true) {
-    now += period;
-    while (next_release < n && requests_[next_release].release_time <= now) {
-      pending.push_back(&requests_[next_release]);
-      pending_idx.push_back(next_release);
-      ++next_release;
-    }
-    for (Vehicle& v : fleet) v.AdvanceTo(now, on_stop);
-
-    // Fault model + deadline expiry on the open set.
-    {
-      std::vector<const Request*> keep;
-      std::vector<size_t> keep_idx;
-      for (size_t k = 0; k < pending.size(); ++k) {
-        const Request* r = pending[k];
-        switch (ClassifyRider(now, r->latest_pickup,
-                              cancel_time[pending_idx[k]])) {
-          case RiderOutcome::kExpired:  // unserved
-            ++expired;
-            continue;
-          case RiderOutcome::kCancelled:
-            ++cancelled;
-            continue;
-          case RiderOutcome::kOpen:
-            break;
-        }
-        keep.push_back(r);
-        keep_idx.push_back(pending_idx[k]);
-      }
-      pending = std::move(keep);
-      pending_idx = std::move(keep_idx);
-    }
-
-    DispatchContext ctx;
-    ctx.now = now;
-    ctx.engine = engine_;
-    ctx.fleet = &fleet;
-    ctx.pool = pool.get();
-    ctx.pending = pending;
-    auto t0 = std::chrono::steady_clock::now();
-    dispatcher->OnBatch(&ctx);
-    dispatch_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-
-    if (!ctx.assigned.empty()) any_assigned = true;
-    rejected += static_cast<int>(ctx.rejected.size());
-    if (!ctx.assigned.empty() || !ctx.rejected.empty()) {
-      std::unordered_set<RequestId> remove(ctx.assigned.begin(),
-                                           ctx.assigned.end());
-      remove.insert(ctx.rejected.begin(), ctx.rejected.end());
-      std::vector<const Request*> keep;
-      std::vector<size_t> keep_idx;
-      for (size_t k = 0; k < pending.size(); ++k) {
-        if (remove.count(pending[k]->id)) continue;
-        keep.push_back(pending[k]);
-        keep_idx.push_back(pending_idx[k]);
-      }
-      pending = std::move(keep);
-      pending_idx = std::move(keep_idx);
-    }
-
-    if (next_release >= n && pending.empty()) {
-      bool busy = false;
-      for (const Vehicle& v : fleet) {
-        if (!v.idle()) {
-          busy = true;
-          break;
-        }
-      }
-      if (!busy) break;
-    }
-  }
-  for (Vehicle& v : fleet) v.AdvanceTo(kInf, on_stop);
-
-  RunMetrics metrics;
-  metrics.dataset = options_.dataset;
-  metrics.algorithm = algorithm;
-  metrics.total_requests = static_cast<int>(n);
-  metrics.served = served;
-  metrics.cancelled = cancelled;
-  metrics.expired = expired;
-  metrics.rejected = rejected;
-  // Single-region by definition: one shard carrying every assignment (load
-  // ratio 1, or 0 when nothing was assigned at all), no cross-shard trips.
-  metrics.num_shards = 1;
-  metrics.cross_shard_trips = 0;
-  metrics.shard_load_max_over_mean = any_assigned ? 1.0 : 0.0;
-  metrics.service_rate =
-      n == 0 ? 0 : static_cast<double>(served) / static_cast<double>(n);
-  for (const Vehicle& v : fleet) metrics.travel_cost += v.total_travel_cost();
-  // Unified cost (Sec. II): total travel plus p_r for every request not
-  // served, with p_r = coefficient * direct cost. Cancelled riders count as
-  // unserved — the platform lost them.
-  double penalty = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!served_mask[i]) {
-      penalty += config.penalty_coefficient * requests_[i].direct_cost;
-    }
-  }
-  metrics.penalty_cost = penalty;
-  metrics.unified_cost = metrics.travel_cost + penalty;
-  metrics.running_time = dispatch_seconds;
-  metrics.sp_queries = engine_->num_queries() - queries_before;
-  metrics.sharegraph_pair_checks = dispatcher->SharePairChecks();
-  metrics.memory_bytes = dispatcher->MemoryBytes();
-  metrics.late_dropoffs = late_dropoffs;
-  // Single-region per-shard observability: one entry mirroring the run's
-  // global counters, and a time-imbalance ratio of 1 whenever any dispatch
-  // time accrued (the lone shard did all the work).
-  metrics.shard_sp_queries.push_back(metrics.sp_queries);
-  {
-    const uint64_t lookups = engine_->num_lookups() - lookups_before;
-    metrics.shard_cache_hit_rate.push_back(
-        lookups == 0 ? 0
-                     : 1.0 - static_cast<double>(metrics.sp_queries) /
-                                 static_cast<double>(lookups));
-  }
-  metrics.shard_round_time_max_over_mean = dispatch_seconds > 0 ? 1.0 : 0.0;
-  FinalizeServiceQuality(requests_, served_mask, pickup_time, dropoff_time,
-                         &metrics);
-  return metrics;
 }
 
 }  // namespace structride

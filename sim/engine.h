@@ -5,18 +5,15 @@
 //
 // Run() is the event-driven continuous-time core (DESIGN.md §6): a binary-
 // heap EventQueue over typed events — request release, batch tick, stop
-// completion, rider cancellation/expiry, scenario events — with the legacy
-// fixed-batch semantics expressed as scheduled tick events. With no
-// scenarios installed and no repositioning policy, Run() is bitwise
-// identical to RunLegacy(), the frozen pre-event batch loop kept as the
-// equivalence reference (tests/engine_test.cc pins this at 1 and 8 worker
-// threads on all three presets).
+// completion, rider cancellation/expiry, scenario events — with fixed-batch
+// dispatch expressed as scheduled tick events. Its outcomes are pinned to
+// recorded golden digests (tests/golden_test.cc) across the dispatcher
+// roster, the presets, worker-thread and shard counts.
 //
 // Run() also owns the run's incrementally maintained share graph
 // (DESIGN.md §7) when DispatchConfig::incremental_sharegraph is on:
 // lifecycle events retire requests from it and every dispatch round
-// receives it via DispatchContext::sharegraph. RunLegacy never maintains
-// one — it always replays the frozen rebuild-per-batch reference stack.
+// receives it via DispatchContext::sharegraph.
 //
 // Statefulness contract: SpawnFleet fixes the fleet's spawn positions once;
 // every Run starts from that spawn with fresh request state, but the fault
@@ -81,18 +78,6 @@ struct SimulationOptions {
   double service_time_scale = 0;
 };
 
-/// What happened to an unassigned rider by batch time \p now. When a rider
-/// both cancelled and passed the pickup deadline within one batch period,
-/// whichever event came *first* decides — a rider who walked away at t=10
-/// against a deadline of t=50 cancelled, no matter how late the batch that
-/// notices is. The event engine reproduces this rule structurally: the
-/// cancellation event type orders ahead of the expiry event type at equal
-/// timestamps (sim/event_queue.h).
-enum class RiderOutcome { kOpen, kExpired, kCancelled };
-
-RiderOutcome ClassifyRider(double now, double latest_pickup,
-                           double cancel_time);
-
 struct RunMetrics {
   std::string dataset;
   std::string algorithm;
@@ -124,8 +109,8 @@ struct RunMetrics {
   /// balanced, num_shards is one shard doing all the work.
   double shard_load_max_over_mean = 0;
   /// Per-shard observability (one entry per shard, shard-id order; a single
-  /// entry mirroring the global counters at num_shards == 1 and in
-  /// RunLegacy). Backend computations charged to each shard's cache
+  /// entry mirroring the global counters at num_shards == 1). Backend
+  /// computations charged to each shard's cache
   /// partition this run, and the partition's hit rate over the run — exact
   /// and thread-count-invariant per shard, since a shard only ever queries
   /// its own partition.
@@ -140,7 +125,7 @@ struct RunMetrics {
   double pickup_wait_p50 = 0;     ///< median pickup - release wait
   double pickup_wait_p99 = 0;     ///< nearest-rank p99 pickup wait
   double mean_detour_ratio = 0;   ///< mean (dropoff - pickup) / direct_cost
-  /// Committed dropoffs that missed their deadline. CommitSchedule enforces
+  /// Committed dropoffs that missed their deadline. CommitStops enforces
   /// deadlines at commit time and arrivals are fixed thereafter, so this is
   /// 0 by construction — tests pin it as the repositioning invariant.
   int late_dropoffs = 0;
@@ -153,7 +138,7 @@ struct RunMetrics {
   // zero heap allocations. Counts are heap allocations observed strictly
   // inside Dispatcher::OnBatch under the counting allocator
   // (util/alloc_gate.h); both stay 0 in binaries that don't link
-  // util/counting_new.cc, and in RunLegacy (frozen loop, not instrumented).
+  // util/counting_new.cc.
   uint64_t allocs_per_batch_p50 = 0;  ///< nearest-rank median over steady batches
   uint64_t allocs_per_batch_max = 0;  ///< worst steady batch
   /// Peak bytes retained across every EpochArena in the process (chunks
@@ -204,19 +189,12 @@ class SimulationEngine {
   /// repositioning policy.
   RunMetrics Run(const std::string& algorithm, const DispatchConfig& config);
 
-  /// The frozen fixed-batch loop the event core must reproduce bitwise
-  /// (served / costs / sp_queries / memory / service-quality stats) when no
-  /// scenarios are installed. Ignores scenarios and repositioning. Kept as
-  /// the equivalence reference; prefer Run().
-  RunMetrics RunLegacy(const std::string& algorithm,
-                       const DispatchConfig& config);
-
  private:
   class EventRun;  // the per-run event-core state machine (engine.cc)
 
   std::vector<Vehicle> BuildFleet();
   /// Per-request cancellation delay after release (+inf = never cancels);
-  /// consumes run_rng_ exactly like the legacy draw loop did.
+  /// consumes run_rng_ in stored request order.
   std::vector<double> DrawCancelOffsets();
   /// (Re)builds the per-shard travel-cost cache partitions
   /// (TravelCostEngine::MakeCachePartition) to match the shard count and

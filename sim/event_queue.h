@@ -1,25 +1,25 @@
 // The continuous-time event substrate of the simulation core: typed events
 // ordered by a binary heap. The type ordering at equal timestamps is load-
-// bearing — it encodes the legacy fixed-batch engine's inclusive/exclusive
-// comparisons exactly, which is what makes the event engine's no-scenario
-// replay bitwise identical to the frozen batch loop (DESIGN.md §6):
+// bearing — it fixes which of two same-time events a batch round observes
+// (DESIGN.md §6; EventQueueTest.PopsTimeThenTypeThenFifo pins it):
 //
 //   scenario events            fire FIRST at their timestamp, so a state
 //       change at time T (dispatch-mode switch, downtime) already covers
-//       releases and ticks at exactly T. Irrelevant to the equivalence
-//       guarantee: with no scenarios installed none exist.
-//   release / stop completion  fire BEFORE a same-time batch tick
-//       (legacy: `release_time <= now` and `arrival <= now` are inclusive)
+//       releases and ticks at exactly T.
+//   release / stop completion  fire BEFORE a same-time batch tick: a request
+//       released, or a stop reached, at exactly the tick is seen by it.
 //   vehicle migration          fires AFTER same-time stop completions (the
 //       completion that moved the vehicle across a zone edge has already
 //       fired) and BEFORE a same-time batch tick, so a migrating vehicle is
 //       resident in its new shard for any dispatch round at the same
 //       timestamp (geo-sharding, DESIGN.md §12). Single-region runs push
-//       none, keeping the bitwise guarantee untouched.
-//   cancellation / expiry      fire AFTER a same-time batch tick
-//       (legacy: `cancel_time < now` and `now > latest_pickup` are strict),
-//       with cancellation ahead of expiry so a rider whose cancellation and
-//       deadline coincide counts as cancelled (ClassifyRider's tie rule).
+//       none.
+//   cancellation / expiry      fire AFTER a same-time batch tick: a rider
+//       whose patience or pickup deadline runs out at exactly the tick is
+//       still offered to it. The earlier of a rider's cancellation and
+//       expiry always decides (each fires at its own time); cancellation
+//       orders ahead of expiry, so when both coincide the rider counts as
+//       cancelled.
 //
 // Ties within one (time, type) bucket pop in push order (FIFO), so request
 // releases with equal timestamps keep their release-sorted order.

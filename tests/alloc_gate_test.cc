@@ -19,8 +19,8 @@
 
 #include "dispatch/dispatcher.h"
 #include "roadnet/generator.h"
-#include "sharegraph/builder.h"
 #include "sim/workload.h"
+#include "tests/test_fixtures.h"
 #include "util/alloc_gate.h"
 #include "util/arena.h"
 
@@ -80,10 +80,11 @@ TEST(AllocGateTest, ArenaScopeRewindsToTheSameStorage) {
 }
 
 // The dispatcher-level gate. The context is built the way the engine builds
-// it — caller-owned arena reset per round, SoA planes refreshed per round, a
-// persistent memoizing share-graph builder — over a pending pool of riders
-// whose deadlines already passed: every feasibility check fails, nothing
-// commits, so the fleet and pending pool are identical round after round.
+// it (FullDispatchContext: caller-owned arena reset per round, SoA planes
+// refreshed per round, a persistent memoizing share-graph builder) over a
+// pending pool of riders whose deadlines already passed: every feasibility
+// check fails, nothing commits, so the fleet and pending pool are
+// identical round after round.
 // Round 1 warms every pool (arena chunks, scanner index, grouping scratch,
 // thread scratch, travel-cost cache); rounds 2 and 3 are steady-state and
 // must allocate nothing.
@@ -122,35 +123,15 @@ TEST_P(DispatcherGateTest, SteadyStateBatchAllocatesNothing) {
   std::unique_ptr<Dispatcher> dispatcher =
       MakeDispatcher(GetParam(), config);
 
-  ShareGraphBuilder sharegraph(&engine, config.sharegraph);
-  sharegraph.set_memoize_pairs(true);
-  EpochArena arena;
-  FleetSoA fleet_soa;
-  RequestSoA pending_soa;
-
-  DispatchContext ctx;
-  ctx.engine = &engine;
-  ctx.fleet = &fleet;
-  ctx.sharegraph = &sharegraph;
-  for (const Request& r : requests) ctx.pending.push_back(&r);
+  FullDispatchContext full(&engine, &fleet, config);
+  for (const Request& r : requests) full.ctx.pending.push_back(&r);
 
   for (int round = 1; round <= 3; ++round) {
-    ctx.now = 100 + 5 * round;
-    ctx.assigned.clear();
-    ctx.rejected.clear();
-    ctx.repositions.clear();
-    arena.Reset();
-    fleet_soa.Refresh(fleet);
-    pending_soa.Refresh(
-        Span<const Request* const>(ctx.pending.data(), ctx.pending.size()));
-    ctx.arena = &arena;
-    ctx.fleet_soa = &fleet_soa;
-    ctx.pending_soa = &pending_soa;
-
+    DispatchContext* ctx = full.BeginRound(100 + 5 * round);
     uint64_t before = CurrentHeapAllocCount();
-    dispatcher->OnBatch(&ctx);
+    dispatcher->OnBatch(ctx);
     uint64_t allocs = CurrentHeapAllocCount() - before;
-    EXPECT_TRUE(ctx.assigned.empty());
+    EXPECT_TRUE(ctx->assigned.empty());
     if (round >= 2) {
       EXPECT_EQ(allocs, uint64_t{0})
           << GetParam() << " allocated on steady-state round " << round;

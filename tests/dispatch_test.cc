@@ -5,52 +5,43 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 
-#include "dispatch/common.h"
 #include "dispatch/spatial_index.h"
 #include "roadnet/generator.h"
-#include "sim/datasets.h"
 #include "sim/engine.h"
-#include "sim/workload.h"
+#include "tests/test_fixtures.h"
 #include "util/random.h"
 
 namespace structride {
 namespace {
 
-struct TinyChd {
-  TinyChd() : spec(DatasetByName("CHD", 0.02)) {
-    spec.city.rows = 16;  // shrink the city too: unit tests stay fast while
-    spec.city.cols = 16;  // the preset's workload shape is kept
-    net = BuildNetwork(&spec);
-    engine = std::make_unique<TravelCostEngine>(net);
-    requests = GenerateWorkload(net, engine.get(), spec.policy, spec.workload);
-  }
-
-  DispatchConfig Config() const {
-    DispatchConfig config;
-    config.vehicle_capacity = spec.capacity;
-    config.grouping.max_group_size = spec.capacity;
-    config.sharegraph.vehicle_capacity = spec.capacity;
-    return config;
-  }
+// The shrunk CHD preset; every Run is a fresh simulation on its engine.
+struct TinyChd : TinyPreset {
+  TinyChd() : TinyPreset("CHD") {}
 
   RunMetrics Run(const std::string& algorithm, const DispatchConfig& config) {
-    SimulationOptions sopts;
-    sopts.batch_period = 5;
-    sopts.seed = 4242;
-    SimulationEngine sim(engine.get(), requests, sopts);
-    sim.SpawnFleet(std::max(3, spec.num_vehicles), spec.capacity);
-    return sim.Run(algorithm, config);
+    return MakeEngine(Options())->Run(algorithm, config);
   }
-
-  DatasetSpec spec;
-  RoadNetwork net;
-  std::unique_ptr<TravelCostEngine> engine;
-  std::vector<Request> requests;
 };
+
+// The spatial index's reference: in-service fleet indices sorted by
+// straight-line distance from \p from, ties by vehicle index.
+std::vector<size_t> VehiclesByDistance(const std::vector<Vehicle>& fleet,
+                                       const RoadNetwork& net, NodeId from) {
+  std::vector<size_t> order;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    if (fleet[i].in_service()) order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return net.EuclidLowerBound(fleet[a].node(), from) <
+           net.EuclidLowerBound(fleet[b].node(), from);
+  });
+  return order;
+}
 
 TEST(DispatchTest, EveryDispatcherCompletesWithSaneMetrics) {
   TinyChd fixture;
@@ -133,27 +124,6 @@ TEST(DispatchTest, ParallelMetricsAreBitwiseEqualAcrossThreadCounts) {
   EXPECT_EQ(m1.sp_queries, m8.sp_queries);
 }
 
-// The spatial index must be a pure running-time change: legacy full-sort
-// scans and grid-index scans yield identical dispatch outcomes and backend
-// query counts (cold caches via fresh fixtures).
-TEST(DispatchTest, SpatialIndexPreservesOutcomeAndQueries) {
-  for (const std::string& name :
-       {std::string("SARD"), std::string("pruneGDP"),
-        std::string("TicketAssign+"), std::string("DARM+DPRS")}) {
-    TinyChd legacy, indexed;
-    SCOPED_TRACE(name);
-    DispatchConfig cl = legacy.Config();
-    cl.use_spatial_index = false;
-    DispatchConfig ci = indexed.Config();
-    ci.use_spatial_index = true;
-    RunMetrics ml = legacy.Run(name, cl);
-    RunMetrics mi = indexed.Run(name, ci);
-    EXPECT_EQ(ml.served, mi.served);
-    EXPECT_EQ(ml.unified_cost, mi.unified_cost);
-    EXPECT_EQ(ml.sp_queries, mi.sp_queries);
-  }
-}
-
 // Exactness of the index itself: KNearest must reproduce the first k
 // entries of the full distance sort (ties broken by vehicle index), and the
 // radius query the early-breaking prefix. A third of the fleet is out of
@@ -177,7 +147,7 @@ TEST(DispatchTest, SpatialIndexMatchesFullFleetSort) {
   for (int trial = 0; trial < 30; ++trial) {
     NodeId from = static_cast<NodeId>(
         rng.UniformInt(0, static_cast<int64_t>(net.num_nodes()) - 1));
-    std::vector<size_t> full = dispatch::VehiclesByDistance(fleet, net, from);
+    std::vector<size_t> full = VehiclesByDistance(fleet, net, from);
     for (size_t k : {size_t{1}, size_t{5}, size_t{16}, fleet.size(),
                      fleet.size() + 10}) {
       std::vector<size_t> got = index.KNearest(from, k);
@@ -202,23 +172,6 @@ TEST(DispatchTest, SpatialIndexMatchesFullFleetSort) {
     }
   }
   EXPECT_TRUE(index.KNearestWithin(3, 16, -1.0).empty());
-}
-
-TEST(SimTest, ClassifyRiderPicksTheEarlierEvent) {
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  // Still open: neither event has happened by `now`.
-  EXPECT_EQ(ClassifyRider(5, 10, kNever), RiderOutcome::kOpen);
-  EXPECT_EQ(ClassifyRider(5, 10, 8), RiderOutcome::kOpen);
-  // Only one event inside the batch period.
-  EXPECT_EQ(ClassifyRider(11, 10, kNever), RiderOutcome::kExpired);
-  EXPECT_EQ(ClassifyRider(11, 20, 10), RiderOutcome::kCancelled);
-  // Both events passed in one period: the earlier one decides. The rider
-  // who walked away before the deadline cancelled (the seed engine counted
-  // this as expired because it checked expiry first).
-  EXPECT_EQ(ClassifyRider(50, 10, 5), RiderOutcome::kCancelled);
-  EXPECT_EQ(ClassifyRider(50, 10, 30), RiderOutcome::kExpired);
-  // Cancellation at exactly the deadline: the rider left.
-  EXPECT_EQ(ClassifyRider(50, 10, 10), RiderOutcome::kCancelled);
 }
 
 // A group every vehicle rejects must not starve: SARD retries its halves
@@ -261,13 +214,10 @@ TEST(DispatchTest, RejectedGroupSplitsDownToSingletons) {
     DispatchConfig c = config;
     c.sard_split_rejected_groups = split_fallback;
     std::unique_ptr<Dispatcher> dispatcher = MakeDispatcher("SARD", c);
-    DispatchContext ctx;
-    ctx.now = 1;
-    ctx.engine = &engine;
-    ctx.fleet = &fleet;
-    ctx.pending = {&r1, &r2};
-    dispatcher->OnBatch(&ctx);
-    return ctx.assigned.size();
+    FullDispatchContext round(&engine, &fleet, c);
+    round.ctx.pending = {&r1, &r2};
+    dispatcher->OnBatch(round.BeginRound(1));
+    return round.ctx.assigned.size();
   };
 
   // Without the fallback the pair group is proposed, rejected by both
@@ -339,7 +289,7 @@ TEST(DispatchTest, SpatialIndexHandlesDegenerateFleets) {
   }
   dispatch::FleetSpatialIndex idx_parked(parked, net);
   EXPECT_TRUE(idx_parked.KNearest(0, parked.size()).empty());
-  EXPECT_TRUE(dispatch::VehiclesByDistance(parked, net, 0).empty());
+  EXPECT_TRUE(VehiclesByDistance(parked, net, 0).empty());
   EXPECT_TRUE(idx_parked.KNearestWithin(0, parked.size(), 1e9).empty());
 
   // Whole fleet on one node (one grid cell, zero spatial extent): ties
@@ -353,7 +303,7 @@ TEST(DispatchTest, SpatialIndexHandlesDegenerateFleets) {
   EXPECT_EQ(idx_stacked.KNearest(3, 2),
             (std::vector<size_t>{0, 1}));  // filtered prefix
   EXPECT_EQ(idx_stacked.KNearestWithin(3, stacked.size(), 0.0), want);
-  EXPECT_EQ(dispatch::VehiclesByDistance(stacked, net, 3), want);
+  EXPECT_EQ(VehiclesByDistance(stacked, net, 3), want);
 }
 
 }  // namespace

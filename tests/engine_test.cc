@@ -1,13 +1,11 @@
-// The event-core contract (DESIGN.md §6):
-//  1. With no scenarios and no repositioning policy, the event-driven
-//     Run() reproduces the frozen fixed-batch RunLegacy() bitwise — across
-//     the three dataset presets, multiple seeds, 1 and 8 worker threads,
-//     and with the fault models (cancellation, capacity variance) active.
+// The event-core contract (DESIGN.md §6); absolute outcomes are pinned by
+// the golden digests (golden_test.cc):
+//  1. The incremental share graph reproduces the rebuild-per-batch path.
 //  2. Scenario runs are deterministic under a fixed seed.
 //  3. The repositioning hook never violates capacity or deadlines (late
 //     dropoffs stay impossible) and its legs are charged to travel cost.
-//  4. The EventQueue pops (time, type, FIFO) — the tie discipline the
-//     batch-tick equivalence rests on.
+//  4. The EventQueue pops (time, type, FIFO) — the tie discipline that
+//     fixes what each batch tick sees of same-time events.
 
 #include <gtest/gtest.h>
 
@@ -17,148 +15,15 @@
 #include <string>
 #include <vector>
 
-#include "sim/datasets.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/scenario.h"
-#include "sim/workload.h"
+#include "tests/test_fixtures.h"
 
 namespace structride {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// A preset shrunk to unit-test size: the city is cut down (like the
-// dispatch tests' TinyChd) while the preset's workload shape survives.
-struct TinyPreset {
-  explicit TinyPreset(const std::string& name) : spec(DatasetByName(name, 0.02)) {
-    const int side = name == "CHD" ? 16 : (name == "NYC" ? 18 : 14);
-    spec.city.rows = side;
-    spec.city.cols = side;
-    net = BuildNetwork(&spec);
-    engine = std::make_unique<TravelCostEngine>(net);
-    requests = GenerateWorkload(net, engine.get(), spec.policy, spec.workload);
-  }
-
-  DispatchConfig Config(int threads = 1) const {
-    DispatchConfig config;
-    config.vehicle_capacity = spec.capacity;
-    config.grouping.max_group_size = spec.capacity;
-    config.sharegraph.vehicle_capacity = spec.capacity;
-    if (threads > 1) {
-      config.sard_parallel_acceptance = true;
-      config.num_threads = threads;
-    }
-    return config;
-  }
-
-  SimulationOptions Options(uint64_t seed = 4242) const {
-    SimulationOptions sopts;
-    sopts.batch_period = 5;
-    sopts.seed = seed;
-    sopts.dataset = spec.name;
-    return sopts;
-  }
-
-  // A fresh engine per run: the fault-model RNG advances across runs, so
-  // bitwise comparisons need identical draw streams.
-  std::unique_ptr<SimulationEngine> MakeEngine(const SimulationOptions& sopts) {
-    auto sim = std::make_unique<SimulationEngine>(engine.get(), requests, sopts);
-    sim->SpawnFleet(std::max(3, spec.num_vehicles), spec.capacity);
-    return sim;
-  }
-
-  DatasetSpec spec;
-  RoadNetwork net;
-  std::unique_ptr<TravelCostEngine> engine;
-  std::vector<Request> requests;
-};
-
-// Everything observable except instrumented memory: the incremental share
-// graph (DESIGN.md §7) must reproduce the rebuild-per-batch reference on
-// all of these bitwise, but its persistent builder legitimately accounts
-// different bytes than per-batch throwaways.
-void ExpectOutcomeEqual(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.cancelled, b.cancelled);
-  EXPECT_EQ(a.expired, b.expired);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.total_requests, b.total_requests);
-  EXPECT_EQ(a.num_shards, b.num_shards);
-  EXPECT_EQ(a.cross_shard_trips, b.cross_shard_trips);
-  EXPECT_EQ(a.shard_load_max_over_mean, b.shard_load_max_over_mean);
-  EXPECT_EQ(a.unified_cost, b.unified_cost);  // bitwise, not approximate
-  EXPECT_EQ(a.travel_cost, b.travel_cost);
-  EXPECT_EQ(a.penalty_cost, b.penalty_cost);
-  EXPECT_EQ(a.service_rate, b.service_rate);
-  EXPECT_EQ(a.sp_queries, b.sp_queries);
-  EXPECT_EQ(a.late_dropoffs, b.late_dropoffs);
-  EXPECT_EQ(a.pickup_wait_p50, b.pickup_wait_p50);
-  EXPECT_EQ(a.pickup_wait_p99, b.pickup_wait_p99);
-  EXPECT_EQ(a.mean_detour_ratio, b.mean_detour_ratio);
-  EXPECT_EQ(a.repositions, b.repositions);
-  EXPECT_EQ(a.reposition_cost, b.reposition_cost);
-  EXPECT_EQ(a.dataset, b.dataset);
-}
-
-void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
-  ExpectOutcomeEqual(a, b);
-  EXPECT_EQ(a.sharegraph_pair_checks, b.sharegraph_pair_checks);
-  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
-}
-
-// Contract 1: the acceptance bar of the event-core rewrite. Every preset,
-// two seeds, 1 and 8 worker threads (SARD's parallel acceptance path).
-// Each run gets its own fixture — a fresh, cold travel-cost cache — so
-// sp_queries compares the actual backend work, not cache state.
-TEST(EngineTest, EventEngineMatchesLegacyBitwise) {
-  for (const std::string& ds :
-       {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
-    for (uint64_t seed : {uint64_t{4242}, uint64_t{777}}) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(ds + " seed=" + std::to_string(seed) +
-                     " threads=" + std::to_string(threads));
-        TinyPreset ev(ds), lg(ds);
-        RunMetrics event =
-            ev.MakeEngine(ev.Options(seed))->Run("SARD", ev.Config(threads));
-        RunMetrics legacy = lg.MakeEngine(lg.Options(seed))
-                                ->RunLegacy("SARD", lg.Config(threads));
-        ExpectBitwiseEqual(event, legacy);
-        EXPECT_EQ(event.dataset, ds);  // stamped by the engine, not callers
-      }
-    }
-  }
-}
-
-// The equivalence is per-dispatcher-roster, not a SARD artifact: online
-// methods (reject immediately) and batch methods (hold requests across
-// rounds) replay identically too. Run twice per method: on the frozen
-// reference stack (incremental share graph off — GAS/RTV rebuild per batch
-// in both engines, so even instrumented memory matches bitwise) and with
-// the incremental graph on, where everything except memory accounting must
-// still reproduce the legacy engine.
-TEST(EngineTest, EventEngineMatchesLegacyAcrossDispatcherKinds) {
-  for (const std::string& algo :
-       {std::string("pruneGDP"), std::string("GAS"), std::string("RTV"),
-        std::string("TicketAssign+"), std::string("DARM+DPRS")}) {
-    for (bool incremental : {false, true}) {
-      SCOPED_TRACE(algo + (incremental ? " incremental" : " rebuild"));
-      TinyPreset ev("CHD"), lg("CHD");
-      DispatchConfig ev_config = ev.Config();
-      ev_config.incremental_sharegraph = incremental;
-      DispatchConfig lg_config = lg.Config();
-      lg_config.incremental_sharegraph = false;  // RunLegacy's frozen stack
-      RunMetrics event = ev.MakeEngine(ev.Options())->Run(algo, ev_config);
-      RunMetrics legacy =
-          lg.MakeEngine(lg.Options())->RunLegacy(algo, lg_config);
-      if (incremental) {
-        ExpectOutcomeEqual(event, legacy);
-      } else {
-        ExpectBitwiseEqual(event, legacy);
-      }
-    }
-  }
-}
 
 // The incremental share graph's parity guarantee (DESIGN.md §7): one
 // maintained graph per run — requests retired at assignment / cancellation
@@ -214,27 +79,6 @@ TEST(EngineTest, IncrementalShareGraphMatchesRebuildInOnlineMode) {
   RunMetrics off = run_mode(false);
   ExpectOutcomeEqual(on, off);
   EXPECT_LE(on.sharegraph_pair_checks, off.sharegraph_pair_checks);
-}
-
-// Fault models ride on events now (cancellations fire at their own
-// timestamps, capacities draw per run) — still bitwise against the legacy
-// per-tick ClassifyRider pass.
-TEST(EngineTest, EventEngineMatchesLegacyUnderFaultModels) {
-  TinyPreset ev("CHD"), lg("CHD");
-  auto fault_options = [](const TinyPreset& p) {
-    SimulationOptions sopts = p.Options();
-    sopts.cancellation_rate = 0.4;
-    sopts.cancellation_patience = 15;
-    sopts.capacity_sigma = 1.0;
-    sopts.capacity_mean = p.spec.capacity;
-    return sopts;
-  };
-  RunMetrics event =
-      ev.MakeEngine(fault_options(ev))->Run("SARD", ev.Config());
-  RunMetrics legacy =
-      lg.MakeEngine(fault_options(lg))->RunLegacy("SARD", lg.Config());
-  ExpectBitwiseEqual(event, legacy);
-  EXPECT_GT(event.cancelled, 0);  // the fault model actually fired
 }
 
 // Contract 2: a fixed scenario stack under a fixed seed reproduces exactly
@@ -297,7 +141,7 @@ TEST(EngineTest, OnlineDispatchServesWhatBatchTicksMiss) {
 }
 
 // Contract 3: repositioning must never break promises. Late dropoffs stay
-// impossible (CommitSchedule still gates every commit), completed legs are
+// impossible (CommitStops still gates every commit), completed legs are
 // counted and charged into travel cost, and the run stays deterministic.
 TEST(EngineTest, RepositioningKeepsInvariants) {
   auto run_with_policy = [&](bool enabled) {
@@ -324,10 +168,8 @@ TEST(EngineTest, RepositioningKeepsInvariants) {
   ExpectBitwiseEqual(on, again);
 }
 
-// Out-of-service vehicles leave the candidate market in both scan paths;
-// the KNearest == prefix-of-full-sort contract must hold on the filtered
-// fleet too (exercised end-to-end by the downtime scenario above, pinned
-// here at the engine's default thread count via a spot check on metrics).
+// Out-of-service vehicles leave the candidate market; a downtime run must
+// stay bitwise identical across worker-thread counts.
 TEST(EngineTest, DowntimeIsThreadCountInvariant) {
   auto run_threads = [&](int threads) {
     TinyPreset preset("CHD");

@@ -37,11 +37,9 @@
 #include <utility>
 #include <vector>
 
-#include "roadnet/hub_labeling.h"
-#include "sim/datasets.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
-#include "sim/workload.h"
+#include "tests/test_fixtures.h"
 
 namespace structride {
 namespace {
@@ -50,44 +48,13 @@ bool g_update = false;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One preset instantiated for the golden cells: the network, its hub
-// labels (built once; every cell's engine adopts them, so each cell starts
-// on a cold cache without rebuilding the index) and the request stream.
-struct GoldenDataset {
-  GoldenDataset(const std::string& name, bool bench_scale)
-      : spec(DatasetByName(name, bench_scale ? 0.05 : 0.02)) {
-    if (!bench_scale) {
-      // The unit-test shrink: a smaller city, the preset's workload shape.
-      const int side = name == "CHD" ? 16 : (name == "NYC" ? 18 : 14);
-      spec.city.rows = side;
-      spec.city.cols = side;
-    }
-    net = BuildNetwork(&spec);
-    labels = std::make_unique<HubLabeling>(net);
-    requests = GenerateWorkload(net, ColdEngine().get(), spec.policy,
-                                spec.workload);
-    fleet_size =
-        bench_scale ? spec.num_vehicles : std::max(3, spec.num_vehicles);
-  }
-
-  std::unique_ptr<TravelCostEngine> ColdEngine() const {
-    TravelCostOptions options;
-    options.prebuilt_hub_labels = labels.get();
-    return std::make_unique<TravelCostEngine>(net, options);
-  }
-
-  DatasetSpec spec;
-  RoadNetwork net;
-  std::unique_ptr<HubLabeling> labels;
-  std::vector<Request> requests;
-  int fleet_size = 0;
-};
-
-const GoldenDataset& Dataset(const std::string& name, bool bench_scale) {
-  static std::map<std::pair<std::string, bool>, std::unique_ptr<GoldenDataset>>
+// Presets are built once (network, hub labels, request stream); every
+// cell runs on its own cold engine over them.
+const TinyPreset& Preset(const std::string& name, bool bench_scale) {
+  static std::map<std::pair<std::string, bool>, std::unique_ptr<TinyPreset>>
       cache;
-  std::unique_ptr<GoldenDataset>& slot = cache[{name, bench_scale}];
-  if (!slot) slot = std::make_unique<GoldenDataset>(name, bench_scale);
+  std::unique_ptr<TinyPreset>& slot = cache[{name, bench_scale}];
+  if (!slot) slot = std::make_unique<TinyPreset>(name, bench_scale);
   return *slot;
 }
 
@@ -182,49 +149,33 @@ std::vector<Cell> AllCells() {
   return cells;
 }
 
-// The legacy twins the recorded lines must also reproduce (cross-checked
-// once, before the twins are removed).
-enum class Twin { kNone, kSoaPoolsOff, kLegacyEngine };
-
-RunMetrics RunCell(const Cell& cell, Twin twin = Twin::kNone) {
-  const GoldenDataset& ds = Dataset(cell.dataset, cell.bench_scale);
+RunMetrics RunCell(const Cell& cell) {
+  const TinyPreset& preset = Preset(cell.dataset, cell.bench_scale);
   // Declared before the simulation engine, which keeps cache partitions
   // parented to it.
-  std::unique_ptr<TravelCostEngine> engine = ds.ColdEngine();
+  std::unique_ptr<TravelCostEngine> engine = preset.ColdEngine();
 
-  SimulationOptions sopts;
-  sopts.batch_period = 5;
-  sopts.seed = cell.seed;
-  sopts.dataset = ds.spec.name;
+  SimulationOptions sopts = preset.Options(cell.seed);
   if (cell.faults) {
     sopts.cancellation_rate = 0.4;
     sopts.cancellation_patience = 15;
     sopts.capacity_sigma = 1.0;
-    sopts.capacity_mean = ds.spec.capacity;
+    sopts.capacity_mean = preset.spec.capacity;
   }
-  SimulationEngine sim(engine.get(), ds.requests, sopts);
-  sim.SpawnFleet(ds.fleet_size, ds.spec.capacity);
+  SimulationEngine sim(engine.get(), preset.requests, sopts);
+  sim.SpawnFleet(preset.fleet_size, preset.spec.capacity);
   if (cell.scenarios) {
-    const double d = ds.spec.workload.duration;
+    const double d = preset.spec.workload.duration;
     sim.AddScenario(MakeDemandSurge(0.25 * d, 0.5 * d, 3.0));
     sim.AddScenario(MakeVehicleDowntime(0.3 * d, 0.3 * d, 0.5));
     sim.AddScenario(MakeDispatchModeSwitch(0.5 * d, kInf));
     sim.SetRepositioningPolicy(MakeGreedyCentroidRepositioning());
   }
 
-  DispatchConfig config;
-  config.vehicle_capacity = ds.spec.capacity;
-  config.grouping.max_group_size = ds.spec.capacity;
-  config.sharegraph.vehicle_capacity = ds.spec.capacity;
-  if (cell.threads > 1) {
-    config.sard_parallel_acceptance = true;
-    config.num_threads = cell.threads;
-  }
+  DispatchConfig config = preset.Config(cell.threads);
   config.num_shards = cell.shards;
   config.incremental_sharegraph = cell.incremental;
-  if (twin == Twin::kSoaPoolsOff) config.soa_pools = false;
-  return twin == Twin::kLegacyEngine ? sim.RunLegacy(cell.algo, config)
-                                     : sim.Run(cell.algo, config);
+  return sim.Run(cell.algo, config);
 }
 
 std::string HexBits(double v) {
@@ -354,33 +305,6 @@ TEST(GoldenTest, EveryCellMatchesItsRecordedDigest) {
   for (const auto& [name, fields] : recorded) {
     ADD_FAILURE() << "recorded cell " << name << " is not produced any more";
   }
-}
-
-// One-time cross-check of the recorded lines against the legacy twins:
-// soa_pools=false must reproduce every line, and the frozen fixed-batch
-// engine every single-region, scenario-free line it can express (it never
-// maintains the run-scoped share graph, so GAS/RTV cells with the
-// incremental graph on account pair checks and bytes differently).
-TEST(GoldenTest, LegacyTwinsReproduceEveryLine) {
-  const std::map<std::string, Fields> recorded =
-      ReadGoldenFile(STRUCTRIDE_GOLDEN_FILE);
-  int legacy_cells = 0;
-  for (const Cell& cell : AllCells()) {
-    auto it = recorded.find(cell.name);
-    ASSERT_NE(it, recorded.end()) << cell.name;
-    const std::string want = FormatLine(cell.name, it->second);
-    EXPECT_EQ(FormatLine(cell.name, Digest(RunCell(cell, Twin::kSoaPoolsOff))),
-              want);
-    const bool graph_consumer_on_run_graph =
-        cell.incremental && (cell.algo == "GAS" || cell.algo == "RTV");
-    if (cell.shards == 1 && !cell.scenarios && !graph_consumer_on_run_graph) {
-      EXPECT_EQ(
-          FormatLine(cell.name, Digest(RunCell(cell, Twin::kLegacyEngine))),
-          want);
-      ++legacy_cells;
-    }
-  }
-  std::printf("legacy engine cross-checked on %d cells\n", legacy_cells);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Scheduling primitives: CheckSchedule semantics, BestInsertion optimality
 // (pruned == exhaustive, and matches the kinetic-tree optimum for the cases
 // where linear insertion is exact), and the grouping enumerator's clique /
-// capacity invariants.
+// capacity invariants and warm-scratch reuse.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "roadnet/generator.h"
 #include "sharegraph/builder.h"
 #include "sim/workload.h"
+#include "util/random.h"
 
 namespace structride {
 namespace {
@@ -148,6 +149,8 @@ TEST_F(GroupingFixture, EnumeratedGroupsAreFeasibleCliques) {
   bopts.vehicle_capacity = 3;
   ShareGraphBuilder builder(engine.get(), bopts);
   builder.AddBatch(requests);
+  std::vector<const Request*> pool;
+  for (const Request& r : requests) pool.push_back(&r);
 
   RouteState state;
   state.start = requests[0].source;
@@ -155,23 +158,99 @@ TEST_F(GroupingFixture, EnumeratedGroupsAreFeasibleCliques) {
   state.capacity = 3;
   GroupingOptions gopts;
   gopts.max_group_size = 3;
+  GroupingScratch scratch;
   for (auto policy : {InsertionOrderPolicy::kByShareability,
                       InsertionOrderPolicy::kBestOfAllParents}) {
     gopts.insertion_order = policy;
-    GroupingResult res = EnumerateGroups(state, Schedule(), requests,
-                                         &builder.graph(), engine.get(), gopts);
-    EXPECT_FALSE(res.groups.empty());
-    for (const CandidateGroup& g : res.groups) {
-      EXPECT_LE(g.members.size(), 3u);
-      EXPECT_EQ(g.schedule.size(), 2 * g.members.size());
-      for (size_t i = 0; i < g.members.size(); ++i) {
-        for (size_t j = i + 1; j < g.members.size(); ++j) {
-          EXPECT_TRUE(builder.graph().HasEdge(g.members[i], g.members[j]));
+    scratch.Reset();
+    PooledGroupingResult res = EnumerateGroupsPooled(
+        state, Span<const Stop>(nullptr, 0),
+        Span<const Request* const>(pool.data(), pool.size()),
+        &builder.graph(), engine.get(), gopts, &scratch);
+    EXPECT_GT(res.count, 0u);
+    for (size_t gi = 0; gi < res.count; ++gi) {
+      const PooledGroup& g = scratch.groups[res.first_group + gi];
+      Span<const RequestId> members = scratch.MembersOf(g);
+      Span<const Stop> stops = scratch.ScheduleOf(g);
+      EXPECT_LE(members.size(), 3u);
+      EXPECT_EQ(stops.size(), 2 * members.size());
+      for (size_t i = 0; i < members.size(); ++i) {
+        for (size_t j = i + 1; j < members.size(); ++j) {
+          EXPECT_TRUE(builder.graph().HasEdge(members[i], members[j]));
         }
       }
-      auto [ok, cost] = CheckSchedule(state, g.schedule.stops(), engine.get());
+      auto [ok, cost] = CheckSchedule(state, stops, engine.get());
       EXPECT_TRUE(ok);
       EXPECT_NEAR(cost, g.delta_cost, 1e-6);  // empty committed schedule
+    }
+  }
+}
+
+// The warmed steady-state reuse: a second enumeration after Reset runs on
+// the retained scratch capacity and must reproduce the first pass exactly —
+// group order, members, schedules, deltas (bitwise) and truncation.
+TEST_F(GroupingFixture, ResetScratchReproducesTheFirstPass) {
+  ShareGraphBuilderOptions bopts;
+  bopts.vehicle_capacity = 3;
+  ShareGraphBuilder builder(engine.get(), bopts);
+  builder.AddBatch(requests);
+  std::vector<const Request*> pool;
+  for (const Request& r : requests) pool.push_back(&r);
+
+  struct Pass {
+    bool truncated = false;
+    std::vector<std::vector<RequestId>> members;
+    std::vector<std::vector<Stop>> stops;
+    std::vector<double> deltas;
+  };
+  GroupingScratch scratch;
+  Rng rng(23);
+  for (auto policy : {InsertionOrderPolicy::kByShareability,
+                      InsertionOrderPolicy::kBestOfAllParents}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const Request& seed = requests[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(requests.size()) - 1))];
+      RouteState state;
+      state.start = seed.source;
+      state.start_time = 0;
+      state.capacity = 3;
+      GroupingOptions gopts;
+      gopts.max_group_size = 3;
+      gopts.insertion_order = policy;
+      Pass passes[2];
+      for (Pass& pass : passes) {
+        scratch.Reset();
+        PooledGroupingResult res = EnumerateGroupsPooled(
+            state, Span<const Stop>(nullptr, 0),
+            Span<const Request* const>(pool.data(), pool.size()),
+            &builder.graph(), engine.get(), gopts, &scratch);
+        pass.truncated = res.truncated;
+        for (size_t gi = 0; gi < res.count; ++gi) {
+          const PooledGroup& g = scratch.groups[res.first_group + gi];
+          Span<const RequestId> members = scratch.MembersOf(g);
+          Span<const Stop> stops = scratch.ScheduleOf(g);
+          pass.members.emplace_back(members.begin(), members.end());
+          pass.stops.emplace_back(stops.begin(), stops.end());
+          pass.deltas.push_back(g.delta_cost);
+        }
+      }
+      EXPECT_GT(passes[0].members.size(), 0u);
+      EXPECT_EQ(passes[1].truncated, passes[0].truncated);
+      EXPECT_EQ(passes[1].members, passes[0].members);
+      EXPECT_EQ(passes[1].deltas, passes[0].deltas);
+      ASSERT_EQ(passes[1].stops.size(), passes[0].stops.size());
+      for (size_t gi = 0; gi < passes[0].stops.size(); ++gi) {
+        const std::vector<Stop>& a = passes[0].stops[gi];
+        const std::vector<Stop>& b = passes[1].stops[gi];
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t k = 0; k < a.size(); ++k) {
+          EXPECT_EQ(a[k].request, b[k].request);
+          EXPECT_EQ(a[k].node, b[k].node);
+          EXPECT_EQ(a[k].kind, b[k].kind);
+          EXPECT_EQ(a[k].earliest, b[k].earliest);
+          EXPECT_EQ(a[k].deadline, b[k].deadline);
+        }
+      }
     }
   }
 }

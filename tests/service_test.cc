@@ -1,9 +1,8 @@
 // The streaming-service-mode contract (DESIGN.md §13):
-//  1. service_mode=false is bitwise identical to the pre-service engine:
-//     Run() still reproduces the frozen RunLegacy() across the dispatcher
-//     roster × the three dataset presets × 1 and 8 worker threads, and all
-//     service-mode metrics stay zero — none of the ingestion machinery may
-//     leak into replay runs.
+//  1. service_mode=false is the replay engine: every service-mode metric
+//     stays zero across the dispatcher roster × the three dataset presets ×
+//     1 and 8 worker threads — none of the ingestion machinery may leak
+//     into replay runs (whose outcomes the golden digests pin).
 //  2. A service run terminates with every request at exactly one terminal
 //     outcome (shed arrivals included), reports ingest→decision latency
 //     quantiles in order, and observes the ring depth it actually used.
@@ -19,74 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "sim/datasets.h"
 #include "sim/engine.h"
-#include "sim/workload.h"
+#include "tests/test_fixtures.h"
 
 namespace structride {
 namespace {
-
-// A preset shrunk to unit-test size, like engine_test's TinyPreset.
-struct TinyPreset {
-  explicit TinyPreset(const std::string& name)
-      : spec(DatasetByName(name, 0.02)) {
-    const int side = name == "CHD" ? 16 : (name == "NYC" ? 18 : 14);
-    spec.city.rows = side;
-    spec.city.cols = side;
-    net = BuildNetwork(&spec);
-    engine = std::make_unique<TravelCostEngine>(net);
-    requests = GenerateWorkload(net, engine.get(), spec.policy, spec.workload);
-  }
-
-  DispatchConfig Config(int threads = 1) const {
-    DispatchConfig config;
-    config.vehicle_capacity = spec.capacity;
-    config.grouping.max_group_size = spec.capacity;
-    config.sharegraph.vehicle_capacity = spec.capacity;
-    if (threads > 1) {
-      config.sard_parallel_acceptance = true;
-      config.num_threads = threads;
-    }
-    return config;
-  }
-
-  SimulationOptions Options(uint64_t seed = 4242) const {
-    SimulationOptions sopts;
-    sopts.batch_period = 5;
-    sopts.seed = seed;
-    sopts.dataset = spec.name;
-    return sopts;
-  }
-
-  std::unique_ptr<SimulationEngine> MakeEngine(const SimulationOptions& sopts) {
-    auto sim =
-        std::make_unique<SimulationEngine>(engine.get(), requests, sopts);
-    sim->SpawnFleet(std::max(3, spec.num_vehicles), spec.capacity);
-    return sim;
-  }
-
-  DatasetSpec spec;
-  RoadNetwork net;
-  std::unique_ptr<TravelCostEngine> engine;
-  std::vector<Request> requests;
-};
-
-void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.cancelled, b.cancelled);
-  EXPECT_EQ(a.expired, b.expired);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.total_requests, b.total_requests);
-  EXPECT_EQ(a.unified_cost, b.unified_cost);  // bitwise, not approximate
-  EXPECT_EQ(a.travel_cost, b.travel_cost);
-  EXPECT_EQ(a.penalty_cost, b.penalty_cost);
-  EXPECT_EQ(a.service_rate, b.service_rate);
-  EXPECT_EQ(a.sp_queries, b.sp_queries);
-  EXPECT_EQ(a.pickup_wait_p50, b.pickup_wait_p50);
-  EXPECT_EQ(a.pickup_wait_p99, b.pickup_wait_p99);
-  EXPECT_EQ(a.mean_detour_ratio, b.mean_detour_ratio);
-  EXPECT_EQ(a.late_dropoffs, b.late_dropoffs);
-}
 
 void ExpectServiceMetricsZero(const RunMetrics& m) {
   EXPECT_EQ(m.dispatch_latency_p50_ms, 0);
@@ -97,28 +33,20 @@ void ExpectServiceMetricsZero(const RunMetrics& m) {
   EXPECT_EQ(m.ingest_queue_depth_max, 0u);
 }
 
-// Contract 1: the NEW differential — with service_mode at its default
-// (false), the event engine still matches the frozen legacy loop bitwise
-// for every roster dispatcher on all three presets at 1 and 8 threads,
-// and reports all-zero service metrics on both paths.
+// Contract 1: with service_mode at its default (false), every roster
+// dispatcher on all three presets at 1 and 8 threads reports all-zero
+// service metrics.
 TEST(ServiceModeOffTest, ReplayEngineUnchangedAcrossRosterDatasetsThreads) {
-  for (const std::string& ds : {"CHD", "NYC", "Cainiao"}) {
+  for (const std::string ds : {"CHD", "NYC", "Cainiao"}) {
+    TinyPreset tiny(ds);
+    SimulationOptions sopts = tiny.Options();
+    EXPECT_FALSE(sopts.service_mode);  // the default stays off
     for (const std::string& algo : AllDispatcherNames()) {
       for (int threads : {1, 8}) {
         SCOPED_TRACE(ds + " / " + algo + " / " + std::to_string(threads) +
                      " threads");
-        // Fresh fixture per run: cold travel-cost caches keep sp_queries
-        // comparing backend work, not cache state (the engine_test idiom).
-        TinyPreset legacy_fix(ds), event_fix(ds);
-        SimulationOptions sopts = legacy_fix.Options();
-        EXPECT_FALSE(sopts.service_mode);  // the default stays off
-        RunMetrics legacy = legacy_fix.MakeEngine(sopts)->RunLegacy(
-            algo, legacy_fix.Config(threads));
-        RunMetrics event =
-            event_fix.MakeEngine(sopts)->Run(algo, event_fix.Config(threads));
-        ExpectBitwiseEqual(event, legacy);
-        ExpectServiceMetricsZero(event);
-        ExpectServiceMetricsZero(legacy);
+        ExpectServiceMetricsZero(
+            tiny.MakeEngine(sopts)->Run(algo, tiny.Config(threads)));
       }
     }
   }

@@ -1,8 +1,7 @@
-// The geo-sharding contract (DESIGN.md §12):
-//  1. num_shards=1 is *bitwise* identical to the frozen legacy engine —
-//     served, costs, sp_queries, service-quality stats — for every
-//     registered dispatcher, every dataset preset, 1 and 8 worker threads.
-//     The whole shard machinery must vanish at Z=1.
+// The geo-sharding contract (DESIGN.md §12); the golden digests
+// (golden_test.cc) pin 1- and 4-shard outcomes across the roster:
+//  1. Concurrent shard batches reproduce the serial shard-id-order loop
+//     bitwise.
 //  2. num_shards>1 conserves requests and vehicles exactly: every request
 //     reaches exactly one terminal outcome, every vehicle lives in exactly
 //     one shard's member list (the engine SR_CHECKs this every round; the
@@ -24,83 +23,14 @@
 
 #include "core/vehicle.h"
 #include "dispatch/shard.h"
-#include "sim/datasets.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
-#include "sim/workload.h"
+#include "tests/test_fixtures.h"
 
 namespace structride {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Same tiny fixture discipline as engine_test: presets shrunk to unit-test
-// size, a fresh engine (cold travel-cost cache, aligned fault-model RNG)
-// per compared run.
-struct TinyPreset {
-  explicit TinyPreset(const std::string& name)
-      : spec(DatasetByName(name, 0.02)) {
-    const int side = name == "CHD" ? 16 : (name == "NYC" ? 18 : 14);
-    spec.city.rows = side;
-    spec.city.cols = side;
-    net = BuildNetwork(&spec);
-    engine = std::make_unique<TravelCostEngine>(net);
-    requests = GenerateWorkload(net, engine.get(), spec.policy, spec.workload);
-  }
-
-  DispatchConfig Config(int threads = 1) const {
-    DispatchConfig config;
-    config.vehicle_capacity = spec.capacity;
-    config.grouping.max_group_size = spec.capacity;
-    config.sharegraph.vehicle_capacity = spec.capacity;
-    if (threads > 1) {
-      config.sard_parallel_acceptance = true;
-      config.num_threads = threads;
-    }
-    return config;
-  }
-
-  SimulationOptions Options(uint64_t seed = 4242) const {
-    SimulationOptions sopts;
-    sopts.batch_period = 5;
-    sopts.seed = seed;
-    sopts.dataset = spec.name;
-    return sopts;
-  }
-
-  std::unique_ptr<SimulationEngine> MakeEngine(const SimulationOptions& sopts) {
-    auto sim = std::make_unique<SimulationEngine>(engine.get(), requests, sopts);
-    sim->SpawnFleet(std::max(3, spec.num_vehicles), spec.capacity);
-    return sim;
-  }
-
-  DatasetSpec spec;
-  RoadNetwork net;
-  std::unique_ptr<TravelCostEngine> engine;
-  std::vector<Request> requests;
-};
-
-void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.cancelled, b.cancelled);
-  EXPECT_EQ(a.expired, b.expired);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.total_requests, b.total_requests);
-  EXPECT_EQ(a.unified_cost, b.unified_cost);  // bitwise, not approximate
-  EXPECT_EQ(a.travel_cost, b.travel_cost);
-  EXPECT_EQ(a.penalty_cost, b.penalty_cost);
-  EXPECT_EQ(a.service_rate, b.service_rate);
-  EXPECT_EQ(a.sp_queries, b.sp_queries);
-  EXPECT_EQ(a.sharegraph_pair_checks, b.sharegraph_pair_checks);
-  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
-  EXPECT_EQ(a.late_dropoffs, b.late_dropoffs);
-  EXPECT_EQ(a.pickup_wait_p50, b.pickup_wait_p50);
-  EXPECT_EQ(a.pickup_wait_p99, b.pickup_wait_p99);
-  EXPECT_EQ(a.mean_detour_ratio, b.mean_detour_ratio);
-  EXPECT_EQ(a.num_shards, b.num_shards);
-  EXPECT_EQ(a.cross_shard_trips, b.cross_shard_trips);
-  EXPECT_EQ(a.shard_load_max_over_mean, b.shard_load_max_over_mean);
-}
 
 // Every outcome counter lands in exactly one terminal bucket — the N-shard
 // conservation invariant the escrow/migration machinery must never break.
@@ -221,67 +151,6 @@ TEST(ShardHelperTest, NearestInServiceVehicle) {
   fleet[2].set_in_service(false);
   EXPECT_EQ(NearestInServiceVehicle(fleet, net, 0),
             std::numeric_limits<size_t>::max());
-}
-
-// -------------------------------------------------- 1-shard bitwise gate --
-
-// Contract 1: the coordinator at Z=1 replays the exact pre-sharding round
-// for the whole dispatcher roster. Both sides run the frozen
-// rebuild-per-batch share-graph reference (incremental_sharegraph off) so
-// the comparison is fully bitwise, pair checks and instrumented bytes
-// included — RunLegacy never maintains the incremental graph, and its
-// persistent builder legitimately accounts differently (DESIGN.md §7;
-// engine_test pins that equivalence). SARD's 8-thread cell exercises the
-// parallel acceptance path through the shard context's shared pool.
-TEST(ShardParityTest, OneShardMatchesLegacyBitwiseAcrossRoster) {
-  for (const std::string& ds :
-       {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
-    for (const std::string& algo : ListDispatchers()) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(ds + " " + algo + " threads=" + std::to_string(threads));
-        TinyPreset ev(ds), lg(ds);
-        DispatchConfig config = ev.Config(threads);
-        config.incremental_sharegraph = false;
-        config.num_shards = 1;  // explicit: the sharded coordinator's Z=1
-        DispatchConfig legacy_config = lg.Config(threads);
-        legacy_config.incremental_sharegraph = false;
-        RunMetrics event = ev.MakeEngine(ev.Options())->Run(algo, config);
-        RunMetrics legacy =
-            lg.MakeEngine(lg.Options())->RunLegacy(algo, legacy_config);
-        ExpectBitwiseEqual(event, legacy);
-        EXPECT_EQ(event.num_shards, 1);
-        EXPECT_EQ(event.cross_shard_trips, 0);
-      }
-    }
-  }
-}
-
-// Same gate under the default config (incremental share graph on): every
-// *outcome* — served, costs, sp_queries, service quality, shard counters —
-// still matches legacy bitwise for the graph consumers; only the
-// §7-documented pair-check/byte accounting may differ.
-TEST(ShardParityTest, OneShardDefaultConfigMatchesLegacyOutcomes) {
-  for (const std::string& algo : {std::string("GAS"), std::string("RTV"),
-                                  std::string("SARD")}) {
-    SCOPED_TRACE(algo);
-    TinyPreset ev("CHD"), lg("CHD");
-    DispatchConfig config = ev.Config();
-    config.num_shards = 1;
-    RunMetrics event = ev.MakeEngine(ev.Options())->Run(algo, config);
-    RunMetrics legacy = lg.MakeEngine(lg.Options())->RunLegacy(algo, lg.Config());
-    EXPECT_EQ(event.served, legacy.served);
-    EXPECT_EQ(event.cancelled, legacy.cancelled);
-    EXPECT_EQ(event.expired, legacy.expired);
-    EXPECT_EQ(event.rejected, legacy.rejected);
-    EXPECT_EQ(event.unified_cost, legacy.unified_cost);
-    EXPECT_EQ(event.sp_queries, legacy.sp_queries);
-    EXPECT_EQ(event.pickup_wait_p50, legacy.pickup_wait_p50);
-    EXPECT_EQ(event.pickup_wait_p99, legacy.pickup_wait_p99);
-    EXPECT_EQ(event.mean_detour_ratio, legacy.mean_detour_ratio);
-    EXPECT_EQ(event.num_shards, legacy.num_shards);
-    EXPECT_EQ(event.cross_shard_trips, 0);
-    EXPECT_EQ(event.shard_load_max_over_mean, legacy.shard_load_max_over_mean);
-  }
 }
 
 // ---------------------------------------------- N-shard conservation gate --
