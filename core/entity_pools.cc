@@ -4,11 +4,6 @@
 
 namespace structride {
 
-void FleetSoA::Refresh(const std::vector<Vehicle>& fleet) {
-  // Read-only delegation; the view never mutates through this call.
-  Refresh(FleetView(const_cast<std::vector<Vehicle>*>(&fleet)));
-}
-
 void FleetSoA::Refresh(const FleetView& fleet) {
   const size_t n = fleet.size();
   node.resize(n);

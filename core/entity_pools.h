@@ -89,10 +89,9 @@ struct FleetSoA {
   std::vector<char> in_service;
   std::vector<char> idle;
 
-  /// Primary form: plane index i mirrors view-local index i, so a shard's
-  /// planes line up with its restricted FleetView (DESIGN.md §12).
+  /// Plane index i mirrors view-local index i, so a shard's planes line up
+  /// with its restricted FleetView (DESIGN.md §12).
   void Refresh(const FleetView& fleet);
-  void Refresh(const std::vector<Vehicle>& fleet);
   size_t size() const { return node.size(); }
   size_t MemoryBytes() const;
 };

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 
 #include "dispatch/spatial_index.h"
