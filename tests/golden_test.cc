@@ -249,23 +249,23 @@ std::map<std::string, Fields> ReadGoldenFile(const std::string& path) {
 }
 
 void ExpectMatchesRecord(const std::string& cell, const Fields& recorded,
-                         const Fields& actual, const char* what) {
+                         const Fields& actual) {
   std::map<std::string, std::string> want(recorded.begin(), recorded.end());
   for (const auto& [key, value] : actual) {
     auto it = want.find(key);
     if (it == want.end()) {
-      ADD_FAILURE() << what << ": cell " << cell << " field " << key
+      ADD_FAILURE() << "cell " << cell << " field " << key
                     << ": expected <not recorded>, actual " << value;
       continue;
     }
     if (it->second != value) {
-      ADD_FAILURE() << what << ": cell " << cell << " field " << key
+      ADD_FAILURE() << "cell " << cell << " field " << key
                     << ": expected " << it->second << ", actual " << value;
     }
     want.erase(it);
   }
   for (const auto& [key, value] : want) {
-    ADD_FAILURE() << what << ": cell " << cell << " field " << key
+    ADD_FAILURE() << "cell " << cell << " field " << key
                   << ": expected " << value << ", actual <not produced>";
   }
 }
@@ -299,7 +299,7 @@ TEST(GoldenTest, EveryCellMatchesItsRecordedDigest) {
       ADD_FAILURE() << "cell " << cell.name << " has no recorded digest";
       continue;
     }
-    ExpectMatchesRecord(cell.name, it->second, Digest(RunCell(cell)), "run");
+    ExpectMatchesRecord(cell.name, it->second, Digest(RunCell(cell)));
     recorded.erase(it);
   }
   for (const auto& [name, fields] : recorded) {
