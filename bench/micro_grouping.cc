@@ -68,7 +68,7 @@ void BM_EnumerateGroups(benchmark::State& state) {
   for (auto _ : state) {
     scratch.Reset();
     PooledGroupingResult res = EnumerateGroupsPooled(
-        rs, Span<const Stop>(nullptr, 0),
+        rs, Span<const Stop>(nullptr, 0), {},
         Span<const Request* const>(pool.data(), pool.size()),
         &f.builder->graph(), &f.engine, opts, &scratch);
     produced = res.count;

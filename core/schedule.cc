@@ -3,29 +3,17 @@
 namespace structride {
 
 namespace {
-constexpr double kEps = 1e-7;
-
 template <typename CostFn>
 std::pair<bool, double> Walk(const RouteState& state,
                              Span<const Stop> stops, CostFn cost_fn) {
-  double t = state.start_time;
-  NodeId pos = state.start;
-  int load = state.onboard;
-  double total = 0;
+  WalkState walk = WalkState::At(state);
   for (const Stop& stop : stops) {
-    double leg = stop.node == pos ? 0.0 : cost_fn(pos, stop.node);
-    t += leg;
-    total += leg;
-    pos = stop.node;
-    if (t > stop.deadline + kEps) return {false, total};
-    if (stop.kind == StopKind::kPickup) {
-      if (t < stop.earliest) t = stop.earliest;
-      if (++load > state.capacity) return {false, total};
-    } else {
-      --load;
+    if (!walk.Serve(stop, LegCost(walk.pos, stop.node, cost_fn),
+                    state.capacity)) {
+      return {false, walk.cost};
     }
   }
-  return {true, total};
+  return {true, walk.cost};
 }
 }  // namespace
 

@@ -54,6 +54,56 @@ struct RouteState {
   int onboard = 0;
 };
 
+/// Slack on every deadline comparison: arrival times are sums of
+/// floating-point legs, so a stop reached exactly on its deadline must not
+/// fail on the last ulp.
+inline constexpr double kDeadlineTolerance = 1e-7;
+
+/// True when reaching a stop at \p time misses \p deadline.
+inline bool MissesDeadline(double time, double deadline) {
+  return time > deadline + kDeadlineTolerance;
+}
+
+/// Cost of the leg from \p from to \p to under \p cost_fn. A leg that stays
+/// on its node is free and never reaches \p cost_fn, so walks under any
+/// metric look up exactly the same pairs.
+template <typename CostFn>
+double LegCost(NodeId from, NodeId to, CostFn&& cost_fn) {
+  return from == to ? 0.0 : cost_fn(from, to);
+}
+
+/// A schedule walk between two stops: where the vehicle is, when it is free
+/// there, the travel cost so far and the seats taken. Every walk —
+/// CheckSchedule, CheckScheduleLowerBound, both BestInsertion walks and
+/// Vehicle::CommitStops — advances through Serve, the one copy of the stop
+/// rule, so they agree bit for bit on times, costs and verdicts.
+struct WalkState {
+  NodeId pos = 0;
+  double time = 0;
+  double cost = 0;
+  int load = 0;
+
+  static WalkState At(const RouteState& state) {
+    return {state.start, state.start_time, 0, state.onboard};
+  }
+
+  /// The stop rule: travel \p leg to \p stop, check its deadline, wait at
+  /// an early pickup, count the seat. Returns false on a missed deadline or
+  /// a seat over \p capacity (the state is then partly advanced).
+  bool Serve(const Stop& stop, double leg, int capacity) {
+    time += leg;
+    cost += leg;
+    pos = stop.node;
+    if (MissesDeadline(time, stop.deadline)) return false;
+    if (stop.kind == StopKind::kPickup) {
+      if (time < stop.earliest) time = stop.earliest;
+      return ++load <= capacity;
+    }
+    --load;
+    return true;
+  }
+};
+
 /// Simulates the stop sequence from \p state: waits at early pickups,
 /// enforces every deadline and the seat capacity. Returns {feasible,
 /// total travel cost}; on infeasibility the cost is the partial cost up to

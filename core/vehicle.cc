@@ -18,22 +18,12 @@ bool Vehicle::CommitStops(Span<const Stop> stops, double now,
   double* arrivals = scope.AllocateArray<double>(n);
   double* legs = scope.AllocateArray<double>(n);
 
-  double t = state.start_time;
-  NodeId pos = state.start;
-  int load = state.onboard;
+  WalkState walk = WalkState::At(state);
+  auto cost = [engine](NodeId a, NodeId b) { return engine->Cost(a, b); };
   for (size_t k = 0; k < n; ++k) {
-    const Stop& stop = stops[k];
-    double leg = stop.node == pos ? 0.0 : engine->Cost(pos, stop.node);
-    t += leg;
-    pos = stop.node;
-    if (t > stop.deadline + 1e-7) return false;
-    if (stop.kind == StopKind::kPickup) {
-      if (t < stop.earliest) t = stop.earliest;
-      if (++load > capacity_) return false;
-    } else {
-      --load;
-    }
-    arrivals[k] = t;
+    const double leg = LegCost(walk.pos, stops[k].node, cost);
+    if (!walk.Serve(stops[k], leg, capacity_)) return false;
+    arrivals[k] = walk.time;
     legs[k] = leg;
   }
 

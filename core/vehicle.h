@@ -43,6 +43,10 @@ class Vehicle {
   double total_travel_cost() const { return travel_cost_; }
 
   const Schedule& schedule() const { return schedule_; }
+  /// Travel cost of the leg into each remaining stop, parallel to
+  /// schedule(): filled by CommitStops, trimmed by AdvanceTo. Pricing reads
+  /// it instead of looking the committed legs up again.
+  Span<const double> legs() const { return legs_; }
 
   /// True unless a scenario pulled the vehicle out of service. Out-of-
   /// service vehicles still complete their committed stops.

@@ -48,8 +48,9 @@ class PruneGdpDispatcher : public Dispatcher {
           r->source, fleet.size(), reach, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
-        InsertionCandidate cand = BestInsertion(
-            v.route_state(ctx->now), v.schedule().stops(), *r, ctx->engine);
+        InsertionCandidate cand =
+            BestInsertion(v.route_state(ctx->now), v.schedule().stops(),
+                          v.legs(), *r, ctx->engine);
         if (cand.feasible && cand.delta_cost < best) {
           best = cand.delta_cost;
           best_vehicle = nearest[ni];
@@ -94,8 +95,9 @@ class TicketAssignDispatcher : public Dispatcher {
           scanner_.KNearestInto(r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
-        InsertionCandidate cand = BestInsertion(
-            v.route_state(ctx->now), v.schedule().stops(), *r, ctx->engine);
+        InsertionCandidate cand =
+            BestInsertion(v.route_state(ctx->now), v.schedule().stops(),
+                          v.legs(), *r, ctx->engine);
         if (!cand.feasible) continue;
         ArenaScope scope(ScratchArena());
         const std::vector<Stop>& cur = v.schedule().stops();
@@ -136,8 +138,9 @@ class DarmDprsDispatcher : public Dispatcher {
           scanner_.KNearestInto(r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
         Vehicle& v = fleet[nearest[ni]];
-        InsertionCandidate cand = BestInsertion(
-            v.route_state(ctx->now), v.schedule().stops(), *r, ctx->engine);
+        InsertionCandidate cand =
+            BestInsertion(v.route_state(ctx->now), v.schedule().stops(),
+                          v.legs(), *r, ctx->engine);
         if (cand.feasible && cand.delta_cost < best) {
           best = cand.delta_cost;
           best_vehicle = nearest[ni];

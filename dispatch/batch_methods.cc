@@ -101,8 +101,9 @@ class GasDispatcher : public GraphBatchDispatcher {
       per_vehicle[vi] = PooledGroupingResult{};
       if (!fsoa->in_service[vi]) continue;  // downtime: no new work
       per_vehicle[vi] = EnumerateGroupsPooled(
-          fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(), pool,
-          &builder->graph(), ctx->engine, gopts, &scratch_);
+          fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
+          fleet[vi].legs(), pool, &builder->graph(), ctx->engine, gopts,
+          &scratch_);
       grouping_bytes += PooledGroupingMemoryBytes(scratch_, per_vehicle[vi]);
     }
     const size_t num_cands = scratch_.groups.size();
@@ -202,8 +203,9 @@ class RtvDispatcher : public GraphBatchDispatcher {
       if (!fsoa->in_service[vi]) continue;  // downtime: no new work
       gopts.max_groups = static_cast<size_t>(node_budget);
       per_vehicle[vi] = EnumerateGroupsPooled(
-          fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(), pool,
-          &builder->graph(), ctx->engine, gopts, &scratch_);
+          fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
+          fleet[vi].legs(), pool, &builder->graph(), ctx->engine, gopts,
+          &scratch_);
       node_budget -= static_cast<int64_t>(per_vehicle[vi].count);
     }
     const size_t num_trips = scratch_.groups.size();
@@ -289,9 +291,9 @@ class RtvDispatcher : public GraphBatchDispatcher {
       InsertionCandidate best_cand;
       for (size_t vi = 0; vi < fleet.size(); ++vi) {
         if (!fsoa->in_service[vi]) continue;
-        InsertionCandidate cand =
-            BestInsertion(fleet[vi].route_state(ctx->now),
-                          fleet[vi].schedule().stops(), r, ctx->engine);
+        InsertionCandidate cand = BestInsertion(
+            fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
+            fleet[vi].legs(), r, ctx->engine);
         if (cand.feasible && cand.delta_cost < best) {
           best = cand.delta_cost;
           best_vehicle = vi;

@@ -5,20 +5,25 @@ namespace dispatch {
 
 PooledGroupInsertion InsertGroupSequentialPooled(
     const RouteState& state, Span<const Stop> committed,
-    Span<const Request* const> members, TravelCostEngine* engine,
-    EpochArena* arena) {
+    Span<const double> committed_legs, Span<const Request* const> members,
+    TravelCostEngine* engine, EpochArena* arena) {
   PooledGroupInsertion out;
   const size_t final_len = committed.size() + 2 * members.size();
   Stop* bufs[2] = {arena->AllocateArray<Stop>(final_len),
                    arena->AllocateArray<Stop>(final_len)};
+  double* leg_bufs[2] = {arena->AllocateArray<double>(final_len),
+                         arena->AllocateArray<double>(final_len)};
   Span<const Stop> cur = committed;
+  Span<const double> cur_legs = committed_legs;
   int which = 0;
   double delta = 0;
   for (const Request* r : members) {
-    InsertionCandidate cand = BestInsertion(state, cur, *r, engine);
+    InsertionCandidate cand = BestInsertion(state, cur, cur_legs, *r, engine);
     if (!cand.feasible) return out;
-    size_t len = ApplyInsertionInto(cur, *r, cand, bufs[which]);
+    size_t len = ApplyInsertionInto(cur, cur_legs, *r, cand, bufs[which],
+                                    leg_bufs[which]);
     cur = {bufs[which], len};
+    cur_legs = {leg_bufs[which], len};
     which ^= 1;
     delta += cand.delta_cost;
   }

@@ -20,13 +20,16 @@ struct PooledGroupInsertion {
 };
 
 /// Linear insertion of \p members, in the given order, into \p committed
-/// evaluated from \p state; infeasible if any member fails. Every
-/// intermediate stage is ping-ponged between two \p arena blocks instead of
-/// materialized as a Schedule.
+/// evaluated from \p state; infeasible if any member fails. \p
+/// committed_legs is the vehicle's leg plane (Vehicle::legs()), parallel to
+/// \p committed; each member's grown legs carry over to the next, so no
+/// member re-prices a leg an earlier one already priced. Every intermediate
+/// stage is ping-ponged between two \p arena blocks instead of materialized
+/// as a Schedule.
 PooledGroupInsertion InsertGroupSequentialPooled(
     const RouteState& state, Span<const Stop> committed,
-    Span<const Request* const> members, TravelCostEngine* engine,
-    EpochArena* arena);
+    Span<const double> committed_legs, Span<const Request* const> members,
+    TravelCostEngine* engine, EpochArena* arena);
 
 }  // namespace dispatch
 }  // namespace structride

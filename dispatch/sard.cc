@@ -257,20 +257,26 @@ class SardDispatcher : public Dispatcher {
     const size_t num_near =
         scanner_.KNearestInto(anchor, kCandidateVehicles, nearest);
     // Batched warm-up of the first insertion leg: an *idle* candidate's
-    // pricing provably starts with Cost(vehicle node, anchor) — the first
-    // member goes to position 0 of an empty schedule, that position's
-    // lower bound cannot beat an infinite incumbent, and an open
-    // request's pickup deadline is ahead of `now`, so BestInsertion's
-    // first CheckSchedule always prices that leg. One-to-many fetching
-    // those legs pins the anchor's hub label once; CostMany's per-target
-    // cache fill/count keeps sp_queries identical to the point-to-point
-    // path. Busy candidates' first legs depend on their committed stops
-    // and are left to the sequential walk.
+    // pricing looks up Cost(vehicle node, anchor) exactly when the first
+    // member's empty-schedule lower-bound walk passes — the member goes to
+    // position 0 of an empty schedule, that position's detour bound cannot
+    // beat an infinite incumbent, and BestInsertion prices the pickup leg
+    // only after the straight-line walk of the same splice passes.
+    // One-to-many fetching those legs pins the anchor's hub label once;
+    // CostMany's per-target cache fill/count keeps sp_queries identical to
+    // the point-to-point path. Busy candidates' first legs depend on their
+    // committed stops and are left to the sequential walk.
+    const Stop first_member[2] = {PickupStop(*mem[0]), DropoffStop(*mem[0])};
     NodeId idle_nodes[kCandidateVehicles];
     size_t num_idle = 0;
     for (size_t ni = 0; ni < num_near; ++ni) {
       const Vehicle& v = fleet[nearest[ni]];
-      if (v.schedule().empty()) idle_nodes[num_idle++] = v.node();
+      if (v.schedule().empty() &&
+          CheckScheduleLowerBound(v.route_state(ctx->now), {first_member, 2},
+                                  ctx->engine)
+              .first) {
+        idle_nodes[num_idle++] = v.node();
+      }
     }
     if (num_idle > 1) {
       double warmed[kCandidateVehicles];
@@ -282,7 +288,7 @@ class SardDispatcher : public Dispatcher {
       dispatch::PooledGroupInsertion ins =
           dispatch::InsertGroupSequentialPooled(
               fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
-              mem, ctx->engine, scope.arena());
+              fleet[vi].legs(), mem, ctx->engine, scope.arena());
       if (ins.feasible) {
         out[count].delta = ins.delta_cost;
         out[count].vehicle = vi;
@@ -319,8 +325,8 @@ class SardDispatcher : public Dispatcher {
       ArenaScope commit_scope(ScratchArena());
       dispatch::PooledGroupInsertion ins =
           dispatch::InsertGroupSequentialPooled(
-              v.route_state(ctx->now), v.schedule().stops(), mem, ctx->engine,
-              commit_scope.arena());
+              v.route_state(ctx->now), v.schedule().stops(), v.legs(), mem,
+              ctx->engine, commit_scope.arena());
       if (!ins.feasible) continue;
       if (!v.CommitStops({ins.stops, ins.len}, ctx->now, ctx->engine)) {
         continue;

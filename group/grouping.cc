@@ -49,6 +49,7 @@ bool SameKey(const ChildRec* a, const ChildRec* b) {
 
 PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
                                            Span<const Stop> committed,
+                                           Span<const double> committed_legs,
                                            Span<const Request* const> pool,
                                            const ShareGraph* graph,
                                            TravelCostEngine* engine,
@@ -108,7 +109,7 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
       return result;
     }
     InsertionCandidate cand =
-        BestInsertion(state, committed, *ordered[idx], engine);
+        BestInsertion(state, committed, committed_legs, *ordered[idx], engine);
     if (!cand.feasible) continue;
     RequestId* mem = scope.AllocateArray<RequestId>(1);
     mem[0] = ordered[idx]->id;
@@ -131,7 +132,8 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
           const Request& r = *ordered[idx];
           if (!AdjacentToAll(graph, r.id, node.members, node.len)) continue;
           Span<const Stop> parent = scratch->schedules.View(node.schedule);
-          InsertionCandidate cand = BestInsertion(state, parent, r, engine);
+          InsertionCandidate cand =
+              BestInsertion(state, parent, {}, r, engine);
           if (!cand.feasible) continue;
           RequestId* mem = scope.AllocateArray<RequestId>(node.len + 1);
           std::copy(node.members, node.members + node.len, mem);
@@ -203,7 +205,7 @@ PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
           key[node.len] = r.id;
           std::sort(key, key + node.len + 1);
           InsertionCandidate cand = BestInsertion(
-              state, scratch->schedules.View(node.schedule), r, engine);
+              state, scratch->schedules.View(node.schedule), {}, r, engine);
           if (!cand.feasible) continue;
           size_t* midx = scope.AllocateArray<size_t>(node.len + 1);
           std::copy(node.member_idx, node.member_idx + node.len, midx);

@@ -104,12 +104,15 @@ struct PooledGroupingResult {
 };
 
 /// Enumerates feasible groups from \p pool for a vehicle at \p state with
-/// \p committed stops, appending them to \p scratch. Groups must be cliques
-/// in \p graph (a null graph admits only singleton groups).
+/// \p committed stops, appending them to \p scratch. \p committed_legs is
+/// the vehicle's leg plane (Vehicle::legs()) or empty; it prices the
+/// singletons, while larger groups re-walk their parent's schedule. Groups
+/// must be cliques in \p graph (a null graph admits only singleton groups).
 /// \p options.max_groups caps this call's group count (not the scratch
 /// total).
 PooledGroupingResult EnumerateGroupsPooled(const RouteState& state,
                                            Span<const Stop> committed,
+                                           Span<const double> committed_legs,
                                            Span<const Request* const> pool,
                                            const ShareGraph* graph,
                                            TravelCostEngine* engine,

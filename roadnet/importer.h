@@ -18,8 +18,9 @@
 // the system assumes (see ImportOptions):
 //
 //  * Admissibility rescale: generators guarantee edge cost >= Euclidean
-//    length, which A*, pruneGDP's reachability prune and the share-graph
-//    builder's lower-bound pair screen rely on (roadnet/road_network.h).
+//    length, which A*, pruneGDP's reachability prune, the share-graph
+//    builder's lower-bound pair screen and the insertion operator's
+//    lower-bound walk rely on (roadnet/road_network.h).
 //    File coordinates and costs come in unrelated units, so positions are
 //    uniformly scaled by min(1, min_edge cost/euclid) — angles and
 //    relative distances are preserved, and the Euclidean lower bound
@@ -49,8 +50,9 @@ struct ImportOptions {
   /// Drop everything outside the largest connected component (see above).
   bool restrict_to_largest_component = true;
   /// Uniformly rescale positions so every edge cost >= Euclidean length.
-  /// Turning this off makes the share-graph pair screen lossy on any file
-  /// whose coordinates outrun its costs: it would drop shareable pairs.
+  /// Turning this off makes the share-graph pair screen and the insertion
+  /// screen lossy on any file whose coordinates outrun its costs: they
+  /// would drop shareable pairs and feasible insertions.
   bool scale_positions_to_admissible = true;
 };
 

@@ -3,10 +3,11 @@
 // guaranteed by every generator (>= 1.05x by default) — and by the
 // importer's admissibility rescale (roadnet/importer.h, on by default) — to
 // be >= the Euclidean distance between the endpoints, so straight-line
-// distance never exceeds road cost. A*, pruneGDP's reachability prune and
-// the share-graph builder's lower-bound pair screen rely on this for
-// exactness; on a network that breaks it the screen drops shareable pairs
-// and changes every SARD/GAS/RTV outcome.
+// distance never exceeds road cost. A*, pruneGDP's reachability prune, the
+// share-graph builder's lower-bound pair screen and the insertion
+// operator's lower-bound walk rely on this for exactness; on a network that
+// breaks it the screens drop shareable pairs and feasible insertions and
+// change every dispatcher's outcomes.
 //
 // Memory layout (DESIGN.md §"Memory layout"): the graph is built through
 // AddNode/AddEdge into per-node vectors, then *frozen* into a CSR view —

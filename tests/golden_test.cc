@@ -6,10 +6,12 @@
 // instrumented memory. A mismatch names the cell, the field and both
 // values.
 //
-//   golden_test --update   rewrites the file from the current code.
+//   golden_test --update   rewrites the file from the current code and
+//                          prints what moved, one line per changed field.
 //
-// Regenerate only for an intended outcome change, and show and explain the
-// golden diff in the change's notes (DESIGN.md §11).
+// Regenerate only under DESIGN.md §11: an intended outcome change, or a
+// lossless optimisation whose summary shows only SP-query fields falling.
+// Show the summary and explain the golden diff in the change's notes.
 //
 // The cells:
 //  - the roster matrix: the paper's six dispatchers x the shrunk CHD / NYC
@@ -270,6 +272,87 @@ void ExpectMatchesRecord(const std::string& cell, const Fields& recorded,
   }
 }
 
+// A digest value as integers: one for a counter, one per shard for a
+// per-shard list. False for anything else (the double bit patterns).
+bool ParseIntegers(const std::string& value, std::vector<long long>* out) {
+  out->clear();
+  std::istringstream parts(value);
+  std::string part;
+  while (std::getline(parts, part, ',')) {
+    if (part.empty() || part.find_first_not_of("0123456789") !=
+                            std::string::npos) {
+      return false;
+    }
+    out->push_back(std::stoll(part));
+  }
+  return !out->empty();
+}
+
+// What `--update` prints: per field, how many cells changed and, for
+// integer fields, how many rose and fell and the total over all cells
+// before -> after. A per-shard list counts as risen (fallen) when any of
+// its entries rose (fell).
+void PrintUpdateSummary(const std::map<std::string, Fields>& before,
+                        const std::map<std::string, Fields>& after) {
+  struct Moves {
+    int changed = 0, up = 0, down = 0;
+    bool integer = true;
+    long long total_before = 0, total_after = 0;
+  };
+  std::vector<std::string> order;
+  std::map<std::string, Moves> moves;
+  int added = 0, removed = 0;
+  for (const auto& [cell, fields] : after) {
+    auto old_it = before.find(cell);
+    if (old_it == before.end()) {
+      ++added;
+      continue;
+    }
+    std::map<std::string, std::string> old_fields(old_it->second.begin(),
+                                                  old_it->second.end());
+    for (const auto& [key, value] : fields) {
+      if (moves.count(key) == 0) order.push_back(key);
+      Moves& m = moves[key];
+      const std::string& old_value = old_fields[key];
+      if (old_value != value) ++m.changed;
+      std::vector<long long> was, now;
+      if (!ParseIntegers(old_value, &was) || !ParseIntegers(value, &now)) {
+        m.integer = false;
+        continue;
+      }
+      bool rose = false, fell = false;
+      for (size_t k = 0; k < was.size() || k < now.size(); ++k) {
+        const long long a = k < was.size() ? was[k] : 0;
+        const long long b = k < now.size() ? now[k] : 0;
+        rose |= b > a;
+        fell |= b < a;
+        m.total_before += a;
+        m.total_after += b;
+      }
+      m.up += rose;
+      m.down += fell;
+    }
+  }
+  for (const auto& [cell, fields] : before) removed += after.count(cell) == 0;
+  if (added > 0 || removed > 0) {
+    std::printf("cells: %d added, %d removed\n", added, removed);
+  }
+  bool any = false;
+  for (const std::string& key : order) {
+    const Moves& m = moves[key];
+    if (m.changed == 0) continue;
+    any = true;
+    if (m.integer) {
+      std::printf("%s: %d changed, %d up, %d down, %lld -> %lld\n",
+                  key.c_str(), m.changed, m.up, m.down, m.total_before,
+                  m.total_after);
+    } else {
+      std::printf("%s: %d changed\n", key.c_str(), m.changed);
+    }
+  }
+  if (!any) std::printf("no field changed in any cell\n");
+}
+
 const char kHeader[] =
     "# Golden run digests: one line per cell, written by `golden_test "
     "--update`.\n"
@@ -280,9 +363,13 @@ TEST(GoldenTest, EveryCellMatchesItsRecordedDigest) {
   const std::vector<Cell> cells = AllCells();
   if (g_update) {
     std::string text = kHeader;
+    std::map<std::string, Fields> digests;
     for (const Cell& cell : cells) {
-      text += FormatLine(cell.name, Digest(RunCell(cell))) + "\n";
+      Fields fields = Digest(RunCell(cell));
+      text += FormatLine(cell.name, fields) + "\n";
+      digests[cell.name] = std::move(fields);
     }
+    PrintUpdateSummary(ReadGoldenFile(STRUCTRIDE_GOLDEN_FILE), digests);
     std::ofstream out(STRUCTRIDE_GOLDEN_FILE, std::ios::trunc);
     out << text;
     ASSERT_TRUE(out.good()) << "cannot write " << STRUCTRIDE_GOLDEN_FILE;

@@ -1,22 +1,212 @@
-// Scheduling primitives: CheckSchedule semantics, BestInsertion optimality
-// (pruned == exhaustive, and matches the kinetic-tree optimum for the cases
-// where linear insertion is exact), and the grouping enumerator's clique /
+// Scheduling primitives: CheckSchedule semantics, BestInsertion held to a
+// brute-force oracle (and to the kinetic-tree optimum for the cases where
+// linear insertion is exact), and the grouping enumerator's clique /
 // capacity invariants and warm-scratch reuse.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "core/insertion.h"
 #include "core/kinetic_tree.h"
 #include "group/grouping.h"
 #include "roadnet/generator.h"
+#include "roadnet/importer.h"
 #include "sharegraph/builder.h"
 #include "sim/workload.h"
 #include "util/random.h"
 
 namespace structride {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// \p stops with the request's pickup spliced before index i and its dropoff
+// before index j.
+std::vector<Stop> SpliceRequest(const std::vector<Stop>& stops,
+                                const Request& request, size_t i, size_t j) {
+  std::vector<Stop> splice(stops.begin(), stops.begin() + i);
+  splice.push_back(PickupStop(request));
+  splice.insert(splice.end(), stops.begin() + i, stops.begin() + j);
+  splice.push_back(DropoffStop(request));
+  splice.insert(splice.end(), stops.begin() + j, stops.end());
+  return splice;
+}
+
+// The oracle BestInsertion is held to: splice the request into every
+// (pickup, dropoff) position pair, walk each splice with CheckSchedule, and
+// keep the first strict minimum of the extra cost.
+InsertionCandidate ReferenceInsertion(const RouteState& state,
+                                      const std::vector<Stop>& stops,
+                                      const Request& request,
+                                      TravelCostEngine* engine) {
+  InsertionCandidate best;
+  const double base_cost = CheckSchedule(state, stops, engine).second;
+  for (size_t i = 0; i <= stops.size(); ++i) {
+    for (size_t j = i; j <= stops.size(); ++j) {
+      auto [ok, cost] =
+          CheckSchedule(state, SpliceRequest(stops, request, i, j), engine);
+      if (ok && cost - base_cost < best.delta_cost) {
+        best.feasible = true;
+        best.pickup_pos = i;
+        best.dropoff_pos = j;
+        best.delta_cost = cost - base_cost;
+        best.total_cost = cost;
+      }
+    }
+  }
+  return best;
+}
+
+// \p request with its deadlines cut to the times \p cand's splice reaches
+// its pickup (no earlier than the release) and its dropoff. The splice stays
+// feasible, on the brink where a screen that overestimates a leg rejects it.
+Request AtTheBrink(const RouteState& state, const std::vector<Stop>& stops,
+                   const Request& request, const InsertionCandidate& cand,
+                   TravelCostEngine* engine) {
+  const std::vector<Stop> splice =
+      SpliceRequest(stops, request, cand.pickup_pos, cand.dropoff_pos);
+  Request brink = request;
+  double time = state.start_time;
+  NodeId pos = state.start;
+  for (size_t k = 0; k < splice.size(); ++k) {
+    const Stop& stop = splice[k];
+    if (stop.node != pos) time += engine->Cost(pos, stop.node);
+    pos = stop.node;
+    if (k == cand.pickup_pos) {
+      brink.latest_pickup = std::max(time, request.release_time);
+    }
+    if (k == cand.dropoff_pos + 1) brink.deadline = time;
+    if (stop.kind == StopKind::kPickup && time < stop.earliest) {
+      time = stop.earliest;
+    }
+  }
+  return brink;
+}
+
+// Seeded vehicles — 0-8 committed stops, riders on board, capacities 1-6,
+// start times from the moment the vehicle is free to past its first
+// deadline — each priced for a sample of requests by BestInsertion, once
+// with the vehicle's leg plane and once looking the legs up, against the
+// oracle: same verdict, same slots, bitwise the same delta and total. Every
+// feasible request is priced again at the brink of its best splice. For
+// every feasible candidate, the legs ApplyInsertionInto writes must be the
+// legs a fresh CommitStops of the grown schedule stores.
+void ExpectInsertionMatchesOracle(const RoadNetwork& net,
+                                  TravelCostEngine* engine,
+                                  const std::vector<Request>& requests,
+                                  uint64_t seed) {
+  Rng rng(seed);
+  size_t compared = 0, feasible = 0, with_riders = 0, broken_base = 0;
+  size_t stops_seen[9] = {};
+  for (int trial = 0; trial < 300; ++trial) {
+    const int capacity = static_cast<int>(rng.UniformInt(1, 6));
+    Vehicle vehicle(0,
+                    static_cast<NodeId>(rng.UniformInt(
+                        0, static_cast<int64_t>(net.num_nodes()) - 1)),
+                    capacity);
+    const int64_t wanted = rng.UniformInt(0, 4);
+    int64_t committed = 0;
+    for (size_t k = static_cast<size_t>(rng.UniformInt(
+             0, static_cast<int64_t>(requests.size()) - 1));
+         k < requests.size() && committed < wanted; ++k) {
+      if (TryInsertAndCommit(&vehicle, requests[k], requests[k].release_time,
+                             engine) < kInf) {
+        ++committed;
+      }
+    }
+    // Complete a stop or two so riders are on board.
+    for (int64_t done = rng.UniformInt(0, 2);
+         done > 0 && vehicle.schedule().size() > 1; --done) {
+      vehicle.AdvanceTo(vehicle.next_completion_time(), nullptr);
+    }
+    const std::vector<Stop>& stops = vehicle.schedule().stops();
+    ASSERT_LE(stops.size(), 8u);
+    ++stops_seen[stops.size()];
+    with_riders += vehicle.onboard() > 0;
+
+    // Prices one request; returns the oracle's answer.
+    auto check = [&](const Request& r, double now) {
+      const RouteState state = vehicle.route_state(now);
+      const InsertionCandidate want =
+          ReferenceInsertion(state, stops, r, engine);
+      const InsertionCandidate with_legs =
+          BestInsertion(state, stops, vehicle.legs(), r, engine);
+      const InsertionCandidate looked_up =
+          BestInsertion(state, stops, {}, r, engine);
+      for (const InsertionCandidate* got : {&with_legs, &looked_up}) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " request " +
+                     std::to_string(r.id) + " stops " +
+                     std::to_string(stops.size()) +
+                     (got == &with_legs ? " with legs" : " looked up"));
+        EXPECT_EQ(got->feasible, want.feasible);
+        if (!got->feasible || !want.feasible) continue;
+        EXPECT_EQ(got->pickup_pos, want.pickup_pos);
+        EXPECT_EQ(got->dropoff_pos, want.dropoff_pos);
+        EXPECT_EQ(Bits(got->delta_cost), Bits(want.delta_cost));
+        EXPECT_EQ(Bits(got->total_cost), Bits(want.total_cost));
+      }
+      ++compared;
+      if (!want.feasible || !with_legs.feasible) return want;
+      ++feasible;
+
+      std::vector<Stop> grown(stops.size() + 2);
+      std::vector<double> grown_legs(stops.size() + 2);
+      ApplyInsertionInto(stops, vehicle.legs(), r, with_legs, grown.data(),
+                         grown_legs.data());
+      Vehicle fresh = vehicle;
+      EXPECT_TRUE(fresh.CommitStops(grown, now, engine));
+      EXPECT_EQ(fresh.legs().size(), grown_legs.size());
+      for (size_t k = 0; k < grown_legs.size() && k < fresh.legs().size();
+           ++k) {
+        EXPECT_EQ(Bits(grown_legs[k]), Bits(fresh.legs()[k])) << "leg " << k;
+      }
+      return want;
+    };
+
+    const double free_at = vehicle.route_state(0).start_time;
+    for (int probe = 0; probe < 12; ++probe) {
+      // A workload request re-released around the pricing time, keeping
+      // its endpoints and slack.
+      Request r = requests[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(requests.size()) - 1))];
+      const double now =
+          probe % 4 == 0
+              ? rng.Uniform(free_at,
+                            (stops.empty() ? free_at : stops[0].deadline) + 20)
+              : rng.Uniform(free_at, free_at + 10);
+      const double shift = now + rng.Uniform(-10, 10) - r.release_time;
+      r.release_time += shift;
+      r.latest_pickup += shift;
+      r.deadline += shift;
+      broken_base +=
+          !CheckSchedule(vehicle.route_state(now), stops, engine).first;
+      const InsertionCandidate want = check(r, now);
+      if (want.feasible) {
+        check(AtTheBrink(vehicle.route_state(now), stops, r, want, engine),
+              now);
+      }
+    }
+  }
+  // The inputs cover what they claim to.
+  EXPECT_GT(feasible, compared / 20);
+  EXPECT_GT(compared - feasible, compared / 10);
+  EXPECT_GT(with_riders, 10u);
+  EXPECT_GT(broken_base, 0u);
+  EXPECT_GT(stops_seen[0], 0u);
+  EXPECT_GT(stops_seen[4] + stops_seen[5] + stops_seen[6] + stops_seen[7] +
+                stops_seen[8],
+            5u);
+}
 
 struct GroupingFixture : public ::testing::Test {
   GroupingFixture() {
@@ -66,28 +256,86 @@ TEST_F(GroupingFixture, CheckScheduleEnforcesDeadlinesAndCapacity) {
   EXPECT_LE(lb_cost, cost + 1e-9);
 }
 
-TEST_F(GroupingFixture, PrunedInsertionMatchesExhaustive) {
-  RouteState state;
-  state.start = requests[0].source;
-  state.start_time = 0;
-  state.capacity = 6;
-  Schedule schedule;
-  int compared = 0;
-  for (size_t i = 0; i + 1 < 12; ++i) {
-    const Request& r = requests[i];
-    InsertionOptions pruned{true};
-    InsertionOptions exhaustive{false};
-    InsertionCandidate a = BestInsertion(state, schedule, r, engine.get(), pruned);
-    InsertionCandidate b =
-        BestInsertion(state, schedule, r, engine.get(), exhaustive);
-    EXPECT_EQ(a.feasible, b.feasible);
-    if (a.feasible) {
-      EXPECT_NEAR(a.delta_cost, b.delta_cost, 1e-9);
-      schedule = ApplyInsertion(schedule, r, a);
-      ++compared;
-    }
+TEST_F(GroupingFixture, BestInsertionMatchesBruteForceOracleOnGrid) {
+  ExpectInsertionMatchesOracle(net, engine.get(), requests, 7);
+}
+
+// The same oracle on the bundled DIMACS fixture, whose costs and
+// coordinates come through the importer's admissibility rescale.
+TEST(InsertionOracleTest, BestInsertionMatchesBruteForceOracleOnImportedGraph) {
+  const std::string dir = STRUCTRIDE_TEST_DATA_DIR;
+  RoadNetwork net;
+  ImportStats stats;
+  std::string error;
+  ASSERT_TRUE(ImportDimacs(dir + "/mini.gr", dir + "/mini.co", {}, &net,
+                           &stats, &error))
+      << error;
+  TravelCostEngine engine(net);
+  DeadlinePolicy policy;
+  policy.gamma = 1.8;
+  WorkloadOptions wopts;
+  wopts.num_requests = 60;
+  wopts.duration = 60;
+  wopts.seed = 12;
+  const std::vector<Request> requests =
+      GenerateWorkload(net, &engine, policy, wopts);
+  ExpectInsertionMatchesOracle(net, &engine, requests, 8);
+}
+
+// A request whose pickup no slot can reach even at straight-line distance
+// is rejected by the lower-bound walk before any travel-cost lookup — on an
+// idle vehicle, and on a loaded one priced from its committed legs.
+TEST_F(GroupingFixture, UnreachableRequestCostsNoLookups) {
+  Vehicle loaded(0, requests[0].source, 4);
+  for (size_t k = 0; k < requests.size() && loaded.schedule().size() < 6;
+       ++k) {
+    TryInsertAndCommit(&loaded, requests[k], requests[k].release_time,
+                       engine.get());
   }
-  EXPECT_GT(compared, 2);
+  ASSERT_GE(loaded.schedule().size(), 4u);
+  Vehicle idle(1, requests[1].destination, 4);
+
+  for (const Vehicle* v : {&idle, &loaded}) {
+    SCOPED_TRACE(v == &idle ? "idle" : "loaded");
+    const RouteState state = v->route_state(requests[0].release_time);
+    // Every slot's predecessor: the start, then each committed stop.
+    std::vector<NodeId> slots = {state.start};
+    for (const Stop& stop : v->schedule().stops()) slots.push_back(stop.node);
+    // The node farthest, by straight line, from its nearest slot.
+    NodeId far = 0;
+    double far_gap = -1;
+    for (NodeId node = 0; node < static_cast<NodeId>(net.num_nodes());
+         ++node) {
+      double gap = kInf;
+      for (NodeId slot : slots) {
+        gap = std::min(gap, engine->LowerBound(slot, node));
+      }
+      if (gap > far_gap) {
+        far = node;
+        far_gap = gap;
+      }
+    }
+    ASSERT_GT(far_gap, 0);
+    Request r;
+    r.id = 1000;
+    r.source = far;
+    r.destination = requests[2].destination;
+    r.release_time = state.start_time;
+    r.direct_cost = engine->Cost(r.source, r.destination);
+    // Half the straight-line gap: no slot reaches the pickup in time, yet
+    // the vehicle is free before the pickup deadline.
+    r.latest_pickup = state.start_time + 0.5 * far_gap;
+    r.deadline = r.latest_pickup + r.direct_cost;
+
+    const uint64_t lookups = engine->num_lookups();
+    const InsertionCandidate cand = BestInsertion(
+        state, v->schedule().stops(), v->legs(), r, engine.get());
+    EXPECT_FALSE(cand.feasible);
+    EXPECT_EQ(engine->num_lookups(), lookups);
+    EXPECT_FALSE(
+        ReferenceInsertion(state, v->schedule().stops(), r, engine.get())
+            .feasible);
+  }
 }
 
 TEST_F(GroupingFixture, KineticTreeNeverWorseThanLinearInsertion) {
@@ -164,7 +412,7 @@ TEST_F(GroupingFixture, EnumeratedGroupsAreFeasibleCliques) {
     gopts.insertion_order = policy;
     scratch.Reset();
     PooledGroupingResult res = EnumerateGroupsPooled(
-        state, Span<const Stop>(nullptr, 0),
+        state, Span<const Stop>(nullptr, 0), {},
         Span<const Request* const>(pool.data(), pool.size()),
         &builder.graph(), engine.get(), gopts, &scratch);
     EXPECT_GT(res.count, 0u);
@@ -221,7 +469,7 @@ TEST_F(GroupingFixture, ResetScratchReproducesTheFirstPass) {
       for (Pass& pass : passes) {
         scratch.Reset();
         PooledGroupingResult res = EnumerateGroupsPooled(
-            state, Span<const Stop>(nullptr, 0),
+            state, Span<const Stop>(nullptr, 0), {},
             Span<const Request* const>(pool.data(), pool.size()),
             &builder.graph(), engine.get(), gopts, &scratch);
         pass.truncated = res.truncated;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "geo/angle.h"
+#include "util/arena.h"
 #include "util/latency_histogram.h"
 #include "util/random.h"
 #include "util/spsc_ring.h"
@@ -111,6 +112,32 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   });
   for (int c : outer) EXPECT_EQ(c, 1);
   EXPECT_EQ(inner_sum.load(), 8l * 45);
+}
+
+// Under AddressSanitizer the epoch arena poisons everything outside its
+// live blocks: the byte past an array, a scope's blocks once it closes, and
+// every block after a Reset.
+TEST(ArenaTest, PoisonsOutsideLiveBlocksUnderAsan) {
+#ifndef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "arena poisoning is compiled in only under ASan";
+#else
+  EpochArena arena(/*first_chunk_bytes=*/1024);
+  int* outer = arena.AllocateArray<int>(5);
+  EXPECT_FALSE(__asan_address_is_poisoned(outer + 4));
+  EXPECT_TRUE(__asan_address_is_poisoned(outer + 5));
+  int* inner = nullptr;
+  {
+    ArenaScope scope(arena);
+    inner = scope.AllocateArray<int>(3);
+    EXPECT_FALSE(__asan_address_is_poisoned(inner + 2));
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(inner));
+  EXPECT_FALSE(__asan_address_is_poisoned(outer));
+  arena.Reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(outer));
+  EXPECT_EQ(arena.AllocateArray<int>(5), outer);  // re-served, unpoisoned
+  EXPECT_FALSE(__asan_address_is_poisoned(outer));
+#endif
 }
 
 TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {

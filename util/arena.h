@@ -16,6 +16,12 @@
 //  - Arenas are single-threaded. Cross-thread use goes through the
 //    per-thread ScratchArena(); worker pools keep threads alive across
 //    batches, so thread scratch warms exactly like the batch arena.
+//
+// Under AddressSanitizer, chunk space past the bump position is poisoned
+// (on AddChunk, Restore and Reset) and every block is followed by a
+// poisoned redzone, so a read or write outside a live block is reported as
+// use-after-poison. Outside ASan builds the poisoning compiles away and the
+// layout is unchanged.
 
 #pragma once
 
@@ -26,6 +32,10 @@
 #include <new>
 #include <type_traits>
 #include <vector>
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace structride {
 
@@ -67,6 +77,7 @@ class EpochArena {
   ~EpochArena() {
     for (const Chunk& c : chunks_) {
       arena_internal::NoteReleased(c.size);
+      Unpoison(c.data, c.size);
       ::operator delete(c.data);
     }
   }
@@ -78,8 +89,9 @@ class EpochArena {
       if (chunk_ < chunks_.size()) {
         Chunk& c = chunks_[chunk_];
         size_t at = (used_ + (align - 1)) & ~(align - 1);
-        if (at + bytes <= c.size) {
-          used_ = at + bytes;
+        if (at + bytes + kRedzone <= c.size) {
+          used_ = at + bytes + kRedzone;
+          Unpoison(c.data + at, bytes);
           return c.data + at;
         }
         // Doesn't fit: move to the next retained chunk (or grow below).
@@ -89,7 +101,7 @@ class EpochArena {
           continue;
         }
       }
-      AddChunk(bytes + align);
+      AddChunk(bytes + align + kRedzone);
     }
   }
 
@@ -103,13 +115,13 @@ class EpochArena {
   /// Rewinds to empty; chunks are retained, so a warmed arena re-serves the
   /// same workload without touching the heap. Bumps the epoch.
   void Reset() {
-    chunk_ = 0;
-    used_ = 0;
+    Restore({0, 0});
     ++epoch_;
   }
 
   Mark Save() const { return {chunk_, used_}; }
   void Restore(const Mark& m) {
+    PoisonFrom(m);
     chunk_ = m.chunk;
     used_ = m.used;
   }
@@ -151,6 +163,28 @@ class EpochArena {
     size_t size = 0;
   };
 
+#ifdef __SANITIZE_ADDRESS__
+  /// Poisoned gap left after every block.
+  static constexpr size_t kRedzone = 16;
+  static void Poison(char* p, size_t n) { ASAN_POISON_MEMORY_REGION(p, n); }
+  static void Unpoison(char* p, size_t n) {
+    ASAN_UNPOISON_MEMORY_REGION(p, n);
+  }
+  /// Poisons everything handed out past \p m: the rest of its chunk and
+  /// every later chunk up to the current one.
+  void PoisonFrom(const Mark& m) {
+    for (size_t k = m.chunk; k <= chunk_ && k < chunks_.size(); ++k) {
+      const size_t from = k == m.chunk ? m.used : 0;
+      Poison(chunks_[k].data + from, chunks_[k].size - from);
+    }
+  }
+#else
+  static constexpr size_t kRedzone = 0;
+  static void Poison(char*, size_t) {}
+  static void Unpoison(char*, size_t) {}
+  void PoisonFrom(const Mark&) {}
+#endif
+
   void AddChunk(size_t at_least) {
     size_t size = chunks_.empty() ? first_chunk_bytes_
                                   : chunks_.back().size * 2;
@@ -158,6 +192,7 @@ class EpochArena {
     Chunk c;
     c.data = static_cast<char*>(::operator new(size));
     c.size = size;
+    Poison(c.data, c.size);
     arena_internal::NoteRetained(size);
     chunks_.push_back(c);
     chunk_ = chunks_.size() - 1;
