@@ -12,8 +12,8 @@
 //  2. Redundancy gate — GAS and RTV rebuild their graph over the whole
 //     pending pool every batch, re-running pair feasibility checks that
 //     already ran; incremental maintenance must cut their exact pair
-//     checks by >= 2x. (SARD already carried a persistent builder, so its
-//     ratio is reported but not gated.)
+//     checks by >= 2x. (SARD reads the engine's run builder whatever
+//     the flag says, so its ratio is exactly 1x: reported, not gated.)
 //
 // Every recorded run gets a freshly constructed SimulationEngine AND a
 // fresh, cold travel-cost cache (the same discipline as the engine
@@ -134,8 +134,8 @@ int main() {
       "unified cost, #SP queries, service-quality stats): the maintained\n"
       "graph is the same graph, it just skips re-checking pairs that\n"
       "already ran in earlier batches — which is where the >= 2x pair-check\n"
-      "reduction for GAS/RTV comes from. SARD already maintained its graph\n"
-      "across batches, so its ratio hovers near 1x by construction.\n");
+      "reduction for GAS/RTV comes from. SARD reads the run-maintained\n"
+      "graph either way, so its ratio is 1x by construction.\n");
   if (failures > 0) {
     std::fprintf(stderr, "FAIL: %d divergence/reduction gate(s) tripped\n",
                  failures);

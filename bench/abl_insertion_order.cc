@@ -74,7 +74,7 @@ int main() {
       ShareGraphBuilderOptions bopts;
       bopts.vehicle_capacity = k;
       ShareGraphBuilder builder(&engine, bopts);
-      builder.AddBatch(reqs);
+      builder.AddRequests(reqs);
       const ShareGraph& sg = builder.graph();
 
       // Sample k-cliques greedily from random seeds.

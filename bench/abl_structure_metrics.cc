@@ -39,7 +39,7 @@ int main() {
         GenerateWorkload(net, &engine, spec.policy, spec.workload);
 
     ShareGraphBuilder builder(&engine, ShareGraphBuilderOptions{});
-    builder.AddBatch(window);
+    builder.AddRequests(window);
     StructureReport report =
         AnalyzeStructure(builder.graph(), static_cast<size_t>(spec.capacity));
     const std::string series = "share_graph";

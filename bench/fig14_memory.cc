@@ -1,7 +1,12 @@
 // Fig. 14 reproduction: peak memory of each algorithm's dominant structures
 // at the Table-III defaults, via instrumented byte accounting (DESIGN.md §4
-// explains the substitution for process-RSS measurement). Expected ordering:
-// RTV >> GAS ~= SARD > online methods.
+// explains the substitution for process-RSS measurement). Each row is the
+// peak over the run's batches of one dispatcher's instrumented structures:
+// for RTV, GAS and SARD the share graph plus the batch's trip, group or
+// proposal records; for the online methods their fleet index and per-batch
+// candidate scratch. At the default scale 0.25 the three graph-based
+// methods land within 2x of one another and above every online method; the
+// paper's RTV >> GAS ~= SARD ordering does not show at this scale.
 
 #include <cstdio>
 #include <string>

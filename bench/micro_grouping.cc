@@ -37,7 +37,7 @@ struct Fixture {
     ShareGraphBuilderOptions bopts;
     bopts.vehicle_capacity = 6;
     builder = std::make_unique<ShareGraphBuilder>(&engine, bopts);
-    builder->AddBatch(requests);
+    builder->AddRequests(requests);
   }
 };
 

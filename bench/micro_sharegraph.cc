@@ -45,13 +45,13 @@ void BM_BuildShareGraph(benchmark::State& state) {
   Fixture& f = F();
   for (auto _ : state) {
     ShareGraphBuilder builder(&f.engine, {});
-    builder.AddBatch(f.requests);
+    builder.AddRequests(f.requests);
     benchmark::DoNotOptimize(builder.graph().NumEdges());
   }
 }
 BENCHMARK(BM_BuildShareGraph)->Unit(benchmark::kMillisecond)->Iterations(10);
 
-void BM_IncrementalAddBatch(benchmark::State& state) {
+void BM_IncrementalAddRequests(benchmark::State& state) {
   // The per-batch incremental cost: fold 20 new requests into a populated
   // graph.
   Fixture& f = F();
@@ -60,18 +60,18 @@ void BM_IncrementalAddBatch(benchmark::State& state) {
     ShareGraphBuilder builder(&f.engine, {});
     std::vector<Request> base(f.requests.begin(), f.requests.end() - 20);
     std::vector<Request> batch(f.requests.end() - 20, f.requests.end());
-    builder.AddBatch(base);
+    builder.AddRequests(base);
     state.ResumeTiming();
-    builder.AddBatch(batch);
+    builder.AddRequests(batch);
     benchmark::DoNotOptimize(builder.graph().NumEdges());
   }
 }
-BENCHMARK(BM_IncrementalAddBatch)->Unit(benchmark::kMillisecond)->Iterations(10);
+BENCHMARK(BM_IncrementalAddRequests)->Unit(benchmark::kMillisecond)->Iterations(10);
 
 void BM_ShareabilityLoss(benchmark::State& state) {
   static ShareGraphBuilder* builder = [] {
     auto* b = new ShareGraphBuilder(&F().engine, {});
-    b->AddBatch(F().requests);
+    b->AddRequests(F().requests);
     return b;
   }();
   const ShareGraph& sg = builder->graph();
@@ -110,7 +110,7 @@ void BM_SupernodeSubstitution(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     ShareGraphBuilder builder(&f.engine, {});
-    builder.AddBatch(f.requests);
+    builder.AddRequests(f.requests);
     ShareGraph sg = builder.graph();
     // First edge found.
     std::vector<RequestId> group;

@@ -1,8 +1,8 @@
 // The batch comparison methods.
 //
-//  - GAS: shareability graph over the open pool (the run's incrementally
-//    maintained graph when the engine provides one, rebuilt per batch
-//    otherwise), best-of-all-parents group enumeration per vehicle, then a
+//  - GAS: shareability graph over the open pool (the shard's incrementally
+//    maintained run graph, or rebuilt per batch with incremental_sharegraph
+//    off), best-of-all-parents group enumeration per vehicle, then a
 //    cost-per-rider greedy assignment.
 //  - RTV: the request-trip-vehicle pipeline — the same enumeration but
 //    exhaustive up to the ILP node cap, with every trip materialized (the
@@ -35,24 +35,22 @@ class GraphBatchDispatcher : public Dispatcher {
  protected:
   using Dispatcher::Dispatcher;
 
-  // The share graph for one round: the engine-maintained incremental
-  // builder when the run provides one (closed requests already retired by
-  // lifecycle events; only the fresh slice is folded in here), else
-  // \p local after a from-scratch rebuild over the whole pool — the
-  // rebuild path behind DispatchConfig::incremental_sharegraph
-  // (DESIGN.md §7). Both paths yield the identical graph over the open
-  // set; the incremental one just skips re-checking every pair that
-  // already ran in an earlier round. Accounting follows the builder's
-  // lifetime: a persistent builder's running total is adopted, a per-batch
-  // throwaway's is accumulated. The throwaway is only constructed on the
-  // rebuild path (its per-batch rebuild allocates by design); the request
-  // copies it folds in are staged in the batch arena.
+  // The share graph for one round: the shard's engine-owned run builder
+  // (closed requests already retired by lifecycle events; only the fresh
+  // slice is folded in here), or, with DispatchConfig::incremental_sharegraph
+  // off, \p local after a from-scratch rebuild over the whole pool — the
+  // rebuild reference (DESIGN.md §7). Both paths yield the identical graph
+  // over the open set; the incremental one just skips re-checking every
+  // pair that already ran in an earlier round. The engine counts its run
+  // builder's checks; a per-batch throwaway's are accumulated here. The
+  // throwaway's per-batch rebuild allocates by design; the request copies
+  // it folds in are staged in the batch arena.
   ShareGraphBuilder* RoundShareGraph(DispatchContext* ctx,
                                      std::optional<ShareGraphBuilder>* local,
                                      EpochArena* arena) {
-    if (ctx->sharegraph != nullptr) {
+    if (config_.incremental_sharegraph) {
+      SR_CHECK(ctx->sharegraph != nullptr);
       ctx->sharegraph->SyncToPending(ctx->pending);
-      SetPairChecks(ctx->sharegraph->pair_checks());
       return ctx->sharegraph;
     }
     local->emplace(ctx->engine, config_.sharegraph);

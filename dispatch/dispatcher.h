@@ -40,16 +40,15 @@ struct DispatchConfig {
   /// pending — otherwise the clique partition re-forms the identical group
   /// next batch and its members starve until they expire (DESIGN.md §4).
   bool sard_split_rejected_groups = true;
-  /// Maintain one share graph per run, incrementally: the engine owns a
-  /// ShareGraphBuilder, retires requests at assignment / cancellation /
-  /// expiry events, and hands it to every round via
-  /// DispatchContext::sharegraph; GAS, RTV and SARD fold only the fresh
-  /// slice in. `false` runs the rebuild path — GAS/RTV rebuild the graph
-  /// from scratch over the whole pending pool each batch, SARD keeps a
-  /// private persistent builder — which the incremental path must match on
-  /// served / unified_cost / sp_queries and the graph edge set (DESIGN.md
-  /// §7; pinned by tests, and abl_incremental_sharegraph measures the pair
-  /// checks it saves).
+  /// Selects the share graph GAS and RTV consume. `true` reads the
+  /// engine's per-shard run builder (DispatchContext::sharegraph), which
+  /// lifecycle events retire requests from and each round folds only the
+  /// fresh slice into. `false` runs the rebuild reference: GAS/RTV rebuild
+  /// the graph from scratch over the whole pending pool each batch, which
+  /// the incremental path must match on served / unified_cost / sp_queries
+  /// and the graph edge set (DESIGN.md §7; pinned by tests, and
+  /// abl_incremental_sharegraph measures the pair checks it saves). SARD
+  /// always reads the run builder, so the flag does not affect it.
   bool incremental_sharegraph = true;
   /// Geo-sharding (DESIGN.md §12): partition the metro into this many zones
   /// and run one ShardRuntime (dispatcher + share graph + SoA planes + arena)
@@ -74,10 +73,6 @@ struct DispatchConfig {
   /// shards never contend on a cache lock and per-shard sp_queries stay
   /// exact.
   size_t shard_cache_capacity = 0;
-  /// Lock stripes per partition (0 = 16; intra-shard parallelism is bounded
-  /// by SARD's acceptance stage, so partitions need fewer stripes than the
-  /// 64-way root cache).
-  size_t shard_cache_stripes = 0;
 };
 
 /// An empty relocation for an idle vehicle (the repositioning hook,
@@ -113,13 +108,12 @@ struct DispatchContext {
   /// event (the scenario-enabled online dispatch mode) rather than a batch
   /// tick. Batch methods may treat per-event rounds like tiny batches.
   bool online_event = false;
-  /// The run-scoped, incrementally maintained share-graph builder
-  /// (DESIGN.md §7), owned by the simulation engine when
-  /// DispatchConfig::incremental_sharegraph is on: closed requests have
-  /// already been retired by lifecycle events, so a dispatcher only syncs
-  /// the fresh slice in (ShareGraphBuilder::SyncToPending) and consumes the
-  /// graph. Null when incremental_sharegraph is off — graph dispatchers
-  /// then use their per-batch / private builders.
+  /// The shard's run-scoped, incrementally maintained share-graph builder
+  /// (DESIGN.md §7), owned by the simulation engine and always set by it:
+  /// closed requests have already been retired by lifecycle events, so a
+  /// dispatcher only syncs the fresh slice in
+  /// (ShareGraphBuilder::SyncToPending) and consumes the graph. Required by
+  /// SARD, and by GAS and RTV unless incremental_sharegraph is off.
   ShareGraphBuilder* sharegraph = nullptr;
   /// Batch-scoped bump arena, owned by the caller and reset between rounds
   /// (after the dispatcher returns). Dispatchers stage proposals, candidate
@@ -153,10 +147,11 @@ class Dispatcher {
   /// (DESIGN.md §4: the substitution for process-RSS measurement).
   size_t MemoryBytes() const { return peak_memory_; }
 
-  /// Exact share-graph pair feasibility evaluations this dispatcher has
-  /// spent so far (0 for methods that build no share graph). The engine
-  /// surfaces it as RunMetrics::sharegraph_pair_checks; the incremental
-  /// maintenance bench gates its ≥2x reduction on it.
+  /// Exact pair feasibility evaluations spent by this dispatcher's own
+  /// per-batch throwaway builders (the rebuild reference; 0 otherwise). The
+  /// engine adds its run builder's pair_checks() and surfaces the sum as
+  /// RunMetrics::sharegraph_pair_checks; the incremental maintenance bench
+  /// gates its ≥2x reduction on it.
   uint64_t SharePairChecks() const { return share_pair_checks_; }
 
  protected:
@@ -165,8 +160,6 @@ class Dispatcher {
   }
   /// Accumulate checks from a per-batch throwaway builder.
   void AddPairChecks(uint64_t delta) { share_pair_checks_ += delta; }
-  /// Adopt the running total of a persistent (run-scoped) builder.
-  void SetPairChecks(uint64_t total) { share_pair_checks_ = total; }
 
   DispatchConfig config_;
 

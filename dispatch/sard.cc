@@ -1,9 +1,9 @@
 // SARD: the paper's structure-aware ridesharing dispatcher. Per batch:
-// fold the new requests into a persistent shareability graph (Alg. 1, every
-// pair screened by the lower-bound walk that makes SARD-O's angle pruning
-// lossless — SARD-O is an alias), partition the open requests into
-// capacity-bounded cliques (the grouping stage), then run the
-// proposal/acceptance stage (Alg. 3): each group is proposed to nearby
+// fold the new requests into the shard's engine-owned shareability graph
+// (Alg. 1, every pair screened by the lower-bound walk that makes SARD-O's
+// angle pruning lossless — SARD-O is an alias), partition the open
+// requests into capacity-bounded cliques (the grouping stage), then run
+// the proposal/acceptance stage (Alg. 3): each group is proposed to nearby
 // vehicles, each vehicle prices the group by linear insertion in ascending
 // shareability order (Sec. IV-A) and the first accepting vehicle commits.
 //
@@ -56,34 +56,18 @@ class SardDispatcher : public Dispatcher {
     uint32_t* prop_count;
   };
 
-  ShareGraphBuilder* SyncedBuilder(DispatchContext* ctx, ThreadPool* pool) {
-    // The run's engine-maintained builder when provided (closed requests
-    // already retired by lifecycle events), else the private persistent
-    // builder (incremental_sharegraph off) — both then do the same delta
-    // sync: drop anything no longer pending, fold the fresh slice in, so
-    // the graph tracks the open set (DESIGN.md §7).
-    ShareGraphBuilder* builder = ctx->sharegraph;
-    if (builder == nullptr) {
-      if (!builder_) {
-        builder_ = std::make_unique<ShareGraphBuilder>(ctx->engine,
-                                                       config_.sharegraph);
-        builder_->set_memoize_pairs(true);  // persistent across batches
-      }
-      builder = builder_.get();
-    }
-    builder->set_pool(pool);
-    builder->SyncToPending(ctx->pending);
-    SetPairChecks(builder->pair_checks());
-    return builder;
-  }
-
  public:
   void OnBatch(DispatchContext* ctx) override {
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
 
+    // The shard's run builder (DESIGN.md §7): lifecycle events already
+    // retired closed requests, so the sync folds the fresh slice in.
+    SR_CHECK(ctx->sharegraph != nullptr);
     ThreadPool* pool = WorkerPool(ctx);
-    ShareGraphBuilder* builder = SyncedBuilder(ctx, pool);
+    ShareGraphBuilder* builder = ctx->sharegraph;
+    builder->set_pool(pool);
+    builder->SyncToPending(ctx->pending);
 
     // SoA view of the pending pool (id -> pool-index without a hash map)
     // and the batch arena, both owned by the caller.
@@ -354,9 +338,6 @@ class SardDispatcher : public Dispatcher {
     return ctx->pool;
   }
 
-  /// The persistent builder when the caller keeps no run-scoped one
-  /// (incremental_sharegraph off): SARD stays incremental either way.
-  std::unique_ptr<ShareGraphBuilder> builder_;
   /// The per-batch fleet index; its planes are refilled in place.
   dispatch::FleetSpatialIndex scanner_;
 };

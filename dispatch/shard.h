@@ -44,8 +44,9 @@ class ShardPartition {
   double cell_w_ = 1, cell_h_ = 1;
 };
 
-/// Everything one zone owns: its dispatcher instance, incrementally
-/// maintained share graph, SoA planes and batch arena, the resident vehicle
+/// Everything one zone owns: its dispatcher instance, its incrementally
+/// maintained share graph (always built; the only run-scoped builder the
+/// shard has, DESIGN.md §7), SoA planes and batch arena, the resident vehicle
 /// set (ascending fleet indices — the restricted FleetView's member plane),
 /// its private travel-cost cache partition, and its dispatch context. The
 /// simulation engine drives all shards from the shared EventQueue and

@@ -22,19 +22,6 @@ constexpr int kJointOrders[4][4] = {
 
 }  // namespace
 
-ShareGraphBuilder::PairKey ShareGraphBuilder::MakeKey(RequestId a,
-                                                      RequestId b) {
-  return a < b ? PairKey{a, b} : PairKey{b, a};
-}
-
-size_t ShareGraphBuilder::PairKeyHasher::operator()(const PairKey& k) const {
-  // Boost-style combine over the two 64-bit halves.
-  size_t h = std::hash<RequestId>{}(k.lo);
-  h ^= std::hash<RequestId>{}(k.hi) + 0x9e3779b97f4a7c15ull + (h << 6) +
-       (h >> 2);
-  return h;
-}
-
 template <typename Check>
 bool ShareGraphBuilder::AnyJointOrderFeasible(const Request& a,
                                               const Request& b,
@@ -65,25 +52,6 @@ bool ShareGraphBuilder::Shareable(const Request& a, const Request& b) const {
       });
 }
 
-bool ShareGraphBuilder::CheckedShareable(RequestId a, RequestId b) {
-  SR_CHECK(a != b);
-  auto it = memo_.find(MakeKey(a, b));
-  if (it != memo_.end()) {
-    ++memo_hits_;
-    return it->second;
-  }
-  bool shareable = Shareable(request(a), request(b));
-  ++pair_checks_;
-  RecordMemo(a, b, shareable);
-  return shareable;
-}
-
-void ShareGraphBuilder::RecordMemo(RequestId a, RequestId b, bool shareable) {
-  memo_[MakeKey(a, b)] = shareable;
-  memo_partners_[a].push_back(b);
-  memo_partners_[b].push_back(a);
-}
-
 bool ShareGraphBuilder::LowerBoundShareable(const Request& a,
                                             const Request& b) const {
   return AnyJointOrderFeasible(
@@ -107,19 +75,16 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
   if (num_new == 0) return;
 
   // Phase 1 — evaluate pair feasibility, one task per new request against
-  // everything before it. Tasks only read builder state (the memo included —
-  // no writer runs concurrently) and write their own slot, and the pair
-  // checks are mutually independent, so running them on the pool changes
-  // neither the accepted edges nor the set of travel-cost pairs queried.
+  // everything before it. Tasks only read builder state (no writer runs
+  // concurrently) and write their own slot, and the pair checks are
+  // mutually independent, so running them on the pool changes neither the
+  // accepted edges nor the set of travel-cost pairs queried.
   struct Verdict {
-    RequestId partner = 0;
+    const Request* partner = nullptr;
     bool shareable = false;
-    bool from_memo = false;
   };
-  // Per task, verdicts in partner (insertion) order — memo answers and
-  // exact checks interleaved exactly where the serial loop would have
-  // produced them, so the committed adjacency sequence is independent of
-  // how each verdict was obtained.
+  // Per task, the partners that survived both screens in insertion order:
+  // each one costs exactly one exact check.
   std::vector<std::vector<Verdict>> verdicts(num_new);
   std::vector<uint64_t> pruned(num_new, 0);
   auto check_new_request = [&](size_t task) {
@@ -127,8 +92,6 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
     const Request& a = requests_.at(order[i]);
     std::vector<Verdict>& list = verdicts[task];
     // Free screens first (no shortest-path queries), collecting survivors.
-    std::vector<const Request*> candidates;
-    std::vector<size_t> pending_slot;  // list index awaiting its exact check
     for (size_t j = 0; j < i; ++j) {
       const Request& b = requests_.at(order[j]);
       // Temporal screen: if one ride must end before the other exists, no
@@ -139,41 +102,25 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
         ++pruned[task];
         continue;
       }
-      // Per-lifetime memo: a pair already exact-checked while both requests
-      // were present answers for free. Never hits on the engine's event
-      // flow (a pair is presented once per lifetime by construction) —
-      // it guards re-presentations, e.g. hand-driven sync sequences. An
-      // empty memo (throwaway builders never record) skips the lookup.
-      if (!memo_.empty()) {
-        auto mt = memo_.find(MakeKey(a.id, b.id));
-        if (mt != memo_.end()) {
-          list.push_back({b.id, mt->second, /*from_memo=*/true});
-          continue;
-        }
-      }
-      pending_slot.push_back(list.size());
-      list.push_back({b.id, false, /*from_memo=*/false});
-      candidates.push_back(&b);
+      list.push_back({&b, false});
     }
-    // Batched warm-up: every candidate has a joint order the lower-bound
+    // Batched warm-up: every survivor has a joint order the lower-bound
     // walk accepts, so its leading rider makes its own pickup and Shareable's
     // first exact walk prices the leg to the other pickup before any other
     // deadline can fail — the (a.source, b.source) cost is queried for every
-    // candidate regardless of which order wins. Fetching those legs
+    // survivor regardless of which order wins. Fetching those legs
     // one-to-many pins a's source label once; CostMany's per-target cache
     // fill/count keeps the query set — and hence sp_queries — identical to
     // the point-to-point path.
-    if (candidates.size() > 1) {
+    if (list.size() > 1) {
       std::vector<NodeId> pickups;
-      pickups.reserve(candidates.size());
-      for (const Request* b : candidates) pickups.push_back(b->source);
+      pickups.reserve(list.size());
+      for (const Verdict& v : list) pickups.push_back(v.partner->source);
       std::vector<double> warmed(pickups.size());
       engine_->CostMany(a.source, {pickups.data(), pickups.size()},
                         warmed.data());
     }
-    for (size_t k = 0; k < candidates.size(); ++k) {
-      list[pending_slot[k]].shareable = Shareable(a, *candidates[k]);
-    }
+    for (Verdict& v : list) v.shareable = Shareable(a, *v.partner);
   };
   if (pool_ != nullptr && num_new > 1) {
     pool_->ParallelFor(num_new, check_new_request);
@@ -181,19 +128,14 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
     for (size_t task = 0; task < num_new; ++task) check_new_request(task);
   }
 
-  // Phase 2 — commit serially in canonical order: edge lists and the memo
-  // come out in the exact sequence the serial loop would have produced.
+  // Phase 2 — commit serially in canonical order: edge lists come out in
+  // the exact sequence the serial loop would have produced.
   for (size_t task = 0; task < num_new; ++task) {
     pruned_pairs_ += pruned[task];
+    pair_checks_ += verdicts[task].size();
     const RequestId a_id = order[first_new + task];
     for (const Verdict& v : verdicts[task]) {
-      if (v.from_memo) {
-        ++memo_hits_;
-      } else {
-        ++pair_checks_;
-        if (memoize_pairs_) RecordMemo(a_id, v.partner, v.shareable);
-      }
-      if (v.shareable) graph_.AddEdge(a_id, v.partner);
+      if (v.shareable) graph_.AddEdge(a_id, v.partner->id);
     }
   }
 }
@@ -201,62 +143,34 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
 bool ShareGraphBuilder::RemoveRequest(RequestId id) {
   auto it = requests_.find(id);
   if (it == requests_.end()) return false;
-  // End of lifetime: purge the pair memo through the reverse partner index,
-  // both directions, so the index mirrors the memo exactly and the whole
-  // structure stays proportional to the live pair set (a request that
-  // outlives thousands of retired partners must not accumulate their ids).
-  // O(sum of the partners' memo degrees) — degree-bounded like the graph.
-  auto mp = memo_partners_.find(id);
-  if (mp != memo_partners_.end()) {
-    for (RequestId partner : mp->second) {
-      memo_.erase(MakeKey(id, partner));
-      auto pp = memo_partners_.find(partner);
-      if (pp != memo_partners_.end()) {
-        auto& back = pp->second;
-        back.erase(std::remove(back.begin(), back.end(), id), back.end());
-        if (back.empty()) memo_partners_.erase(pp);
-      }
-    }
-    memo_partners_.erase(id);
-  }
   graph_.RemoveNode(id);  // also retires the pairing-order slot
   requests_.erase(it);
   return true;
 }
 
-void ShareGraphBuilder::RemoveRequests(const std::vector<RequestId>& ids) {
-  for (RequestId id : ids) RemoveRequest(id);
-}
-
-void ShareGraphBuilder::Retain(Span<const RequestId> keep) {
-  // Arena internals (a sorted keep array instead of a hash set, the drop
-  // list bump-allocated): a steady-state sync — everything retained,
-  // nothing dropped — touches the heap not at all. Ids are unique, so the
-  // sorted array answers membership exactly like the set did.
+void ShareGraphBuilder::SyncToPending(
+    const std::vector<const Request*>& pending) {
+  // Arena internals (a sorted id array instead of a hash set, the drop and
+  // fresh lists bump-allocated): a steady-state sync — everything retained,
+  // nothing dropped, nothing fresh — touches the heap not at all. Ids are
+  // unique, so the sorted array answers membership exactly.
   ArenaScope scope(ScratchArena());
-  RequestId* sorted = scope.AllocateArray<RequestId>(keep.size());
-  std::copy(keep.begin(), keep.end(), sorted);
-  std::sort(sorted, sorted + keep.size());
+  const size_t n = pending.size();
+  RequestId* open_ids = scope.AllocateArray<RequestId>(n);
+  for (size_t i = 0; i < n; ++i) open_ids[i] = pending[i]->id;
+  std::sort(open_ids, open_ids + n);
   const std::vector<RequestId>& nodes = graph_.Nodes();
   RequestId* drop = scope.AllocateArray<RequestId>(nodes.size());
   size_t num_drop = 0;
   for (RequestId id : nodes) {
-    if (!std::binary_search(sorted, sorted + keep.size(), id)) {
+    if (!std::binary_search(open_ids, open_ids + n, id)) {
       drop[num_drop++] = id;
     }
   }
   for (size_t k = 0; k < num_drop; ++k) RemoveRequest(drop[k]);
-}
-
-void ShareGraphBuilder::SyncToPending(
-    const std::vector<const Request*>& pending) {
-  ArenaScope scope(ScratchArena());
-  RequestId* open_ids = scope.AllocateArray<RequestId>(pending.size());
-  for (size_t i = 0; i < pending.size(); ++i) open_ids[i] = pending[i]->id;
-  Retain({static_cast<const RequestId*>(open_ids), pending.size()});
-  // The fresh slice, staged on the arena; a steady round has none and
-  // AddRequests returns before allocating anything.
-  Request* fresh = scope.AllocateArray<Request>(pending.size());
+  // The fresh slice; a steady round has none and AddRequests returns
+  // before allocating anything.
+  Request* fresh = scope.AllocateArray<Request>(n);
   size_t num_fresh = 0;
   for (const Request* r : pending) {
     if (!requests_.count(r->id)) fresh[num_fresh++] = *r;
@@ -274,14 +188,6 @@ size_t ShareGraphBuilder::MemoryBytes() const {
   size_t bytes = graph_.MemoryBytes();
   bytes += requests_.bucket_count() * sizeof(void*);
   bytes += requests_.size() * (sizeof(Request) + sizeof(RequestId) + 2 * sizeof(void*));
-  bytes += memo_.bucket_count() * sizeof(void*);
-  bytes += memo_.size() * (sizeof(PairKey) + sizeof(bool) + 2 * sizeof(void*));
-  bytes += memo_partners_.bucket_count() * sizeof(void*);
-  for (const auto& [id, partners] : memo_partners_) {
-    (void)id;
-    bytes += sizeof(RequestId) + sizeof(std::vector<RequestId>) +
-             2 * sizeof(void*) + partners.capacity() * sizeof(RequestId);
-  }
   return bytes;
 }
 

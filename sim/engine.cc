@@ -25,6 +25,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Lock stripes per travel-cost cache partition: intra-shard parallelism is
+// bounded by SARD's acceptance stage, so partitions need fewer stripes than
+// the 64-way root cache.
+constexpr size_t kPartitionStripes = 16;
+
 // Nearest-rank percentile over an ascending-sorted sample; 0 when empty.
 double NearestRank(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
@@ -303,9 +308,9 @@ class SimulationEngine::EventRun : public ScenarioHost {
   std::unique_ptr<ThreadPool> pool_;
   /// The zone partition and one runtime per zone (DESIGN.md §12). Each
   /// ShardRuntime owns its dispatcher instance, its incrementally
-  /// maintained share graph (null when DispatchConfig::incremental_sharegraph
-  /// is off), its persistent DispatchContext (outputs keep their capacity
-  /// across rounds), and its round-scoped arena/SoA pools (DESIGN.md §8).
+  /// maintained share graph, its persistent DispatchContext (outputs keep
+  /// their capacity across rounds), and its round-scoped arena/SoA pools
+  /// (DESIGN.md §8).
   /// With num_shards_ == 1 the single runtime sees the unrestricted fleet
   /// and the whole pending pool — the exact pre-sharding round, bitwise.
   ShardPartition partition_;
@@ -415,10 +420,9 @@ RunMetrics SimulationEngine::EventRun::Execute() {
   }
   // The zone partition and one runtime per zone. Each shard gets its own
   // dispatcher instance, its own travel-cost cache partition (so concurrent
-  // shards never contend on a cache lock), and (when incremental
-  // maintenance is on) its own share graph: free (empty containers) for
-  // dispatchers that never sync into it, incremental for those that do,
-  // outliving every batch.
+  // shards never contend on a cache lock), and its own share graph: free
+  // (empty containers) for dispatchers that never sync into it, incremental
+  // for those that do, outliving every batch.
   partition_.Build(engine_->network(), num_shards_, config_.shard_grid_cols);
   if (num_shards_ > 1) {
     owner_->EnsureCachePartitions(num_shards_, config_);
@@ -434,11 +438,8 @@ RunMetrics SimulationEngine::EventRun::Execute() {
       sh->lookups_at_run_start = sh->cache->num_lookups();
     }
     sh->dispatcher = MakeDispatcher(algorithm_, config_);
-    if (config_.incremental_sharegraph) {
-      sh->sharegraph = std::make_unique<ShareGraphBuilder>(
-          ShardEngine(*sh), config_.sharegraph);
-      sh->sharegraph->set_memoize_pairs(true);
-    }
+    sh->sharegraph = std::make_unique<ShareGraphBuilder>(ShardEngine(*sh),
+                                                         config_.sharegraph);
     shards_.push_back(std::move(sh));
   }
   shard_task_ = [this](size_t s) { RunShardBatch(*shards_[s], round_online_); };
@@ -1009,9 +1010,7 @@ void SimulationEngine::EventRun::CloseRequest(size_t idx, ReqState to) {
   // (or on the second close of an assigned rider when the dropoff
   // completes).
   for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
-    if (sh->sharegraph != nullptr) {
-      sh->sharegraph->RemoveRequest(requests_[idx].id);
-    }
+    sh->sharegraph->RemoveRequest(requests_[idx].id);
   }
 }
 
@@ -1132,8 +1131,10 @@ RunMetrics SimulationEngine::EventRun::Finalize() {
   metrics.unified_cost = metrics.travel_cost + penalty;
   metrics.running_time = dispatch_seconds_;
   metrics.sp_queries = engine_->num_queries() - queries_before_;
-  // Pair checks and instrumented memory sum over the shard dispatchers
-  // (one term with a single shard — the pre-sharding numbers, bitwise).
+  // Pair checks and instrumented memory sum over the shards (one term with
+  // a single shard — the pre-sharding numbers, bitwise). A shard's checks
+  // are its run builder's plus any its dispatcher's per-batch rebuilds
+  // spent.
   uint64_t pair_checks = 0;
   size_t memory_bytes = 0;
   std::vector<uint64_t> loads;
@@ -1141,7 +1142,8 @@ RunMetrics SimulationEngine::EventRun::Finalize() {
   loads.reserve(shards_.size());
   batch_times.reserve(shards_.size());
   for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
-    pair_checks += sh->dispatcher->SharePairChecks();
+    pair_checks +=
+        sh->sharegraph->pair_checks() + sh->dispatcher->SharePairChecks();
     memory_bytes += sh->dispatcher->MemoryBytes();
     loads.push_back(sh->assigned_total);
     batch_times.push_back(sh->batch_seconds_total);
@@ -1213,19 +1215,17 @@ void SimulationEngine::EnsureCachePartitions(int num_shards,
         1024, engine_->options().cache_capacity /
                   static_cast<size_t>(std::max(1, num_shards)));
   }
-  const size_t stripes =
-      config.shard_cache_stripes != 0 ? config.shard_cache_stripes : 16;
   if (cache_partitions_.size() == static_cast<size_t>(num_shards) &&
-      partition_capacity_ == capacity && partition_stripes_ == stripes) {
+      partition_capacity_ == capacity) {
     return;  // shape unchanged — keep the warm partitions
   }
   cache_partitions_.clear();
   cache_partitions_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    cache_partitions_.push_back(engine_->MakeCachePartition(capacity, stripes));
+    cache_partitions_.push_back(
+        engine_->MakeCachePartition(capacity, kPartitionStripes));
   }
   partition_capacity_ = capacity;
-  partition_stripes_ = stripes;
 }
 
 }  // namespace structride

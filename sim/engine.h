@@ -10,10 +10,10 @@
 // recorded golden digests (tests/golden_test.cc) across the dispatcher
 // roster, the presets, worker-thread and shard counts.
 //
-// Run() also owns the run's incrementally maintained share graph
-// (DESIGN.md §7) when DispatchConfig::incremental_sharegraph is on:
-// lifecycle events retire requests from it and every dispatch round
-// receives it via DispatchContext::sharegraph.
+// Run() also owns the run's incrementally maintained share graphs, one
+// builder per shard (DESIGN.md §7): lifecycle events retire requests from
+// them and every dispatch round receives its shard's builder via
+// DispatchContext::sharegraph.
 //
 // Statefulness contract: SpawnFleet fixes the fleet's spawn positions once;
 // every Run starts from that spawn with fresh request state, but the fault
@@ -197,10 +197,10 @@ class SimulationEngine {
   /// consumes run_rng_ in stored request order.
   std::vector<double> DrawCancelOffsets();
   /// (Re)builds the per-shard travel-cost cache partitions
-  /// (TravelCostEngine::MakeCachePartition) to match the shard count and
-  /// DispatchConfig sizing. Partitions persist across Runs on this engine —
-  /// like the root cache, they stay warm — and are only rebuilt when the
-  /// shape changes.
+  /// (TravelCostEngine::MakeCachePartition, 16 lock stripes each) to match
+  /// the shard count and DispatchConfig::shard_cache_capacity. Partitions
+  /// persist across Runs on this engine — like the root cache, they stay
+  /// warm — and are only rebuilt when the shape changes.
   void EnsureCachePartitions(int num_shards, const DispatchConfig& config);
 
   TravelCostEngine* engine_;
@@ -217,7 +217,6 @@ class SimulationEngine {
   /// engine, and destruction order follows.
   std::vector<std::unique_ptr<TravelCostEngine>> cache_partitions_;
   size_t partition_capacity_ = 0;
-  size_t partition_stripes_ = 0;
 };
 
 }  // namespace structride

@@ -81,7 +81,7 @@ TEST(AllocGateTest, ArenaScopeRewindsToTheSameStorage) {
 
 // The dispatcher-level gate. The context is built the way the engine builds
 // it (FullDispatchContext: caller-owned arena reset per round, SoA planes
-// refreshed per round, a persistent memoizing share-graph builder) over a
+// refreshed per round, a persistent run-scoped share-graph builder) over a
 // pending pool of riders whose deadlines already passed: every feasibility
 // check fails, nothing commits, so the fleet and pending pool are
 // identical round after round.

@@ -31,7 +31,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // rebuild-per-batch reference on served / costs / sp_queries / service
 // quality bitwise, for every graph-consuming dispatcher, preset and worker
 // thread count, while never spending more exact pair checks than the
-// rebuild path re-spends.
+// rebuild path re-spends. SARD reads the run builder either way, so its
+// cases pin that the flag leaves it untouched.
 TEST(EngineTest, IncrementalShareGraphMatchesRebuildReference) {
   struct Case {
     const char* algo;
@@ -63,22 +64,28 @@ TEST(EngineTest, IncrementalShareGraphMatchesRebuildReference) {
 
 // Online dispatch mode on the incremental graph: per-request insert at
 // release events, removal at assignment — same outcome as the
-// rebuild-per-round reference under the mode switch.
+// rebuild-per-round reference under the mode switch. GAS and RTV are the
+// dispatchers the flag switches (SARD always reads the run builder); the
+// rebuild reference re-checks every surviving pair each round, so it must
+// spend strictly more exact checks.
 TEST(EngineTest, IncrementalShareGraphMatchesRebuildInOnlineMode) {
-  auto run_mode = [&](bool incremental) {
-    TinyPreset preset("CHD");
-    const double d = preset.spec.workload.duration;
-    SimulationOptions sopts = preset.Options();
-    auto sim = preset.MakeEngine(sopts);
-    sim->AddScenario(MakeDispatchModeSwitch(0.25 * d, kInf));
-    DispatchConfig config = preset.Config();
-    config.incremental_sharegraph = incremental;
-    return sim->Run("SARD", config);
-  };
-  RunMetrics on = run_mode(true);
-  RunMetrics off = run_mode(false);
-  ExpectOutcomeEqual(on, off);
-  EXPECT_LE(on.sharegraph_pair_checks, off.sharegraph_pair_checks);
+  for (const char* algo : {"GAS", "RTV"}) {
+    SCOPED_TRACE(algo);
+    auto run_mode = [&](bool incremental) {
+      TinyPreset preset("CHD");
+      const double d = preset.spec.workload.duration;
+      SimulationOptions sopts = preset.Options();
+      auto sim = preset.MakeEngine(sopts);
+      sim->AddScenario(MakeDispatchModeSwitch(0.25 * d, kInf));
+      DispatchConfig config = preset.Config();
+      config.incremental_sharegraph = incremental;
+      return sim->Run(algo, config);
+    };
+    RunMetrics on = run_mode(true);
+    RunMetrics off = run_mode(false);
+    ExpectOutcomeEqual(on, off);
+    EXPECT_LT(on.sharegraph_pair_checks, off.sharegraph_pair_checks);
+  }
 }
 
 // Contract 2: a fixed scenario stack under a fixed seed reproduces exactly

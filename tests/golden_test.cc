@@ -9,15 +9,19 @@
 //   golden_test --update   rewrites the file from the current code and
 //                          prints what moved, one line per changed field.
 //
-// Regenerate only under DESIGN.md §11: an intended outcome change, or a
-// lossless optimisation whose summary shows only SP-query fields falling.
-// Show the summary and explain the golden diff in the change's notes.
+// Regenerate only under DESIGN.md §11: an intended outcome change, a
+// lossless optimisation whose summary shows only SP-query fields falling,
+// or a deletion of instrumented structures whose summary shows only
+// memory_bytes falling. Show the summary and explain the golden diff in
+// the change's notes.
 //
 // The cells:
 //  - the roster matrix: the paper's six dispatchers x the shrunk CHD / NYC
 //    / Cainiao presets x {1, 8} worker threads x {1, 4} geo-shards;
 //  - the rebuild-per-batch share-graph path (incremental_sharegraph off)
-//    for the graph consumers GAS, RTV and SARD over the same grid;
+//    for the graph consumers GAS, RTV and SARD over the same grid (SARD
+//    reads the run builder either way, so its lines equal its incremental
+//    ones);
 //  - SARD under a second seed, and under the cancellation + capacity-
 //    variance fault models;
 //  - SARD under the full scenario stack (surge, downtime, online switch,

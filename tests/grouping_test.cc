@@ -343,7 +343,7 @@ TEST_F(GroupingFixture, KineticTreeNeverWorseThanLinearInsertion) {
   // so the comparison is guaranteed to have material to work with.
   ShareGraphBuilderOptions bopts;
   ShareGraphBuilder builder(engine.get(), bopts);
-  builder.AddBatch(requests);
+  builder.AddRequests(requests);
 
   // A shareability edge certifies a joint order starting at one of the two
   // pickups; try both starts and require at least one to carry through.
@@ -396,7 +396,7 @@ TEST_F(GroupingFixture, EnumeratedGroupsAreFeasibleCliques) {
   ShareGraphBuilderOptions bopts;
   bopts.vehicle_capacity = 3;
   ShareGraphBuilder builder(engine.get(), bopts);
-  builder.AddBatch(requests);
+  builder.AddRequests(requests);
   std::vector<const Request*> pool;
   for (const Request& r : requests) pool.push_back(&r);
 
@@ -441,7 +441,7 @@ TEST_F(GroupingFixture, ResetScratchReproducesTheFirstPass) {
   ShareGraphBuilderOptions bopts;
   bopts.vehicle_capacity = 3;
   ShareGraphBuilder builder(engine.get(), bopts);
-  builder.AddBatch(requests);
+  builder.AddRequests(requests);
   std::vector<const Request*> pool;
   for (const Request& r : requests) pool.push_back(&r);
 

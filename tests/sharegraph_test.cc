@@ -1,7 +1,10 @@
-// ShareGraph structure operations, and the load-bearing property of the
+// ShareGraph structure operations; the load-bearing property of the
 // builder's lower-bound pair screen: it must never drop a feasible share
 // pair — the screened graph must equal the one exact checking of every
-// joint order would build (the screen only saves shortest-path queries).
+// joint order would build (the screen only saves shortest-path queries);
+// and the incremental builder's contracts: one exact check per pair
+// lifetime, from-scratch equivalence after every delta, and a pooled
+// AddRequests identical to the serial one.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include "sharegraph/loss.h"
 #include "sim/workload.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace structride {
 namespace {
@@ -136,7 +140,7 @@ void ExpectScreenLossless(const RoadNetwork& net, uint64_t seed) {
   auto requests = GenerateWorkload(net, &engine, policy, wopts);
 
   ShareGraphBuilder builder(&engine, {});
-  builder.AddBatch(requests);
+  builder.AddRequests(requests);
   EXPECT_GT(builder.pruned_pairs(), 0u);
 
   uint64_t overlapping = 0, screened_orders = 0;
@@ -217,10 +221,12 @@ TEST(ShareGraphTest, RemovalPreservesInsertionOrderAndReaddAppends) {
   EXPECT_EQ(g.Nodes(), (std::vector<RequestId>{7, 9, 11}));
 }
 
-// The per-pair memo (DESIGN.md §7): an exact check runs once per pair
-// lifetime — repeats answer from the memo without travel-cost work, and a
-// removal ends the lifetime so a re-added request is evaluated afresh.
-TEST(ShareGraphBuilderTest, PairMemoAnswersRepeatsAndResetsOnRemoval) {
+// The lifetime invariant (DESIGN.md §7): a pair is exact-checked once per
+// pair lifetime. Re-presenting a live pair through AddRequests costs neither
+// a check nor a shortest-path query; removing one side ends the lifetime, so
+// re-adding it costs exactly one more check (same immutable request data,
+// hence the same edge verdict).
+TEST(ShareGraphBuilderTest, LivePairIsCheckedOncePerLifetime) {
   CityOptions copt;
   copt.rows = 10;
   copt.cols = 10;
@@ -253,38 +259,43 @@ TEST(ShareGraphBuilderTest, PairMemoAnswersRepeatsAndResetsOnRemoval) {
   ASSERT_NE(a, nullptr);
 
   ShareGraphBuilder builder(&engine, {});
-  builder.set_memoize_pairs(true);
-  builder.AddRequests({*a, *b});
+  builder.AddRequests(std::vector<Request>{*a, *b});
   EXPECT_EQ(builder.pair_checks(), 1u);
-  EXPECT_EQ(builder.memo_hits(), 0u);
+  EXPECT_EQ(builder.pruned_pairs(), 0u);
   const bool edge = builder.graph().HasEdge(a->id, b->id);
 
-  // Probing the live pair is free: memo hit, no new exact check, and no
-  // shortest-path queries.
+  // Re-presenting the live pair (in either order) is free.
   const uint64_t queries_before = engine.num_queries();
-  EXPECT_EQ(builder.CheckedShareable(a->id, b->id), edge);
+  builder.AddRequests(std::vector<Request>{*b, *a});
   EXPECT_EQ(builder.pair_checks(), 1u);
-  EXPECT_EQ(builder.memo_hits(), 1u);
+  EXPECT_EQ(builder.pruned_pairs(), 0u);
   EXPECT_EQ(engine.num_queries(), queries_before);
+  EXPECT_EQ(builder.graph().Nodes(), (std::vector<RequestId>{a->id, b->id}));
 
-  // Removal ends b's lifetime; re-adding re-evaluates the pair from
-  // scratch (same immutable request data, hence the same edge verdict).
-  builder.RemoveRequest(b->id);
+  // Removal ends b's lifetime; re-adding re-evaluates the pair.
+  EXPECT_TRUE(builder.RemoveRequest(b->id));
   EXPECT_FALSE(builder.graph().HasNode(b->id));
-  builder.AddRequests({*b});
+  builder.AddRequests(std::vector<Request>{*b});
   EXPECT_EQ(builder.pair_checks(), 2u);
   EXPECT_EQ(builder.graph().HasEdge(a->id, b->id), edge);
 }
 
-// The differential harness pinning the tentpole (DESIGN.md §7): drive many
-// seeded random batch / assignment / expiry / retain sequences through the
-// incremental builder, and after EVERY step rebuild the graph from scratch
-// over the surviving requests (in the incremental builder's insertion
-// order — exactly what the frozen rebuild-per-batch path would do). Node
-// sequence, edge count and each node's full neighbor SEQUENCE must match;
-// the graph is unweighted, so adjacency order is the strictest per-edge
-// invariant there is — it is what makes dispatcher results independent of
-// how the graph was maintained.
+// The differential harness pinning incremental maintenance (DESIGN.md §7):
+// drive seeded random release / retire / sync sequences through the
+// incremental builder — releases also re-present live requests, and re-adds
+// of retired ones are included — and after EVERY step require:
+//  - equivalence with a from-scratch rebuild over the surviving requests, in
+//    the incremental builder's insertion order (exactly what the rebuild
+//    reference does): node sequence, edge count and each node's full
+//    neighbor SEQUENCE. The graph is unweighted, so adjacency order is the
+//    strictest per-edge invariant there is — it is what makes dispatcher
+//    results independent of how the graph was maintained;
+//  - the lifetime invariant: one exact check or lower-bound prune per
+//    co-present, time-overlapping pair lifetime, so re-presentations and
+//    surviving pairs cost nothing;
+//  - a mirror builder running AddRequests on a 4-thread pool, over its own
+//    cold travel-cost engine, with identical node and neighbor sequences,
+//    pair counters and engine query count.
 TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
   CityOptions copt;
   copt.rows = 12;
@@ -301,59 +312,94 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
   auto requests = GenerateWorkload(net, &engine, policy, wopts);
   std::unordered_map<RequestId, const Request*> by_id;
   for (const Request& r : requests) by_id[r.id] = &r;
+  ThreadPool pool(4);
 
   for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed);
-    ShareGraphBuilder inc(&engine, {});
-    inc.set_memoize_pairs(true);  // the maintained role
+    TravelCostEngine serial_engine(net);
+    TravelCostEngine pooled_engine(net);
+    ShareGraphBuilder inc(&serial_engine, {});
+    ShareGraphBuilder pooled(&pooled_engine, {});
+    pooled.set_pool(&pool);
+    ShareGraphBuilder* const builders[2] = {&inc, &pooled};
     std::vector<char> alive(requests.size(), 0);
+    uint64_t lifetimes = 0;
     uint64_t rebuild_checks_total = 0;
+    // Marks requests[idx] present, opening one pair lifetime with every
+    // present request its ride overlaps in time.
+    auto open = [&](size_t idx) {
+      for (size_t j = 0; j < requests.size(); ++j) {
+        if (alive[j] && TimeOverlapping(requests[idx], requests[j])) {
+          ++lifetimes;
+        }
+      }
+      alive[idx] = 1;
+    };
+    auto random_index = [&] {
+      return static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(requests.size()) - 1));
+    };
 
     for (int step = 0; step < 25; ++step) {
       const int op = static_cast<int>(rng.UniformInt(0, 2));
       if (op == 0 || inc.num_requests() == 0) {
-        // Release a batch: fresh requests and re-adds of retired ones.
+        // Release a batch: fresh requests, re-adds of retired ones, and
+        // re-presentations of live ones (skipped by AddRequests).
         std::vector<Request> batch;
         const int k = static_cast<int>(rng.UniformInt(1, 8));
         for (int t = 0; t < k; ++t) {
-          size_t idx = static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(requests.size()) - 1));
-          if (alive[idx]) continue;
-          alive[idx] = 1;
+          const size_t idx = random_index();
+          if (!alive[idx]) open(idx);
           batch.push_back(requests[idx]);
         }
-        inc.AddRequests(batch);
+        for (ShareGraphBuilder* b : builders) b->AddRequests(batch);
       } else if (op == 1) {
         // Assignment / cancellation / expiry events: retire a few.
-        std::vector<RequestId> drop;
         for (size_t idx = 0; idx < requests.size(); ++idx) {
           if (alive[idx] && rng.Uniform(0, 1) < 0.3) {
             alive[idx] = 0;
-            drop.push_back(requests[idx].id);
+            for (ShareGraphBuilder* b : builders) {
+              EXPECT_TRUE(b->RemoveRequest(requests[idx].id));
+            }
           }
         }
-        inc.RemoveRequests(drop);
       } else {
-        // A dispatch-round sweep: keep a random subset of the open pool.
-        std::vector<RequestId> keep;
+        // A dispatch-round sync: keep a random subset of the open pool and
+        // fold in a few requests that were not open before the round.
+        std::vector<size_t> fresh;
+        const int k = static_cast<int>(rng.UniformInt(0, 3));
+        for (int t = 0; t < k; ++t) {
+          const size_t idx = random_index();
+          if (!alive[idx] &&
+              std::find(fresh.begin(), fresh.end(), idx) == fresh.end()) {
+            fresh.push_back(idx);
+          }
+        }
+        std::vector<const Request*> pending;
         for (size_t idx = 0; idx < requests.size(); ++idx) {
           if (!alive[idx]) continue;
           if (rng.Uniform(0, 1) < 0.7) {
-            keep.push_back(requests[idx].id);
+            pending.push_back(&requests[idx]);
           } else {
             alive[idx] = 0;
           }
         }
-        inc.Retain(keep);
+        for (size_t idx : fresh) {
+          open(idx);
+          pending.push_back(&requests[idx]);
+        }
+        for (ShareGraphBuilder* b : builders) b->SyncToPending(pending);
       }
 
       // From-scratch reference over the survivors, in the incremental
       // builder's insertion order.
-      std::vector<Request> pool;
-      for (RequestId id : inc.graph().Nodes()) pool.push_back(*by_id.at(id));
+      std::vector<Request> survivors;
+      for (RequestId id : inc.graph().Nodes()) {
+        survivors.push_back(*by_id.at(id));
+      }
       ShareGraphBuilder ref(&engine, {});
-      ref.AddRequests(pool);
+      ref.AddRequests(survivors);
       rebuild_checks_total += ref.pair_checks();
 
       ASSERT_EQ(inc.graph().NumNodes(), ref.graph().NumNodes())
@@ -361,11 +407,22 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
       ASSERT_EQ(inc.graph().NumEdges(), ref.graph().NumEdges())
           << "step " << step;
       ASSERT_EQ(inc.graph().Nodes(), ref.graph().Nodes()) << "step " << step;
+      ASSERT_EQ(pooled.graph().Nodes(), ref.graph().Nodes())
+          << "step " << step;
       for (RequestId v : ref.graph().Nodes()) {
         ASSERT_EQ(inc.graph().Neighbors(v), ref.graph().Neighbors(v))
             << "neighbor sequence mismatch at request " << v << ", step "
             << step;
+        ASSERT_EQ(pooled.graph().Neighbors(v), inc.graph().Neighbors(v))
+            << "pooled neighbor sequence mismatch at request " << v
+            << ", step " << step;
       }
+      ASSERT_EQ(inc.pair_checks() + inc.pruned_pairs(), lifetimes)
+          << "step " << step;
+      ASSERT_EQ(pooled.pair_checks(), inc.pair_checks()) << "step " << step;
+      ASSERT_EQ(pooled.pruned_pairs(), inc.pruned_pairs()) << "step " << step;
+      ASSERT_EQ(pooled_engine.num_queries(), serial_engine.num_queries())
+          << "step " << step;
     }
     // The economics of maintenance: across the whole sequence the
     // incremental builder spent strictly fewer exact checks than the
@@ -374,7 +431,7 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
   }
 }
 
-TEST(ShareGraphBuilderTest, IncrementalAddBatchMatchesOneShot) {
+TEST(ShareGraphBuilderTest, IncrementalAddRequestsMatchesOneShot) {
   CityOptions copt;
   copt.rows = 10;
   copt.cols = 10;
@@ -390,13 +447,13 @@ TEST(ShareGraphBuilderTest, IncrementalAddBatchMatchesOneShot) {
 
   ShareGraphBuilderOptions opts;
   ShareGraphBuilder one_shot(&engine, opts);
-  one_shot.AddBatch(requests);
+  one_shot.AddRequests(requests);
 
   ShareGraphBuilder incremental(&engine, opts);
   std::vector<Request> first(requests.begin(), requests.begin() + 40);
   std::vector<Request> second(requests.begin() + 40, requests.end());
-  incremental.AddBatch(first);
-  incremental.AddBatch(second);
+  incremental.AddRequests(first);
+  incremental.AddRequests(second);
 
   EXPECT_EQ(one_shot.graph().NumEdges(), incremental.graph().NumEdges());
 }

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,20 +120,16 @@ inline void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
 
 // A DispatchContext wired the way the simulation engine wires a
 // single-region round — caller-owned batch arena and SoA planes, the
-// run-scoped memoizing share-graph builder when incremental_sharegraph is
-// on, a worker pool when the config runs on several threads — for driving
-// one dispatcher directly. Set ctx.pending, then call BeginRound before
-// each OnBatch.
+// run-scoped share-graph builder, a worker pool when the config runs on
+// several threads — for driving one dispatcher directly. Set ctx.pending,
+// then call BeginRound before each OnBatch.
 struct FullDispatchContext {
   FullDispatchContext(TravelCostEngine* engine, std::vector<Vehicle>* fleet,
-                      const DispatchConfig& config) {
+                      const DispatchConfig& config)
+      : sharegraph(engine, config.sharegraph) {
     ctx.engine = engine;
     ctx.fleet = fleet;
-    if (config.incremental_sharegraph) {
-      sharegraph.emplace(engine, config.sharegraph);
-      sharegraph->set_memoize_pairs(true);
-      ctx.sharegraph = &*sharegraph;
-    }
+    ctx.sharegraph = &sharegraph;
     if (config.num_threads > 1) {
       pool = std::make_unique<ThreadPool>(config.num_threads);
       ctx.pool = pool.get();
@@ -161,7 +156,7 @@ struct FullDispatchContext {
     return &ctx;
   }
 
-  std::optional<ShareGraphBuilder> sharegraph;
+  ShareGraphBuilder sharegraph;
   std::unique_ptr<ThreadPool> pool;
   EpochArena arena;
   FleetSoA fleet_soa;
