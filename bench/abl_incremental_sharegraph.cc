@@ -4,8 +4,9 @@
 // rebuild-per-batch reference, at the bench defaults. Two jobs:
 //
 //  1. Parity gate — the incremental rows must reproduce the rebuild rows
-//     bitwise on served / unified cost / #SP queries (and the
-//     service-quality stats); the bench exits nonzero on any divergence,
+//     bitwise on every outcome field of the metrics table
+//     (sim/run_metrics.h): served, costs, #SP queries, service-quality
+//     stats, …; the bench exits nonzero on any divergence,
 //     so the nightly smoke run doubles as the maintenance-equivalence
 //     check at bench scale, the discipline abl_scenarios applies to the
 //     event core.
@@ -37,6 +38,7 @@
 
 #include "bench/harness.h"
 #include "sim/engine.h"
+#include "sim/run_metrics.h"
 
 using namespace structride;
 using namespace structride::bench;
@@ -105,19 +107,13 @@ int main() {
                     m == &rebuild ? 1.0 : ratio);
       }
 
-      const bool parity = incremental.served == rebuild.served &&
-                          incremental.unified_cost == rebuild.unified_cost &&
-                          incremental.sp_queries == rebuild.sp_queries &&
-                          incremental.cancelled == rebuild.cancelled &&
-                          incremental.pickup_wait_p50 == rebuild.pickup_wait_p50 &&
-                          incremental.pickup_wait_p99 == rebuild.pickup_wait_p99 &&
-                          incremental.mean_detour_ratio ==
-                              rebuild.mean_detour_ratio;
-      if (!parity) {
+      const std::string diff =
+          ParityDiff(rebuild, incremental, ParityScope::kOutcome);
+      if (!diff.empty()) {
         ++failures;
         std::fprintf(stderr,
-                     "DIVERGED: %s %s incremental != rebuild-per-batch\n",
-                     ds.c_str(), algo.c_str());
+                     "DIVERGED: %s %s incremental != rebuild-per-batch: %s\n",
+                     ds.c_str(), algo.c_str(), diff.c_str());
       }
       if (algo != "SARD" && rebuild.sharegraph_pair_checks > 0 &&
           ratio < 2.0) {
@@ -130,9 +126,9 @@ int main() {
   }
 
   std::printf(
-      "\nIncremental rows must reproduce the rebuild rows bitwise (served,\n"
-      "unified cost, #SP queries, service-quality stats): the maintained\n"
-      "graph is the same graph, it just skips re-checking pairs that\n"
+      "\nIncremental rows must reproduce the rebuild rows bitwise on every\n"
+      "outcome field (served, costs, #SP queries, service quality): the\n"
+      "maintained graph is the same graph, it just skips re-checking pairs that\n"
       "already ran in earlier batches — which is where the >= 2x pair-check\n"
       "reduction for GAS/RTV comes from. SARD reads the run-maintained\n"
       "graph either way, so its ratio is 1x by construction.\n");

@@ -1,11 +1,12 @@
 // Ablation for the paper's scalability note ("multi-threading can speed up
 // the Shareability Graph building and acceptance stage as each vehicle
 // decides independently"): SARD swept over worker-thread counts × fleet
-// sizes, against the one-thread cell of the same fleet. Result quality
-// (service rate, unified cost, served, #SP queries) must be identical in
-// every cell: the parallelism prices proposals only, and commits stay
-// serial and deterministic. The bench exits nonzero if any cell's outcome
-// diverges from its fleet's one-thread cell, so the nightly smoke run
+// sizes, against the one-thread cell of the same fleet. Every outcome and
+// work field of the metrics table (sim/run_metrics.h) — service rate,
+// unified cost, served, #SP queries, pair checks, memory, … — must be
+// identical in every cell: the parallelism prices proposals only, and
+// commits stay serial and deterministic. The bench exits nonzero if any
+// cell diverges from its fleet's one-thread cell, so the nightly smoke run
 // doubles as a determinism check. Every cell runs on its own cold
 // travel-cost engine, so #SP queries compare backend work, not cache state.
 
@@ -17,6 +18,7 @@
 
 #include "bench/harness.h"
 #include "sim/engine.h"
+#include "sim/run_metrics.h"
 #include "sim/workload.h"
 #include "util/alloc_gate.h"
 
@@ -77,10 +79,14 @@ int main() {
         RecordJsonRow("SARD", ds + " x" + std::to_string(fleet_mult) + " t" +
                                   std::to_string(threads),
                       r);
-        bool same = r.served == base.served &&
-                    r.unified_cost == base.unified_cost &&
-                    r.sp_queries == base.sp_queries;
-        if (!same) ++divergences;
+        const std::string diff =
+            ParityDiff(base, r, ParityScope::kOutcomeAndWork);
+        const bool same = diff.empty();
+        if (!same) {
+          ++divergences;
+          std::fprintf(stderr, "DIVERGED: %s x%d t%d: %s\n", ds.c_str(),
+                       fleet_mult, threads, diff.c_str());
+        }
         // The allocation gate (DESIGN.md §8): with the counting allocator
         // linked in, the dispatch path must keep its zero-heap promise on
         // steady-state rounds in every cell.
@@ -131,17 +137,17 @@ int main() {
         RecordJsonRow("SARD", ds + " z" + std::to_string(shards) + " t" +
                                   std::to_string(threads),
                       r);
-        bool same = true;
         if (threads == 1) {
           zbase = r;
           if (shards == 1) z1t1_time = r.running_time;
-        } else {
-          same = r.served == zbase.served &&
-                 r.unified_cost == zbase.unified_cost &&
-                 r.sp_queries == zbase.sp_queries &&
-                 r.cross_shard_trips == zbase.cross_shard_trips &&
-                 r.shard_sp_queries == zbase.shard_sp_queries;
-          if (!same) ++divergences;
+        }
+        const std::string diff =
+            ParityDiff(zbase, r, ParityScope::kOutcomeAndWork);
+        const bool same = diff.empty();
+        if (!same) {
+          ++divergences;
+          std::fprintf(stderr, "DIVERGED: %s z%d t%d: %s\n", ds.c_str(),
+                       shards, threads, diff.c_str());
         }
         bool allocs_ok =
             !HeapAllocCountingActive() || r.allocs_per_batch_p50 == 0;
@@ -157,8 +163,8 @@ int main() {
     }
   }
 
-  std::printf("\nEvery cell must match its fleet's one-thread cell on served,\n"
-              "unified cost and #SP queries: pricing is a pure read of\n"
+  std::printf("\nEvery cell must match its fleet's one-thread cell on every\n"
+              "outcome and work field: pricing is a pure read of\n"
               "batch-start fleet state and commits are serial in group order.\n"
               "Higher thread counts add pooled parallel graph building and\n"
               "proposal pricing, and scale with the cores the host actually\n"

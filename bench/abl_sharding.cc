@@ -5,7 +5,8 @@
 //   serial==conc     every cell runs twice, with concurrent_shards off
 //                    (the serial shard-id-order reference) and on (the
 //                    pool-task batch phase); the two must agree bitwise on
-//                    every parity metric, per-shard sp_queries included.
+//                    every outcome and work field of the metrics table
+//                    (sim/run_metrics.h), per-shard vectors included.
 //   census           at every shard count every request must reach exactly
 //                    one terminal outcome: served + cancelled + expired +
 //                    rejected + late == total, with no cross-shard trip in
@@ -32,35 +33,10 @@
 
 #include "bench/harness.h"
 #include "sim/engine.h"
+#include "sim/run_metrics.h"
 
 using namespace structride;
 using namespace structride::bench;
-
-namespace {
-
-// Bitwise agreement on every parity metric (wall-clock and allocation
-// sampling are the only fields legitimately mode-dependent).
-bool SameOutcome(const RunMetrics& a, const RunMetrics& b) {
-  return a.served == b.served && a.cancelled == b.cancelled &&
-         a.expired == b.expired && a.rejected == b.rejected &&
-         a.total_requests == b.total_requests &&
-         a.unified_cost == b.unified_cost && a.travel_cost == b.travel_cost &&
-         a.penalty_cost == b.penalty_cost &&
-         a.service_rate == b.service_rate && a.sp_queries == b.sp_queries &&
-         a.sharegraph_pair_checks == b.sharegraph_pair_checks &&
-         a.memory_bytes == b.memory_bytes &&
-         a.pickup_wait_p50 == b.pickup_wait_p50 &&
-         a.pickup_wait_p99 == b.pickup_wait_p99 &&
-         a.mean_detour_ratio == b.mean_detour_ratio &&
-         a.late_dropoffs == b.late_dropoffs &&
-         a.num_shards == b.num_shards &&
-         a.cross_shard_trips == b.cross_shard_trips &&
-         a.shard_load_max_over_mean == b.shard_load_max_over_mean &&
-         a.shard_sp_queries == b.shard_sp_queries &&
-         a.shard_cache_hit_rate == b.shard_cache_hit_rate;
-}
-
-}  // namespace
 
 int main() {
   const double scale = BenchScale();
@@ -116,12 +92,14 @@ int main() {
                 frac, m.shard_load_max_over_mean,
                 m.shard_round_time_max_over_mean, m.running_time);
 
-    if (conc_mode && !SameOutcome(serial, m)) {
+    const std::string diff =
+        ParityDiff(serial, m, ParityScope::kOutcomeAndWork);
+    if (!diff.empty()) {
       ++failures;
       std::fprintf(stderr,
                    "FAIL: concurrent_shards diverged from the serial shard "
-                   "loop at %d shards\n",
-                   shards);
+                   "loop at %d shards: %s\n",
+                   shards, diff.c_str());
     }
     long closed = static_cast<long>(m.served) +
                   static_cast<long>(m.cancelled) +
@@ -169,11 +147,14 @@ int main() {
     };
     const RunMetrics serial = run_nyc(false);
     const RunMetrics conc = conc_mode ? run_nyc(true) : run_nyc(false);
-    if (!SameOutcome(serial, conc)) {
+    const std::string diff =
+        ParityDiff(serial, conc, ParityScope::kOutcomeAndWork);
+    if (!diff.empty()) {
       ++failures;
       std::fprintf(stderr,
                    "FAIL: concurrent_shards diverged from the serial shard "
-                   "loop on NYC/4 shards\n");
+                   "loop on NYC/4 shards: %s\n",
+                   diff.c_str());
     }
     const double speedup =
         conc.running_time > 0 ? serial.running_time / conc.running_time : 0;

@@ -5,16 +5,17 @@ Usage:
     compare_bench.py BASELINE_DIR CANDIDATE_DIR [options]
 
 Both directories are scanned for BENCH_*.json files (the format written by
-bench/harness.cc's WriteJsonAtExit). Rows are matched across the two
+bench/harness.cc's WriteJsonAtExit; files without "rows", such as Google
+Benchmark's own JSON, are skipped). Rows are matched across the two
 directories by (bench, dataset, series, point) and checked two ways:
 
-  * Parity metrics (served / cancelled / expired / rejected /
-    total_requests / sp_queries / unified_cost / service_rate /
-    late_dropoffs, plus the per-shard sp_queries vector) must be *exactly*
-    equal: these are deterministic outcomes, and any drift means the two
-    builds computed different dispatches. This is how CI pins
+  * Every field a document lists under "outcome_fields" (the outcome class
+    of the metrics table in sim/run_metrics.h) must be *exactly* equal:
+    these are deterministic outcomes, and any drift means the two builds
+    computed different dispatches. This is how CI pins
     concurrent_shards=on against the STRUCTRIDE_CONC_SHARDS=0 serial
-    reference across two bench invocations.
+    reference across two bench invocations. A document with rows but no
+    "outcome_fields" list is an error (exit 2).
   * running_time_s may regress by at most --max-regress-pct percent
     (default 10) on rows slower than --min-time seconds (default 0.05 —
     timing noise dominates below that).
@@ -41,8 +42,9 @@ replace the global flags for that row. A config cell that matches no row at
 all is a failure (same no-silent-skip rule as --speedup-filter).
 
 Exit status: 0 when every gate passes, 1 otherwise (and a summary of every
-violation on stderr). Baseline rows missing from the candidate fail; rows
-only in the candidate are reported but do not fail (new benches land first).
+violation on stderr), 2 when an input cannot be used. Baseline rows missing
+from the candidate fail; rows only in the candidate are reported but do not
+fail (new benches land first).
 """
 
 import argparse
@@ -51,26 +53,10 @@ import json
 import os
 import sys
 
-PARITY_FIELDS = [
-    "served",
-    "cancelled",
-    "expired",
-    "rejected",
-    "total_requests",
-    "late_dropoffs",
-    "sp_queries",
-    "unified_cost",
-    "service_rate",
-    "num_shards",
-    "cross_shard_trips",
-    "shard_sp_queries",
-]
-
-
 def load_rows(directory):
-    """Returns {(bench, dataset, series, point): row} over all BENCH_*.json
-    files. The dataset is part of the key because multi-city benches reuse
-    the same (series, point) labels per city."""
+    """Returns {(bench, dataset, series, point): (row, outcome_fields)} over
+    all BENCH_*.json files. The dataset is part of the key because
+    multi-city benches reuse the same (series, point) labels per city."""
     rows = {}
     paths = sorted(glob.glob(os.path.join(directory, "BENCH_*.json")))
     if not paths:
@@ -83,15 +69,22 @@ def load_rows(directory):
         except (OSError, ValueError) as e:
             sys.stderr.write("compare_bench: cannot read %s: %s\n" % (path, e))
             sys.exit(2)
+        if "rows" not in doc:
+            continue
+        outcome_fields = doc.get("outcome_fields")
+        if not isinstance(outcome_fields, list):
+            sys.stderr.write(
+                "compare_bench: no outcome_fields list in %s\n" % path)
+            sys.exit(2)
         bench = doc.get("bench", os.path.basename(path))
-        for row in doc.get("rows", []):
+        for row in doc["rows"]:
             key = (bench, row.get("dataset", ""), row.get("series", ""),
                    row.get("point", ""))
             if key in rows:
                 sys.stderr.write(
                     "compare_bench: duplicate row %r in %s\n" % (key, path))
                 sys.exit(2)
-            rows[key] = row
+            rows[key] = (row, outcome_fields)
     return rows
 
 
@@ -162,15 +155,13 @@ def main():
     compared = 0
     speedup_rows = 0
 
-    for key, brow in sorted(base.items()):
-        crow = cand.get(key)
-        if crow is None:
+    for key, (brow, bfields) in sorted(base.items()):
+        if key not in cand:
             failures.append("missing in candidate: %s" % fmt(key))
             continue
+        crow, cfields = cand[key]
         compared += 1
-        for field in PARITY_FIELDS:
-            if field not in brow and field not in crow:
-                continue  # older json without the field: nothing to compare
+        for field in dict.fromkeys(bfields + cfields):
             bval, cval = brow.get(field), crow.get(field)
             if bval != cval:
                 failures.append(

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "roadnet/contraction_hierarchies.h"
 #include "roadnet/hub_labeling.h"
@@ -33,6 +34,25 @@ struct JsonValue {
   std::string metric;
   double value;
 };
+
+// A metrics-table value as BENCH JSON: strings quoted and escaped, doubles
+// at six decimals, per-shard vectors as arrays.
+template <typename T>
+std::string JsonText(const T& v) {
+  auto six_decimals = [](double d) {
+    char buf[400];  // %.6f of any finite double fits
+    std::snprintf(buf, sizeof buf, "%.6f", d);
+    return std::string(buf);
+  };
+  const std::string text = MetricText(v, six_decimals, ", ");
+  if constexpr (std::is_same_v<T, std::string>) {
+    return "\"" + JsonEscape(text) + "\"";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return text;
+  } else {
+    return "[" + text + "]";
+  }
+}
 
 // Captured at static init, before main, so wall_time_s covers setup and the
 // first run — not just the span between the first and last recorded row.
@@ -77,66 +97,26 @@ void WriteJsonAtExit() {
           .count();
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"wall_time_s\": %.3f,\n",
                JsonEscape(name).c_str(), wall);
-  std::fprintf(f, "  \"scale\": %g,\n  \"rows\": [\n", BenchScale());
+  std::string outcome_fields;
+  ForEachMetric([&](const auto& field) {
+    if (field.parity != Parity::kOutcome) return;
+    if (!outcome_fields.empty()) outcome_fields += ", ";
+    outcome_fields += JsonText(std::string(field.name));
+  });
+  std::fprintf(f,
+               "  \"scale\": %g,\n  \"outcome_fields\": [%s],\n"
+               "  \"rows\": [\n",
+               BenchScale(), outcome_fields.c_str());
   for (size_t i = 0; i < state.rows.size(); ++i) {
     const JsonRow& r = state.rows[i];
-    const RunMetrics& m = r.metrics;
-    // Per-shard observability arrays (one entry per shard, shard-id order).
-    std::string shard_queries, shard_hit_rates;
-    for (size_t s = 0; s < m.shard_sp_queries.size(); ++s) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%s%llu", s > 0 ? ", " : "",
-                    static_cast<unsigned long long>(m.shard_sp_queries[s]));
-      shard_queries += buf;
-    }
-    for (size_t s = 0; s < m.shard_cache_hit_rate.size(); ++s) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%s%.6f", s > 0 ? ", " : "",
-                    m.shard_cache_hit_rate[s]);
-      shard_hit_rates += buf;
-    }
-    std::fprintf(
-        f,
-        "    {\"series\": \"%s\", \"point\": \"%s\", \"dataset\": \"%s\", "
-        "\"algorithm\": \"%s\", \"unified_cost\": %.6f, \"travel_cost\": "
-        "%.6f, \"penalty_cost\": %.6f, \"service_rate\": %.6f, "
-        "\"running_time_s\": %.6f, \"sp_queries\": %llu, "
-        "\"sharegraph_pair_checks\": %llu, \"memory_bytes\": "
-        "%zu, \"served\": %d, \"cancelled\": %d, \"total_requests\": %d, "
-        "\"expired\": %d, \"rejected\": %d, "
-        "\"pickup_wait_p50\": %.6f, \"pickup_wait_p99\": %.6f, "
-        "\"mean_detour_ratio\": %.6f, \"late_dropoffs\": %d, "
-        "\"repositions\": %d, \"reposition_cost\": %.6f, "
-        "\"num_shards\": %d, \"cross_shard_trips\": %d, "
-        "\"shard_load_max_over_mean\": %.6f, "
-        "\"shard_sp_queries\": [%s], \"shard_cache_hit_rate\": [%s], "
-        "\"shard_round_time_max_over_mean\": %.6f, "
-        "\"allocs_per_batch_p50\": %llu, \"allocs_per_batch_max\": %llu, "
-        "\"arena_peak_bytes\": %zu, "
-        "\"dispatch_latency_p50_ms\": %.6f, "
-        "\"dispatch_latency_p99_ms\": %.6f, "
-        "\"dispatch_latency_p999_ms\": %.6f, "
-        "\"max_sustained_qps\": %.3f, \"shed_requests\": %llu, "
-        "\"ingest_queue_depth_max\": %llu}%s\n",
-        JsonEscape(r.series).c_str(), JsonEscape(r.point).c_str(),
-        JsonEscape(m.dataset).c_str(), JsonEscape(m.algorithm).c_str(),
-        m.unified_cost, m.travel_cost, m.penalty_cost, m.service_rate,
-        m.running_time, static_cast<unsigned long long>(m.sp_queries),
-        static_cast<unsigned long long>(m.sharegraph_pair_checks),
-        m.memory_bytes, m.served, m.cancelled, m.total_requests,
-        m.expired, m.rejected,
-        m.pickup_wait_p50, m.pickup_wait_p99, m.mean_detour_ratio,
-        m.late_dropoffs, m.repositions, m.reposition_cost,
-        m.num_shards, m.cross_shard_trips, m.shard_load_max_over_mean,
-        shard_queries.c_str(), shard_hit_rates.c_str(),
-        m.shard_round_time_max_over_mean,
-        static_cast<unsigned long long>(m.allocs_per_batch_p50),
-        static_cast<unsigned long long>(m.allocs_per_batch_max),
-        m.arena_peak_bytes, m.dispatch_latency_p50_ms,
-        m.dispatch_latency_p99_ms, m.dispatch_latency_p999_ms,
-        m.max_sustained_qps, static_cast<unsigned long long>(m.shed_requests),
-        static_cast<unsigned long long>(m.ingest_queue_depth_max),
-        i + 1 < state.rows.size() ? "," : "");
+    std::string row = "{\"series\": " + JsonText(r.series) +
+                      ", \"point\": " + JsonText(r.point);
+    ForEachMetric([&](const auto& field) {
+      row += ", \"" + std::string(field.name) +
+             "\": " + JsonText(r.metrics.*field.member);
+    });
+    std::fprintf(f, "    %s}%s\n", row.c_str(),
+                 i + 1 < state.rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"values\": [\n");
   for (size_t i = 0; i < state.values.size(); ++i) {

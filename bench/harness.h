@@ -90,7 +90,10 @@ bool BenchConcurrentShards();
 
 /// \brief Env-var worker-thread count (STRUCTRIDE_THREADS, default 4):
 /// every BenchContext::Run dispatches with DispatchConfig::num_threads set
-/// to this, so the sweep generator can grid over thread counts.
+/// to this and sard_parallel_acceptance off. The engine builds a worker
+/// pool only for parallel acceptance or several shards, so the knob sizes
+/// the concurrent shard phase under STRUCTRIDE_SHARDS > 1 and changes
+/// nothing at one shard, where running times stay single-threaded.
 int BenchThreads();
 
 /// \brief Env-var service-mode arrival rate (STRUCTRIDE_QPS, default 0):
@@ -116,7 +119,8 @@ std::string JsonEscape(const std::string& s);
 
 /// \brief Machine-readable results: rows accumulate in-process and are
 /// written to $STRUCTRIDE_JSON_DIR/BENCH_<binary>.json at exit — one row per
-/// (series, point) with the full RunMetrics plus the bench's wall time. A
+/// (series, point) with every metrics-table field (sim/run_metrics.h), the
+/// outcome-class keys under "outcome_fields", and the bench's wall time. A
 /// no-op when the env var is unset. SweepPrinter::Record feeds this
 /// automatically; benches with bespoke tables call it directly.
 void RecordJsonRow(const std::string& series, const std::string& point,

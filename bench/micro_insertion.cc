@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+#include <string>
+
 #include "core/insertion.h"
 #include "core/kinetic_tree.h"
 #include "roadnet/generator.h"
@@ -18,6 +21,10 @@ struct Fixture {
   TravelCostEngine engine;
   DeadlinePolicy policy;
   std::vector<Request> requests;
+  /// Riders for LoadedVehicle: the same city and window with deadlines at
+  /// five times the direct cost, so that six of them fit one vehicle at
+  /// t=0 (drawn from `requests`, the seed-7 vehicle holds only two).
+  std::vector<Request> riders;
 
   Fixture()
       : net([] {
@@ -34,6 +41,11 @@ struct Fixture {
     wopts.duration = 60;
     wopts.seed = 5;
     requests = GenerateWorkload(net, &engine, policy, wopts);
+    DeadlinePolicy loose;
+    loose.gamma = 5.0;
+    wopts.num_requests = 200;
+    wopts.seed = 9;
+    riders = GenerateWorkload(net, &engine, loose, wopts);
   }
 };
 
@@ -42,20 +54,23 @@ Fixture& F() {
   return f;
 }
 
-// Build a vehicle with `k` committed requests.
-Vehicle LoadedVehicle(int k, uint64_t seed) {
+// A vehicle at a seeded random node with exactly `k` riders committed at
+// t=0. Skips the benchmark when fewer fit, and reports the committed stops.
+Vehicle LoadedVehicle(benchmark::State& state, int k, uint64_t seed) {
   Fixture& f = F();
   Rng rng(seed);
   Vehicle w(0, static_cast<NodeId>(rng.UniformInt(0, f.net.num_nodes() - 1)),
             /*capacity=*/8);
   int committed = 0;
-  for (const Request& r : f.requests) {
-    if (committed >= k) break;
+  for (const Request& r : f.riders) {
+    if (committed == k) break;
     if (TryInsertAndCommit(&w, r, 0, &f.engine) <
         std::numeric_limits<double>::infinity()) {
       ++committed;
     }
   }
+  if (committed < k) state.SkipWithError("fewer than k riders fit");
+  state.counters["stops"] = static_cast<double>(w.schedule().stops().size());
   return w;
 }
 
@@ -63,7 +78,7 @@ Vehicle LoadedVehicle(int k, uint64_t seed) {
 // reports the operator's travel-cost lookups and SP queries per call.
 void BM_BestInsertion(benchmark::State& state) {
   Fixture& f = F();
-  Vehicle w = LoadedVehicle(static_cast<int>(state.range(0)), 7);
+  Vehicle w = LoadedVehicle(state, static_cast<int>(state.range(0)), 7);
   const uint64_t lookups_before = f.engine.num_lookups();
   const uint64_t queries_before = f.engine.num_queries();
   size_t i = 100;
@@ -103,7 +118,7 @@ BENCHMARK(BM_KineticTreeInsert)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_CheckSchedule(benchmark::State& state) {
   Fixture& f = F();
-  Vehicle w = LoadedVehicle(5, 13);
+  Vehicle w = LoadedVehicle(state, 5, 13);
   RouteState rs = w.route_state(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(CheckSchedule(rs, w.schedule().stops(), &f.engine));

@@ -164,7 +164,7 @@ if [ "$BENCH_SET" != "sweep" ]; then
   done
 fi
 
-# Optional baseline diff: parity metrics must be bitwise identical and
+# Optional baseline diff: every outcome field must be bitwise identical and
 # running times within tolerance (see bench/compare_bench.py --help).
 if [ -n "${STRUCTRIDE_COMPARE_DIR:-}" ]; then
   echo "=== compare_bench ($STRUCTRIDE_COMPARE_DIR vs $STRUCTRIDE_JSON_DIR) ==="

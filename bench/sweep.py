@@ -157,8 +157,8 @@ def main():
 
     if args.smoke:
         args.benches = "fig13_vary_batch"
-        args.shards = "1"
-        args.threads = "1,2"
+        args.shards = "1,2"
+        args.threads = "2"
         args.backends = "hl"
         args.qps = "0"
         if args.scale is None:

@@ -62,6 +62,42 @@ class GraphBatchDispatcher : public Dispatcher {
     return &**local;
   }
 
+  // The conflict-free greedy commit both methods end with: walks the
+  // candidates order[0, count) and commits each one whose vehicle is still
+  // free and whose members are all still open, if CommitStops accepts its
+  // schedule. Returns the taken flags over the pending pool (batch arena).
+  char* CommitGreedy(DispatchContext* ctx, const size_t* order, size_t count,
+                     const size_t* cand_vehicle) {
+    const FleetView& fleet = ctx->fleet;
+    const RequestSoA* soa = ctx->pending_soa;
+    char* used_vehicle = ctx->arena->AllocateArray<char>(fleet.size());
+    std::fill(used_vehicle, used_vehicle + fleet.size(), 0);
+    char* taken = ctx->arena->AllocateArray<char>(ctx->pending.size());
+    std::fill(taken, taken + ctx->pending.size(), 0);
+    for (size_t oi = 0; oi < count; ++oi) {
+      const size_t ci = order[oi];
+      const PooledGroup& g = scratch_.groups[ci];
+      const size_t vi = cand_vehicle[ci];
+      if (used_vehicle[vi]) continue;
+      Span<const RequestId> members = scratch_.MembersOf(g);
+      if (std::any_of(members.begin(), members.end(), [&](RequestId id) {
+            return taken[soa->IndexOfId(id)];
+          })) {
+        continue;
+      }
+      if (!fleet[vi].CommitStops(scratch_.ScheduleOf(g), ctx->now,
+                                 ctx->engine)) {
+        continue;
+      }
+      used_vehicle[vi] = 1;
+      for (RequestId id : members) {
+        taken[soa->IndexOfId(id)] = 1;
+        ctx->assigned.push_back(id);
+      }
+    }
+    return taken;
+  }
+
   /// The enumeration scratch: its pool and vectors stay warm across
   /// batches.
   GroupingScratch scratch_;
@@ -78,9 +114,7 @@ class GasDispatcher : public GraphBatchDispatcher {
     SR_CHECK(ctx->arena != nullptr && ctx->pending_soa != nullptr &&
              ctx->fleet_soa != nullptr);
     EpochArena* arena = ctx->arena;
-    const RequestSoA* soa = ctx->pending_soa;
     const FleetSoA* fsoa = ctx->fleet_soa;
-    const size_t num_pending = ctx->pending.size();
 
     std::optional<ShareGraphBuilder> local;
     ShareGraphBuilder* builder = RoundShareGraph(ctx, &local, arena);
@@ -134,35 +168,7 @@ class GasDispatcher : public GraphBatchDispatcher {
                                           mb.end());
     });
 
-    // Conflict sets as flat flags over fleet index / pending-pool index
-    // (the RequestSoA id plane resolves member ids).
-    char* used_vehicle = arena->AllocateArray<char>(fleet.size());
-    std::fill(used_vehicle, used_vehicle + fleet.size(), 0);
-    char* taken = arena->AllocateArray<char>(num_pending);
-    std::fill(taken, taken + num_pending, 0);
-    for (size_t oi = 0; oi < num_cands; ++oi) {
-      const size_t ci = order[oi];
-      const PooledGroup& g = scratch_.groups[ci];
-      const size_t vi = cand_vehicle[ci];
-      if (used_vehicle[vi]) continue;
-      bool conflict = false;
-      for (RequestId id : scratch_.MembersOf(g)) {
-        if (taken[soa->IndexOfId(id)]) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) continue;
-      if (!fleet[vi].CommitStops(scratch_.ScheduleOf(g), ctx->now,
-                                 ctx->engine)) {
-        continue;
-      }
-      used_vehicle[vi] = 1;
-      for (RequestId id : scratch_.MembersOf(g)) {
-        taken[soa->IndexOfId(id)] = 1;
-        ctx->assigned.push_back(id);
-      }
-    }
+    CommitGreedy(ctx, order, num_cands, cand_vehicle);
   }
 };
 
@@ -247,34 +253,13 @@ class RtvDispatcher : public GraphBatchDispatcher {
                                           mb.end());
     });
 
-    char* used_vehicle = arena->AllocateArray<char>(fleet.size());
-    std::fill(used_vehicle, used_vehicle + fleet.size(), 0);
-    char* taken = arena->AllocateArray<char>(num_pending);
-    std::fill(taken, taken + num_pending, 0);
-    for (size_t oi = 0; oi < num_trips; ++oi) {
-      const size_t ti = order[oi];
-      if (net[ti] >= 0) break;  // remaining trips cannot help
-      const PooledGroup& g = scratch_.groups[ti];
-      const size_t vi = trip_vehicle[ti];
-      if (used_vehicle[vi]) continue;
-      bool conflict = false;
-      for (RequestId id : scratch_.MembersOf(g)) {
-        if (taken[soa->IndexOfId(id)]) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) continue;
-      if (!fleet[vi].CommitStops(scratch_.ScheduleOf(g), ctx->now,
-                                 ctx->engine)) {
-        continue;
-      }
-      used_vehicle[vi] = 1;
-      for (RequestId id : scratch_.MembersOf(g)) {
-        taken[soa->IndexOfId(id)] = 1;
-        ctx->assigned.push_back(id);
-      }
-    }
+    // A trip with net >= 0 cannot help, and the order is sorted by net, so
+    // the commit walks only the prefix before the first such trip.
+    const size_t helpful = static_cast<size_t>(
+        std::find_if(order, order + num_trips,
+                     [&](size_t ti) { return net[ti] >= 0; }) -
+        order);
+    char* taken = CommitGreedy(ctx, order, helpful, trip_vehicle);
 
     // Improvement pass (the anytime stand-in for the ILP): leftover requests
     // get a plain best-insertion over the whole fleet, including vehicles

@@ -182,22 +182,9 @@ class SimulationEngine::EventRun : public ScenarioHost {
                  current_scenario_, tag});
   }
 
-  void RetimeWindow(double begin, double end, double factor) override {
-    RetimeImpl(/*zone=*/-1, begin, end, factor);
-  }
-
   void RetimeZoneWindow(int zone, double begin, double end,
-                        double factor) override {
-    RetimeImpl(zone, begin, end, factor);
-  }
-
-  int PullVehicles(int count) override {
-    return PullImpl(/*zone=*/-1, count);
-  }
-
-  int PullVehiclesInZone(int zone, int count) override {
-    return PullImpl(zone, count);
-  }
+                        double factor) override;
+  int PullVehiclesInZone(int zone, int count) override;
 
   int num_zones() const override { return num_shards_; }
 
@@ -270,8 +257,6 @@ class SimulationEngine::EventRun : public ScenarioHost {
   void RecordStop(const Stop& stop, double when);
   bool AllVehiclesIdle() const;
   RunMetrics Finalize();
-  void RetimeImpl(int zone, double begin, double end, double factor);
-  int PullImpl(int zone, int count);
   // Geo-sharding (DESIGN.md §12); every one of these is a no-op or
   // unreachable when num_shards_ == 1.
   void MigrateVehicle(size_t vi);
@@ -1014,8 +999,8 @@ void SimulationEngine::EventRun::CloseRequest(size_t idx, ReqState to) {
   }
 }
 
-void SimulationEngine::EventRun::RetimeImpl(int zone, double begin,
-                                            double end, double factor) {
+void SimulationEngine::EventRun::RetimeZoneWindow(int zone, double begin,
+                                                  double end, double factor) {
   SR_CHECK(installing_);  // the stream is scheduled right after install
   SR_CHECK(end > begin);
   SR_CHECK(factor > 0);
@@ -1030,7 +1015,7 @@ void SimulationEngine::EventRun::RetimeImpl(int zone, double begin,
   }
 }
 
-int SimulationEngine::EventRun::PullImpl(int zone, int count) {
+int SimulationEngine::EventRun::PullVehiclesInZone(int zone, int count) {
   SR_CHECK(current_scenario_ >= 0);  // only from OnInstall / OnEvent
   int pulled = 0;
   // Idle vehicles first, then busy ones, ascending index: deterministic

@@ -1,7 +1,8 @@
 // The simulation engine: replays a request stream against a fleet and one
 // dispatcher, producing the unified metrics the paper plots (unified cost,
 // service rate, running time, #SP queries, instrumented memory) plus the
-// fault-model counters and per-rider service-quality stats.
+// fault-model counters and per-rider service-quality stats, as RunMetrics
+// (sim/run_metrics.h).
 //
 // Run() is the event-driven continuous-time core (DESIGN.md §6): a binary-
 // heap EventQueue over typed events — request release, batch tick, stop
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "dispatch/dispatcher.h"
+#include "sim/run_metrics.h"
 #include "sim/scenario.h"
 #include "sim/workload.h"
 #include "util/random.h"
@@ -76,93 +78,6 @@ struct SimulationOptions {
   /// the target rate: qps * virtual_span / num_requests). Once the stream
   /// is exhausted and drained, the tail of the run free-runs.
   double service_time_scale = 0;
-};
-
-struct RunMetrics {
-  std::string dataset;
-  std::string algorithm;
-  double unified_cost = 0;  ///< travel + penalty over unserved requests
-  double travel_cost = 0;
-  double penalty_cost = 0;
-  double service_rate = 0;
-  double running_time = 0;  ///< dispatcher compute seconds (wall clock)
-  uint64_t sp_queries = 0;  ///< travel-cost backend computations
-  /// Exact share-graph pair feasibility evaluations (0 for methods that
-  /// build no share graph). The incremental maintenance of DESIGN.md §7
-  /// must cut this ≥2x for GAS/RTV versus the rebuild-per-batch reference.
-  uint64_t sharegraph_pair_checks = 0;
-  size_t memory_bytes = 0;  ///< dispatcher peak instrumented bytes
-  int served = 0;
-  int cancelled = 0;
-  int expired = 0;   ///< riders whose pickup deadline passed unassigned
-  int rejected = 0;  ///< riders an online dispatcher gave up on permanently
-  int total_requests = 0;
-  // Geo-sharding (DESIGN.md §12). Single-region runs report num_shards=1,
-  // zero cross-shard trips, and a load ratio of 1 (0 when nothing was
-  // assigned at all).
-  int num_shards = 1;
-  /// Assignments where the request's home zone (pickup) differs from the
-  /// shard that committed the vehicle — trips that went through the
-  /// boundary-escrow handoff.
-  int cross_shard_trips = 0;
-  /// max/mean of per-shard assignment counts over the run; 1 is perfectly
-  /// balanced, num_shards is one shard doing all the work.
-  double shard_load_max_over_mean = 0;
-  /// Per-shard observability (one entry per shard, shard-id order; a single
-  /// entry mirroring the global counters at num_shards == 1). Backend
-  /// computations charged to each shard's cache
-  /// partition this run, and the partition's hit rate over the run — exact
-  /// and thread-count-invariant per shard, since a shard only ever queries
-  /// its own partition.
-  std::vector<uint64_t> shard_sp_queries;
-  std::vector<double> shard_cache_hit_rate;
-  /// max/mean of per-shard OnBatch wall seconds over the run — the
-  /// time-domain imbalance (the quantity that bounds the concurrent round's
-  /// speedup), as shard_load_max_over_mean is the assignment-domain one.
-  /// Wall-clock derived, so excluded from bitwise parity contracts.
-  double shard_round_time_max_over_mean = 0;
-  // Per-rider service quality over the served riders (0 when none served):
-  double pickup_wait_p50 = 0;     ///< median pickup - release wait
-  double pickup_wait_p99 = 0;     ///< nearest-rank p99 pickup wait
-  double mean_detour_ratio = 0;   ///< mean (dropoff - pickup) / direct_cost
-  /// Committed dropoffs that missed their deadline. CommitStops enforces
-  /// deadlines at commit time and arrivals are fixed thereafter, so this is
-  /// 0 by construction — tests pin it as the repositioning invariant.
-  int late_dropoffs = 0;
-  // Repositioning (0 unless a policy is installed):
-  int repositions = 0;          ///< completed empty relocation legs
-  double reposition_cost = 0;   ///< their travel cost (inside travel_cost)
-  // Allocation discipline (DESIGN.md §8). A *steady-state* batch is a
-  // dispatch round whose pending pool is non-empty and contains no freshly
-  // released request — the warmed regime where the pooled paths promise
-  // zero heap allocations. Counts are heap allocations observed strictly
-  // inside Dispatcher::OnBatch under the counting allocator
-  // (util/alloc_gate.h); both stay 0 in binaries that don't link
-  // util/counting_new.cc.
-  uint64_t allocs_per_batch_p50 = 0;  ///< nearest-rank median over steady batches
-  uint64_t allocs_per_batch_max = 0;  ///< worst steady batch
-  /// Peak bytes retained across every EpochArena in the process (chunks
-  /// stay warm over Reset); process-wide high-water mark, not per-run.
-  size_t arena_peak_bytes = 0;
-  // Streaming service mode (DESIGN.md §13); all zero in replay mode so
-  // existing compare_bench baselines stay parseable. Wall-clock derived, so
-  // none of these participate in any bitwise parity contract.
-  /// Ingest→decision latency quantiles in milliseconds: from the ingestion
-  /// thread's push to the end of the first dispatch round that presented
-  /// the request, over every request that reached a round.
-  double dispatch_latency_p50_ms = 0;
-  double dispatch_latency_p99_ms = 0;
-  double dispatch_latency_p999_ms = 0;
-  /// Filled by sustained-qps benches (bench/svc_sustained_qps.cc): one run
-  /// probes a single rate, so the engine always reports 0 here.
-  double max_sustained_qps = 0;
-  /// Arrivals rejected because the ingestion ring was full — the admission-
-  /// control overflow. Shed requests never release; they count as unserved
-  /// (penalty applies), like riders the platform turned away at the door.
-  uint64_t shed_requests = 0;
-  /// Deepest the ingestion ring ever got (sampled at every push and at
-  /// every batch-boundary drain).
-  uint64_t ingest_queue_depth_max = 0;
 };
 
 class SimulationEngine {

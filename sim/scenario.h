@@ -35,18 +35,25 @@ class ScenarioHost {
   /// Schedules OnEvent(tag) for the calling scenario at \p when (>= now()).
   virtual void ScheduleAt(double when, int64_t tag) = 0;
 
+  // Zone surface (geo-sharding, DESIGN.md §12). A single-shard run has one
+  // zone covering the whole metro; zone < 0 means every zone.
+  virtual int num_zones() const = 0;
+  /// Zone of a network node.
+  virtual int ZoneOfNode(NodeId node) const = 0;
   /// Install-only: compresses the arrival window [begin, end) by \p factor
   /// (> 1 squeezes the same demand into a 1/factor-length window starting
-  /// at \p begin — a surge). Each retimed request's deadline and latest
-  /// pickup shift with its release, so per-request slack is preserved; so
-  /// is a pending cancellation's countdown.
-  virtual void RetimeWindow(double begin, double end, double factor) = 0;
-
-  /// Takes up to \p count in-service vehicles out of service (idle vehicles
-  /// first, then busy ones, ascending fleet index — deterministic). Pulled
-  /// vehicles finish committed stops but receive no new work; an in-flight
-  /// reposition is abandoned. Returns how many were pulled.
-  virtual int PullVehicles(int count) = 0;
+  /// at \p begin — a surge), for the requests whose pickup lies in \p zone.
+  /// Each retimed request's deadline and latest pickup shift with its
+  /// release, so per-request slack is preserved; so is a pending
+  /// cancellation's countdown.
+  virtual void RetimeZoneWindow(int zone, double begin, double end,
+                                double factor) = 0;
+  /// Takes up to \p count in-service vehicles currently inside \p zone out
+  /// of service (idle vehicles first, then busy ones, ascending fleet index
+  /// — deterministic). Pulled vehicles finish committed stops but receive
+  /// no new work; an in-flight reposition is abandoned. Returns how many
+  /// were pulled.
+  virtual int PullVehiclesInZone(int zone, int count) = 0;
   /// Returns up to \p count vehicles *the calling scenario* pulled back to
   /// service (most recent first — overlapping downtime scenarios never
   /// restore each other's vehicles); returns how many came back.
@@ -57,31 +64,6 @@ class ScenarioHost {
   /// releases coalesce into one round) in addition to the periodic batch
   /// ticks that still retry leftovers and drive termination.
   virtual void SetOnlineDispatch(bool on) = 0;
-
-  // Zone surface (geo-sharding, DESIGN.md §12). A host without a zone
-  // partition reports one zone covering the whole metro, so the defaults
-  // degrade every zonal scenario to its global counterpart.
-
-  virtual int num_zones() const { return 1; }
-  /// Zone of a network node; always 0 on a single-zone host.
-  virtual int ZoneOfNode(NodeId node) const {
-    (void)node;
-    return 0;
-  }
-  /// Install-only: RetimeWindow restricted to requests whose pickup lies in
-  /// \p zone (< 0 = every zone).
-  virtual void RetimeZoneWindow(int zone, double begin, double end,
-                                double factor) {
-    (void)zone;
-    RetimeWindow(begin, end, factor);
-  }
-  /// PullVehicles restricted to vehicles currently inside \p zone (< 0 =
-  /// anywhere); same idle-first ascending-index discipline. Returns how
-  /// many were pulled.
-  virtual int PullVehiclesInZone(int zone, int count) {
-    (void)zone;
-    return PullVehicles(count);
-  }
 };
 
 class Scenario {
@@ -114,8 +96,7 @@ std::unique_ptr<Scenario> MakeDispatchModeSwitch(double on_time,
 
 /// Zone-targeted demand surge: like MakeDemandSurge, but only requests whose
 /// pickup lies in \p zone retime (zone < 0 = every zone, identical to the
-/// global surge). On a host without a zone partition the surge degrades to
-/// the global one.
+/// global surge). A single-shard run has one zone, 0, covering the metro.
 std::unique_ptr<Scenario> MakeZonalDemandSurge(int zone, double begin,
                                                double end, double factor);
 

@@ -73,9 +73,7 @@ TEST(DispatchTest, RunsAreDeterministic) {
     RunMetrics ma = a.Run(name, a.Config());
     RunMetrics mb = b.Run(name, b.Config());
     SCOPED_TRACE(name);
-    EXPECT_DOUBLE_EQ(ma.unified_cost, mb.unified_cost);
-    EXPECT_DOUBLE_EQ(ma.service_rate, mb.service_rate);
-    EXPECT_EQ(ma.served, mb.served);
+    ExpectBitwiseEqual(ma, mb);
   }
 }
 
@@ -86,10 +84,7 @@ TEST(DispatchTest, SardOAliasReproducesSard) {
   TinyChd sard, sard_o;
   RunMetrics m = sard.Run("SARD", sard.Config());
   RunMetrics m_o = sard_o.Run("SARD-O", sard_o.Config());
-  EXPECT_EQ(m.served, m_o.served);
-  EXPECT_EQ(m.unified_cost, m_o.unified_cost);
-  EXPECT_EQ(m.sp_queries, m_o.sp_queries);
-  EXPECT_EQ(m.sharegraph_pair_checks, m_o.sharegraph_pair_checks);
+  ExpectBitwiseEqual(m, m_o);
 }
 
 TEST(DispatchTest, ParallelAcceptanceIsThreadCountInvariant) {
@@ -99,9 +94,7 @@ TEST(DispatchTest, ParallelAcceptanceIsThreadCountInvariant) {
   config.sard_parallel_acceptance = true;
   config.num_threads = 4;
   RunMetrics m_parallel = parallel.Run("SARD", config);
-  EXPECT_DOUBLE_EQ(m_serial.unified_cost, m_parallel.unified_cost);
-  EXPECT_DOUBLE_EQ(m_serial.service_rate, m_parallel.service_rate);
-  EXPECT_EQ(m_serial.served, m_parallel.served);
+  ExpectBitwiseEqual(m_serial, m_parallel);
 }
 
 // The hard determinism bar for the parallel path: same workload and seed,
@@ -117,10 +110,7 @@ TEST(DispatchTest, ParallelMetricsAreBitwiseEqualAcrossThreadCounts) {
   c8.num_threads = 8;
   RunMetrics m1 = one.Run("SARD", c1);
   RunMetrics m8 = eight.Run("SARD", c8);
-  EXPECT_EQ(m1.served, m8.served);
-  EXPECT_EQ(m1.unified_cost, m8.unified_cost);  // bitwise, not approximate
-  EXPECT_EQ(m1.travel_cost, m8.travel_cost);
-  EXPECT_EQ(m1.sp_queries, m8.sp_queries);
+  ExpectBitwiseEqual(m1, m8);
 }
 
 // Exactness of the index itself: KNearest must reproduce the first k

@@ -105,7 +105,6 @@ TEST(EngineTest, ScenarioRunsAreDeterministic) {
   RunMetrics a = run_once();
   RunMetrics b = run_once();
   ExpectBitwiseEqual(a, b);
-  EXPECT_EQ(a.reposition_cost, b.reposition_cost);
   EXPECT_GE(a.served, 0);
   EXPECT_LE(a.served, a.total_requests);
   EXPECT_EQ(a.late_dropoffs, 0);

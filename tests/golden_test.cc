@@ -1,9 +1,10 @@
 // Golden run digests. Every cell below replays one fixed (preset,
 // dispatcher, config) run on a cold travel-cost engine and must reproduce
-// its recorded line in tests/golden/run_digests.txt exactly: every outcome
-// counter, every cost and service-quality statistic as exact double bits,
-// #SP queries in total and per shard, share-graph pair checks and
-// instrumented memory. A mismatch names the cell, the field and both
+// its recorded line in tests/golden/run_digests.txt exactly. A line holds
+// the metrics-table fields that have a golden key (sim/run_metrics.h):
+// every outcome counter, every cost and service-quality statistic as exact
+// double bits, #SP queries in total and per shard, share-graph pair checks
+// and instrumented memory. A mismatch names the cell, the field and both
 // values.
 //
 //   golden_test --update   rewrites the file from the current code and
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "sim/engine.h"
+#include "sim/run_metrics.h"
 #include "sim/scenario.h"
 #include "tests/test_fixtures.h"
 
@@ -194,34 +196,17 @@ std::string HexBits(double v) {
 
 using Fields = std::vector<std::pair<std::string, std::string>>;
 
+// The metrics-table entries that have a golden key, in table order:
+// doubles as exact bits, per-shard vectors comma-joined.
 Fields Digest(const RunMetrics& m) {
-  std::string per_shard;
-  for (size_t s = 0; s < m.shard_sp_queries.size(); ++s) {
-    if (s > 0) per_shard += ",";
-    per_shard += std::to_string(m.shard_sp_queries[s]);
-  }
-  return {
-      {"total", std::to_string(m.total_requests)},
-      {"served", std::to_string(m.served)},
-      {"cancelled", std::to_string(m.cancelled)},
-      {"expired", std::to_string(m.expired)},
-      {"rejected", std::to_string(m.rejected)},
-      {"late_dropoffs", std::to_string(m.late_dropoffs)},
-      {"unified_cost", HexBits(m.unified_cost)},
-      {"travel_cost", HexBits(m.travel_cost)},
-      {"penalty_cost", HexBits(m.penalty_cost)},
-      {"wait_p50", HexBits(m.pickup_wait_p50)},
-      {"wait_p99", HexBits(m.pickup_wait_p99)},
-      {"mean_detour", HexBits(m.mean_detour_ratio)},
-      {"repositions", std::to_string(m.repositions)},
-      {"reposition_cost", HexBits(m.reposition_cost)},
-      {"cross_shard_trips", std::to_string(m.cross_shard_trips)},
-      {"shard_load_ratio", HexBits(m.shard_load_max_over_mean)},
-      {"sp_queries", std::to_string(m.sp_queries)},
-      {"shard_sp_queries", per_shard},
-      {"pair_checks", std::to_string(m.sharegraph_pair_checks)},
-      {"memory_bytes", std::to_string(m.memory_bytes)},
-  };
+  Fields fields;
+  ForEachMetric([&](const auto& field) {
+    if (field.golden != nullptr) {
+      fields.emplace_back(field.golden,
+                          MetricText(m.*field.member, HexBits, ","));
+    }
+  });
+  return fields;
 }
 
 std::string FormatLine(const std::string& cell, const Fields& fields) {

@@ -1,13 +1,18 @@
 // The bench harness: its JSON emission — every string value (dataset,
 // bench, series, point names) flows through JsonEscape before landing in
 // BENCH_*.json, so one quote or backslash in a name must never corrupt the
-// file — and BenchContext's run isolation.
+// file — the metrics table the BENCH rows are written from, and
+// BenchContext's run isolation.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "bench/harness.h"
+#include "sim/run_metrics.h"
+#include "tests/test_fixtures.h"
 
 namespace structride {
 namespace bench {
@@ -45,6 +50,22 @@ TEST(JsonEscapeTest, KeepsUtf8MultibyteSequencesIntact) {
   EXPECT_EQ(JsonEscape("Chéngdū"), "Chéngdū");
 }
 
+// The build fails when RunMetrics has more fields than the metrics table
+// has entries; distinct members make that one entry per field, and
+// distinct keys keep BENCH rows free of duplicates.
+TEST(MetricsTableTest, NamesEveryFieldOnce) {
+  RunMetrics m;
+  std::set<const void*> members;
+  std::set<std::string> keys;
+  ForEachMetric([&](const auto& field) {
+    members.insert(&(m.*field.member));
+    keys.insert(field.name);
+  });
+  const size_t entries = std::tuple_size_v<decltype(kRunMetricFields)>;
+  EXPECT_EQ(members.size(), entries);
+  EXPECT_EQ(keys.size(), entries);
+}
+
 // Each Run starts on a cold travel-cost cache, so a row's sp_queries does
 // not depend on which runs came before it in the same context.
 TEST(BenchContextTest, IdenticalConsecutiveRunsReportEqualQueries) {
@@ -52,9 +73,7 @@ TEST(BenchContextTest, IdenticalConsecutiveRunsReportEqualQueries) {
   RunMetrics first = ctx.Run("SARD", PointParams{});
   RunMetrics second = ctx.Run("SARD", PointParams{});
   EXPECT_GT(first.sp_queries, 0u);
-  EXPECT_EQ(first.sp_queries, second.sp_queries);
-  EXPECT_EQ(first.served, second.served);
-  EXPECT_EQ(first.unified_cost, second.unified_cost);
+  ExpectBitwiseEqual(first, second);
 }
 
 }  // namespace

@@ -302,8 +302,6 @@ TEST(ShardConcurrencyTest, ConcurrentMatchesSerialAcrossRoster) {
         RunMetrics on = run_once(true);
         RunMetrics off = run_once(false);
         ExpectBitwiseEqual(on, off);
-        EXPECT_EQ(on.shard_sp_queries, off.shard_sp_queries);
-        EXPECT_EQ(on.shard_cache_hit_rate, off.shard_cache_hit_rate);
         ExpectCensusBalanced(on);
         EXPECT_EQ(on.num_shards, 4);
       }
@@ -333,8 +331,6 @@ TEST(ShardConcurrencyTest, RandomizedFaultModelMatchesSerialBitwise) {
       RunMetrics on = run_once(true);
       RunMetrics off = run_once(false);
       ExpectBitwiseEqual(on, off);
-      EXPECT_EQ(on.shard_sp_queries, off.shard_sp_queries);
-      EXPECT_EQ(on.shard_cache_hit_rate, off.shard_cache_hit_rate);
       ExpectCensusBalanced(on);
     }
   }
@@ -390,8 +386,6 @@ TEST(ShardConcurrencyTest, DenseBoundaryStressMatchesSerialBitwise) {
   RunMetrics on = run_once(true);
   RunMetrics off = run_once(false);
   ExpectBitwiseEqual(on, off);
-  EXPECT_EQ(on.shard_sp_queries, off.shard_sp_queries);
-  EXPECT_EQ(on.shard_cache_hit_rate, off.shard_cache_hit_rate);
   ExpectCensusBalanced(on);
   EXPECT_GT(on.cross_shard_trips, 0);
   EXPECT_EQ(on.num_shards, 4);

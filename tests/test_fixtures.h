@@ -1,5 +1,5 @@
 // Fixtures shared by the engine-level suites: dataset presets shrunk to
-// unit-test size, bitwise RunMetrics comparisons, and a dispatch context
+// unit-test size, the RunMetrics parity comparators, and a dispatch context
 // wired the way the simulation engine wires one round.
 
 #pragma once
@@ -16,6 +16,7 @@
 #include "roadnet/hub_labeling.h"
 #include "sim/datasets.h"
 #include "sim/engine.h"
+#include "sim/run_metrics.h"
 #include "sim/workload.h"
 #include "util/thread_pool.h"
 
@@ -85,37 +86,16 @@ struct TinyPreset {
   int fleet_size = 0;
 };
 
-// Everything observable except instrumented memory: the incremental share
-// graph (DESIGN.md §7) must reproduce the rebuild-per-batch reference on
-// all of these bitwise, but its persistent builder legitimately accounts
-// different bytes than per-batch throwaways.
+// The outcome class of the metrics table (sim/run_metrics.h): what the
+// incremental share graph (DESIGN.md §7) must reproduce of the
+// rebuild-per-batch reference. A failure names every field that differs.
 inline void ExpectOutcomeEqual(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.cancelled, b.cancelled);
-  EXPECT_EQ(a.expired, b.expired);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.total_requests, b.total_requests);
-  EXPECT_EQ(a.num_shards, b.num_shards);
-  EXPECT_EQ(a.cross_shard_trips, b.cross_shard_trips);
-  EXPECT_EQ(a.shard_load_max_over_mean, b.shard_load_max_over_mean);
-  EXPECT_EQ(a.unified_cost, b.unified_cost);  // bitwise, not approximate
-  EXPECT_EQ(a.travel_cost, b.travel_cost);
-  EXPECT_EQ(a.penalty_cost, b.penalty_cost);
-  EXPECT_EQ(a.service_rate, b.service_rate);
-  EXPECT_EQ(a.sp_queries, b.sp_queries);
-  EXPECT_EQ(a.late_dropoffs, b.late_dropoffs);
-  EXPECT_EQ(a.pickup_wait_p50, b.pickup_wait_p50);
-  EXPECT_EQ(a.pickup_wait_p99, b.pickup_wait_p99);
-  EXPECT_EQ(a.mean_detour_ratio, b.mean_detour_ratio);
-  EXPECT_EQ(a.repositions, b.repositions);
-  EXPECT_EQ(a.reposition_cost, b.reposition_cost);
-  EXPECT_EQ(a.dataset, b.dataset);
+  EXPECT_EQ(ParityDiff(a, b, ParityScope::kOutcome), "");
 }
 
+// Outcome plus work: what two runs of one configuration must agree on.
 inline void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
-  ExpectOutcomeEqual(a, b);
-  EXPECT_EQ(a.sharegraph_pair_checks, b.sharegraph_pair_checks);
-  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  EXPECT_EQ(ParityDiff(a, b, ParityScope::kOutcomeAndWork), "");
 }
 
 // A DispatchContext wired the way the simulation engine wires a
