@@ -1,6 +1,8 @@
 // Microbenchmarks for the linear insertion operator: cost and travel-cost
 // lookups versus committed schedule length, plus the kinetic tree
-// comparison (the Sec. IV-A tradeoff).
+// comparison (the Sec. IV-A tradeoff), and for the candidate scan that picks
+// the vehicles insertion prices: the engine-maintained fleet index's query
+// and its per-move upkeep.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +11,8 @@
 
 #include "core/insertion.h"
 #include "core/kinetic_tree.h"
+#include "dispatch/shard.h"
+#include "dispatch/spatial_index.h"
 #include "roadnet/generator.h"
 #include "sim/workload.h"
 #include "util/random.h"
@@ -125,6 +129,73 @@ void BM_CheckSchedule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckSchedule);
+
+// A fleet on a 64x64 grid city indexed the way the engine indexes it: each
+// vehicle resident in the zone of its spawn node under `shards` zones.
+struct IndexedFleet {
+  RoadNetwork net;
+  std::vector<Vehicle> fleet;
+  ShardPartition partition;
+  dispatch::FleetIndex index;
+  std::vector<NodeId> probes;  ///< random query / move-target nodes
+
+  IndexedFleet(int vehicles, int shards) : net([] {
+    CityOptions opt;
+    opt.rows = 64;
+    opt.cols = 64;
+    opt.seed = 31;
+    return GenerateGridCity(opt);
+  }()) {
+    Rng rng(static_cast<uint64_t>(vehicles * 10 + shards));
+    const int64_t last = static_cast<int64_t>(net.num_nodes()) - 1;
+    partition.Build(net, shards);
+    std::vector<int> shard_of;
+    for (int i = 0; i < vehicles; ++i) {
+      fleet.emplace_back(i, static_cast<NodeId>(rng.UniformInt(0, last)), 4);
+      shard_of.push_back(partition.ShardOfNode(fleet.back().node()));
+    }
+    index.Reset(net, fleet, shard_of, shards);
+    for (int i = 0; i < 4096; ++i) {
+      probes.push_back(static_cast<NodeId>(rng.UniformInt(0, last)));
+    }
+  }
+};
+
+// One dispatcher candidate scan: the 16 nearest in-service residents of the
+// query node's zone (every vehicle at 1 zone), as SARD's proposal pricing
+// and the baselines ask it.
+void BM_FleetIndexQuery(benchmark::State& state) {
+  const int shards = static_cast<int>(state.range(1));
+  IndexedFleet f(static_cast<int>(state.range(0)), shards);
+  size_t out[16];
+  size_t i = 0;
+  for (auto _ : state) {
+    const NodeId from = f.probes[i++ % f.probes.size()];
+    const int shard = shards == 1 ? -1 : f.partition.ShardOfNode(from);
+    benchmark::DoNotOptimize(f.index.KNearestInto(from, 16, shard, out));
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("vehicles=" + std::to_string(state.range(0)) +
+                 " shards=" + std::to_string(shards));
+}
+BENCHMARK(BM_FleetIndexQuery)->Args({1000, 1})->Args({1000, 4})
+    ->Args({4000, 1})->Args({4000, 4});
+
+// The upkeep a stop completion pays: one vehicle moves to a random node
+// (usually another cell).
+void BM_FleetIndexMove(benchmark::State& state) {
+  IndexedFleet f(static_cast<int>(state.range(0)), 1);
+  const size_t n = f.fleet.size();
+  size_t i = 0;
+  for (auto _ : state) {
+    f.index.Move(i % n, f.probes[i % f.probes.size()]);
+    ++i;
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("vehicles=" + std::to_string(state.range(0)));
+}
+BENCHMARK(BM_FleetIndexMove)->Arg(1000)->Arg(4000);
 
 }  // namespace
 }  // namespace structride

@@ -4,29 +4,6 @@
 
 namespace structride {
 
-void FleetSoA::Refresh(const FleetView& fleet) {
-  const size_t n = fleet.size();
-  node.resize(n);
-  capacity.resize(n);
-  onboard.resize(n);
-  in_service.resize(n);
-  idle.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Vehicle& v = fleet[i];
-    node[i] = v.node();
-    capacity[i] = v.capacity();
-    onboard[i] = v.onboard();
-    in_service[i] = v.in_service() ? 1 : 0;
-    idle[i] = v.idle() ? 1 : 0;
-  }
-}
-
-size_t FleetSoA::MemoryBytes() const {
-  return node.capacity() * sizeof(NodeId) +
-         capacity.capacity() * sizeof(int) + onboard.capacity() * sizeof(int) +
-         in_service.capacity() + idle.capacity();
-}
-
 void RequestSoA::Refresh(Span<const Request* const> pending) {
   const size_t n = pending.size();
   id.resize(n);

@@ -10,11 +10,11 @@
 //    allocations. Committed vehicle schedules stay inline in Vehicle (they
 //    outlive batches and mutate rarely); the pool covers the per-batch
 //    churn that used to be one std::vector<Stop> per candidate.
-//  - FleetSoA / RequestSoA: the hot per-entity fields dispatchers scan
-//    every round (positions, capacity, service flags, ids, deadlines)
-//    refreshed into parallel planes once per batch; cold fields stay on
-//    Vehicle / Request. RequestSoA also carries the id-sorted order plane
-//    that replaces the per-batch unordered_map<RequestId, ...> lookups.
+//  - RequestSoA: the hot fields of the pending pool dispatchers scan every
+//    round (ids, endpoints, deadlines) refreshed into parallel planes once
+//    per batch; cold fields stay on Request. It also carries the id-sorted
+//    order plane that replaces the per-batch unordered_map<RequestId, ...>
+//    lookups.
 
 #pragma once
 
@@ -23,7 +23,6 @@
 
 #include "core/request.h"
 #include "core/schedule.h"
-#include "core/vehicle.h"
 #include "util/arena.h"
 #include "util/span.h"
 
@@ -79,21 +78,6 @@ class SchedulePool {
   };
   EpochArena arena_;
   std::vector<Slot> slots_;
-};
-
-/// Hot vehicle fields in parallel planes, refreshed once per batch.
-struct FleetSoA {
-  std::vector<NodeId> node;
-  std::vector<int> capacity;
-  std::vector<int> onboard;
-  std::vector<char> in_service;
-  std::vector<char> idle;
-
-  /// Plane index i mirrors view-local index i, so a shard's planes line up
-  /// with its restricted FleetView (DESIGN.md §12).
-  void Refresh(const FleetView& fleet);
-  size_t size() const { return node.size(); }
-  size_t MemoryBytes() const;
 };
 
 /// Hot request fields of the pending pool in parallel planes, plus the

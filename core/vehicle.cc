@@ -1,5 +1,6 @@
 #include "core/vehicle.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/arena.h"
@@ -102,6 +103,23 @@ void Vehicle::AdvanceTo(double now,
     repositioning_ = false;
     ++epoch_;
   }
+}
+
+bool FleetView::Commit(size_t i, Span<const Stop> stops, double now,
+                       TravelCostEngine* engine) const {
+  SR_CHECK(commit_log_ != nullptr);
+  if (!(*storage_)[global_index(i)].CommitStops(stops, now, engine)) {
+    return false;
+  }
+  commit_log_->push_back(i);
+  return true;
+}
+
+size_t FleetView::local_index(size_t g) const {
+  if (members_ == nullptr) return g;
+  auto it = std::lower_bound(members_->begin(), members_->end(), g);
+  SR_CHECK(it != members_->end() && *it == g);
+  return static_cast<size_t>(it - members_->begin());
 }
 
 }  // namespace structride

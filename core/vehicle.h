@@ -132,13 +132,17 @@ class Vehicle {
 /// what keeps the single-shard engine bitwise identical to the pre-sharding
 /// one. The members plane, when present, must hold strictly ascending fleet
 /// indices so deterministic (distance, index) tie breaks survive restriction.
+///
+/// Vehicles are read-only through the view; the one way to change one is
+/// Commit, which also records the view-local index in the view's commit log.
+/// After the round the engine re-queues stop events for exactly the logged
+/// vehicles (DESIGN.md §6), so no commit can go unsynced.
 class FleetView {
  public:
   FleetView() = default;
-  // Implicit on purpose: every pre-sharding call site passes the whole fleet.
-  FleetView(std::vector<Vehicle>* storage) : storage_(storage) {}
-  FleetView(std::vector<Vehicle>* storage, const std::vector<size_t>* members)
-      : storage_(storage), members_(members) {}
+  FleetView(std::vector<Vehicle>* storage, std::vector<size_t>* commit_log,
+            const std::vector<size_t>* members = nullptr)
+      : storage_(storage), commit_log_(commit_log), members_(members) {}
 
   size_t size() const {
     if (members_ != nullptr) return members_->size();
@@ -146,20 +150,28 @@ class FleetView {
   }
   bool empty() const { return size() == 0; }
 
-  Vehicle& operator[](size_t i) const {
-    return (*storage_)[members_ != nullptr ? (*members_)[i] : i];
+  const Vehicle& operator[](size_t i) const {
+    return (*storage_)[global_index(i)];
   }
+
+  /// Vehicle::CommitStops on view-local vehicle \p i; on success also logs
+  /// \p i in the commit log.
+  bool Commit(size_t i, Span<const Stop> stops, double now,
+              TravelCostEngine* engine) const;
 
   /// Fleet-storage index of view-local index \p i.
   size_t global_index(size_t i) const {
     return members_ != nullptr ? (*members_)[i] : i;
   }
 
+  /// View-local index of fleet-storage index \p g, which the view holds.
+  size_t local_index(size_t g) const;
+
   bool restricted() const { return members_ != nullptr; }
-  std::vector<Vehicle>* storage() const { return storage_; }
 
  private:
   std::vector<Vehicle>* storage_ = nullptr;
+  std::vector<size_t>* commit_log_ = nullptr;
   const std::vector<size_t>* members_ = nullptr;
 };
 

@@ -9,11 +9,11 @@
 //    tolerant batched insertion that holds a request back while its slack
 //    allows a cheaper shared match (DESIGN.md §4).
 //
-// Each baseline keeps a persistent fleet index whose planes refill in
-// place, answers candidate queries into thread-scratch buffers, and stages
-// only the winning schedule in the scratch arena (materializing it issues
-// no engine queries, so deferring it past the scan changes nothing) — zero
-// heap allocations per steady-state batch once pools are warm.
+// Each baseline answers candidate queries from the engine's fleet index
+// into thread-scratch buffers and stages only the winning schedule in the
+// scratch arena (materializing it issues no engine queries, so deferring it
+// past the scan changes nothing) — zero heap allocations per steady-state
+// batch once pools are warm.
 
 #include <limits>
 
@@ -30,9 +30,8 @@ class PruneGdpDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (ctx->pending.empty()) return;  // drain phase: don't build the index
+    if (ctx->pending.empty()) return;
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network());
     ArenaScope batch_scope(ScratchArena());
     size_t* nearest = batch_scope.AllocateArray<size_t>(fleet.size());
     for (const Request* r : ctx->pending) {
@@ -44,10 +43,10 @@ class PruneGdpDispatcher : public Dispatcher {
       // positions are fixed within a batch, so the radius query visits
       // exactly the prefix the sorted full-fleet scan used to.
       double reach = r->latest_pickup - ctx->now;
-      const size_t num_near = scanner_.KNearestWithinInto(
-          r->source, fleet.size(), reach, nearest);
+      const size_t num_near = dispatch::NearestVehiclesWithinInto(
+          *ctx, r->source, fleet.size(), reach, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
-        Vehicle& v = fleet[nearest[ni]];
+        const Vehicle& v = fleet[nearest[ni]];
         InsertionCandidate cand =
             BestInsertion(v.route_state(ctx->now), v.schedule().stops(),
                           v.legs(), *r, ctx->engine);
@@ -63,8 +62,8 @@ class PruneGdpDispatcher : public Dispatcher {
         const std::vector<Stop>& cur = fleet[best_vehicle].schedule().stops();
         Stop* staged = scope.AllocateArray<Stop>(cur.size() + 2);
         size_t len = ApplyInsertionInto(cur, *r, best_cand, staged);
-        committed = fleet[best_vehicle].CommitStops({staged, len}, ctx->now,
-                                                    ctx->engine);
+        committed =
+            fleet.Commit(best_vehicle, {staged, len}, ctx->now, ctx->engine);
       }
       if (committed) {
         ctx->assigned.push_back(r->id);
@@ -72,12 +71,9 @@ class PruneGdpDispatcher : public Dispatcher {
         ctx->rejected.push_back(r->id);  // online: no second chance
       }
     }
-    NotePeak(fleet.size() * sizeof(double) + scanner_.MemoryBytes() +
+    NotePeak(fleet.size() * sizeof(double) +
              ctx->pending.size() * sizeof(Request*));
   }
-
- private:
-  dispatch::FleetSpatialIndex scanner_;
 };
 
 class TicketAssignDispatcher : public Dispatcher {
@@ -85,16 +81,15 @@ class TicketAssignDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (ctx->pending.empty()) return;  // drain phase: don't build the index
+    if (ctx->pending.empty()) return;
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network());
     for (const Request* r : ctx->pending) {
       bool placed = false;
       size_t nearest[kScanLimit];
       const size_t num_near =
-          scanner_.KNearestInto(r->source, kScanLimit, nearest);
+          dispatch::NearestVehiclesInto(*ctx, r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
-        Vehicle& v = fleet[nearest[ni]];
+        const Vehicle& v = fleet[nearest[ni]];
         InsertionCandidate cand =
             BestInsertion(v.route_state(ctx->now), v.schedule().stops(),
                           v.legs(), *r, ctx->engine);
@@ -103,7 +98,7 @@ class TicketAssignDispatcher : public Dispatcher {
         const std::vector<Stop>& cur = v.schedule().stops();
         Stop* staged = scope.AllocateArray<Stop>(cur.size() + 2);
         size_t len = ApplyInsertionInto(cur, *r, cand, staged);
-        if (v.CommitStops({staged, len}, ctx->now, ctx->engine)) {
+        if (fleet.Commit(nearest[ni], {staged, len}, ctx->now, ctx->engine)) {
           ctx->assigned.push_back(r->id);
           placed = true;
           break;
@@ -111,14 +106,12 @@ class TicketAssignDispatcher : public Dispatcher {
       }
       if (!placed) ctx->rejected.push_back(r->id);
     }
-    NotePeak(kScanLimit * sizeof(size_t) + scanner_.MemoryBytes() +
+    NotePeak(kScanLimit * sizeof(size_t) +
              ctx->pending.size() * sizeof(Request*));
   }
 
  private:
   static constexpr size_t kScanLimit = 16;
-
-  dispatch::FleetSpatialIndex scanner_;
 };
 
 class DarmDprsDispatcher : public Dispatcher {
@@ -126,18 +119,17 @@ class DarmDprsDispatcher : public Dispatcher {
   using Dispatcher::Dispatcher;
 
   void OnBatch(DispatchContext* ctx) override {
-    if (ctx->pending.empty()) return;  // drain phase: don't build the index
+    if (ctx->pending.empty()) return;
     const FleetView& fleet = ctx->fleet;
-    scanner_.Rebuild(fleet, ctx->engine->network());
     for (const Request* r : ctx->pending) {
       double best = kInf;
       size_t best_vehicle = 0;
       InsertionCandidate best_cand;
       size_t nearest[kScanLimit];
       const size_t num_near =
-          scanner_.KNearestInto(r->source, kScanLimit, nearest);
+          dispatch::NearestVehiclesInto(*ctx, r->source, kScanLimit, nearest);
       for (size_t ni = 0; ni < num_near; ++ni) {
-        Vehicle& v = fleet[nearest[ni]];
+        const Vehicle& v = fleet[nearest[ni]];
         InsertionCandidate cand =
             BestInsertion(v.route_state(ctx->now), v.schedule().stops(),
                           v.legs(), *r, ctx->engine);
@@ -154,14 +146,14 @@ class DarmDprsDispatcher : public Dispatcher {
         const std::vector<Stop>& cur = fleet[best_vehicle].schedule().stops();
         Stop* staged = scope.AllocateArray<Stop>(cur.size() + 2);
         size_t len = ApplyInsertionInto(cur, *r, best_cand, staged);
-        if (fleet[best_vehicle].CommitStops({staged, len}, ctx->now,
-                                            ctx->engine)) {
+        if (fleet.Commit(best_vehicle, {staged, len}, ctx->now,
+                         ctx->engine)) {
           ctx->assigned.push_back(r->id);
         }
       }
     }
     NotePeak(ctx->pending.size() * (sizeof(Request*) + sizeof(double)) +
-             scanner_.MemoryBytes() + kScanLimit * sizeof(size_t));
+             kScanLimit * sizeof(size_t));
   }
 
  private:
@@ -170,8 +162,6 @@ class DarmDprsDispatcher : public Dispatcher {
   static constexpr size_t kScanLimit = 16;
   static constexpr double kCheapRatio = 0.6;  // delta <= 60% of direct cost
   static constexpr double kUrgentSlack = 60;  // seconds of pickup slack
-
-  dispatch::FleetSpatialIndex scanner_;
 };
 
 }  // namespace

@@ -85,8 +85,7 @@ class GraphBatchDispatcher : public Dispatcher {
           })) {
         continue;
       }
-      if (!fleet[vi].CommitStops(scratch_.ScheduleOf(g), ctx->now,
-                                 ctx->engine)) {
+      if (!fleet.Commit(vi, scratch_.ScheduleOf(g), ctx->now, ctx->engine)) {
         continue;
       }
       used_vehicle[vi] = 1;
@@ -111,10 +110,8 @@ class GasDispatcher : public GraphBatchDispatcher {
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
     // The batch arena and SoA planes are the caller's (DESIGN.md §8).
-    SR_CHECK(ctx->arena != nullptr && ctx->pending_soa != nullptr &&
-             ctx->fleet_soa != nullptr);
+    SR_CHECK(ctx->arena != nullptr && ctx->pending_soa != nullptr);
     EpochArena* arena = ctx->arena;
-    const FleetSoA* fsoa = ctx->fleet_soa;
 
     std::optional<ShareGraphBuilder> local;
     ShareGraphBuilder* builder = RoundShareGraph(ctx, &local, arena);
@@ -131,7 +128,7 @@ class GasDispatcher : public GraphBatchDispatcher {
     size_t grouping_bytes = 0;
     for (size_t vi = 0; vi < fleet.size(); ++vi) {
       per_vehicle[vi] = PooledGroupingResult{};
-      if (!fsoa->in_service[vi]) continue;  // downtime: no new work
+      if (!fleet[vi].in_service()) continue;  // downtime: no new work
       per_vehicle[vi] = EnumerateGroupsPooled(
           fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
           fleet[vi].legs(), pool, &builder->graph(), ctx->engine, gopts,
@@ -180,11 +177,9 @@ class RtvDispatcher : public GraphBatchDispatcher {
     const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
     // The batch arena and SoA planes are the caller's (DESIGN.md §8).
-    SR_CHECK(ctx->arena != nullptr && ctx->pending_soa != nullptr &&
-             ctx->fleet_soa != nullptr);
+    SR_CHECK(ctx->arena != nullptr && ctx->pending_soa != nullptr);
     EpochArena* arena = ctx->arena;
     const RequestSoA* soa = ctx->pending_soa;
-    const FleetSoA* fsoa = ctx->fleet_soa;
     const size_t num_pending = ctx->pending.size();
 
     // RR edges (the shareability graph) and per-vehicle trip enumeration.
@@ -204,7 +199,7 @@ class RtvDispatcher : public GraphBatchDispatcher {
     }
     int64_t node_budget = config_.ilp_node_cap;
     for (size_t vi = 0; vi < fleet.size() && node_budget > 0; ++vi) {
-      if (!fsoa->in_service[vi]) continue;  // downtime: no new work
+      if (!fleet[vi].in_service()) continue;  // downtime: no new work
       gopts.max_groups = static_cast<size_t>(node_budget);
       per_vehicle[vi] = EnumerateGroupsPooled(
           fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
@@ -273,7 +268,7 @@ class RtvDispatcher : public GraphBatchDispatcher {
       size_t best_vehicle = 0;
       InsertionCandidate best_cand;
       for (size_t vi = 0; vi < fleet.size(); ++vi) {
-        if (!fsoa->in_service[vi]) continue;
+        if (!fleet[vi].in_service()) continue;
         InsertionCandidate cand = BestInsertion(
             fleet[vi].route_state(ctx->now), fleet[vi].schedule().stops(),
             fleet[vi].legs(), r, ctx->engine);
@@ -288,8 +283,8 @@ class RtvDispatcher : public GraphBatchDispatcher {
         const std::vector<Stop>& cur = fleet[best_vehicle].schedule().stops();
         Stop* staged = scope.AllocateArray<Stop>(cur.size() + 2);
         size_t len = ApplyInsertionInto(cur, r, best_cand, staged);
-        if (fleet[best_vehicle].CommitStops({staged, len}, ctx->now,
-                                            ctx->engine)) {
+        if (fleet.Commit(best_vehicle, {staged, len}, ctx->now,
+                         ctx->engine)) {
           taken[ri] = 1;
           ctx->assigned.push_back(r.id);
         }

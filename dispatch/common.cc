@@ -1,7 +1,40 @@
 #include "dispatch/common.h"
 
+#include "dispatch/spatial_index.h"
+#include "util/logging.h"
+
 namespace structride {
 namespace dispatch {
+
+namespace {
+
+// The index answers fleet-storage indices; a restricted view's members are
+// ascending, so translating keeps the (distance, index) order.
+size_t ToViewLocal(const FleetView& fleet, size_t count, size_t* out) {
+  if (fleet.restricted()) {
+    for (size_t i = 0; i < count; ++i) out[i] = fleet.local_index(out[i]);
+  }
+  return count;
+}
+
+}  // namespace
+
+size_t NearestVehiclesInto(const DispatchContext& ctx, NodeId from, size_t k,
+                           size_t* out) {
+  SR_CHECK(ctx.fleet_index != nullptr);
+  return ToViewLocal(
+      ctx.fleet,
+      ctx.fleet_index->KNearestInto(from, k, ctx.fleet_shard, out), out);
+}
+
+size_t NearestVehiclesWithinInto(const DispatchContext& ctx, NodeId from,
+                                 size_t k, double max_dist, size_t* out) {
+  SR_CHECK(ctx.fleet_index != nullptr);
+  return ToViewLocal(ctx.fleet,
+                     ctx.fleet_index->KNearestWithinInto(
+                         from, k, max_dist, ctx.fleet_shard, out),
+                     out);
+}
 
 PooledGroupInsertion InsertGroupSequentialPooled(
     const RouteState& state, Span<const Stop> committed,

@@ -4,11 +4,23 @@
 
 #include "core/insertion.h"
 #include "core/vehicle.h"
-#include "dispatch/spatial_index.h"
+#include "dispatch/dispatcher.h"
 #include "util/arena.h"
 
 namespace structride {
 namespace dispatch {
+
+/// The candidate scan: writes up to \p k in-service vehicles of ctx.fleet
+/// nearest \p from into \p out (room for k) as view-local indices, ordered
+/// by (straight-line distance, index), and returns the count. Answered from
+/// the engine's fleet index (DispatchContext::fleet_index).
+size_t NearestVehiclesInto(const DispatchContext& ctx, NodeId from, size_t k,
+                           size_t* out);
+
+/// As NearestVehiclesInto, keeping only vehicles within straight-line
+/// distance \p max_dist (a negative radius matches nothing).
+size_t NearestVehiclesWithinInto(const DispatchContext& ctx, NodeId from,
+                                 size_t k, double max_dist, size_t* out);
 
 /// Result of InsertGroupSequentialPooled: the stop sequence lives in the
 /// arena passed to it, valid until that arena rewinds.

@@ -20,6 +20,9 @@
 namespace structride {
 
 class ThreadPool;
+namespace dispatch {
+class FleetIndex;
+}  // namespace dispatch
 
 struct DispatchConfig {
   double penalty_coefficient = 10;
@@ -90,8 +93,16 @@ struct DispatchContext {
   /// The vehicles this dispatcher may scan and commit to. Unrestricted in
   /// single-region runs; a shard's resident vehicles under geo-sharding
   /// (DESIGN.md §12). All vehicle indices exchanged through this context are
-  /// view-local.
+  /// view-local. Commits go through FleetView::Commit, which logs them.
   FleetView fleet;
+  /// The engine-maintained fleet index over fleet-storage indices
+  /// (DESIGN.md §12). Dispatchers query it through
+  /// dispatch::NearestVehiclesInto (dispatch/common.h), which keeps only
+  /// `fleet`'s residents and answers view-local indices. Required by SARD,
+  /// pruneGDP, TicketAssign+ and DARM+DPRS.
+  const dispatch::FleetIndex* fleet_index = nullptr;
+  /// The shard whose residents `fleet` holds; -1 for an unrestricted view.
+  int fleet_shard = -1;
   /// Worker pool owned by the caller (the simulation engine keeps one per
   /// run); dispatchers that parallelize use it instead of spawning threads
   /// per batch. Required when the config runs SARD's parallel acceptance
@@ -119,10 +130,8 @@ struct DispatchContext {
   /// (after the dispatcher returns). Dispatchers stage proposals, candidate
   /// schedules and scratch here. Required by SARD, GAS and RTV.
   EpochArena* arena = nullptr;
-  /// Structure-of-arrays views over the batch-start fleet and pending pool,
-  /// refreshed by the caller each round (DESIGN.md §8). Required by SARD,
-  /// GAS and RTV.
-  const FleetSoA* fleet_soa = nullptr;
+  /// Structure-of-arrays view over the pending pool, refreshed by the
+  /// caller each round (DESIGN.md §8). Required by SARD, GAS and RTV.
   const RequestSoA* pending_soa = nullptr;
   /// Outputs: requests assigned this round; requests the dispatcher gives up
   /// on permanently (online methods reject instead of queueing).

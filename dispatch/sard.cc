@@ -58,7 +58,6 @@ class SardDispatcher : public Dispatcher {
 
  public:
   void OnBatch(DispatchContext* ctx) override {
-    const FleetView& fleet = ctx->fleet;
     if (ctx->pending.empty()) return;
 
     // The shard's run builder (DESIGN.md §7): lifecycle events already
@@ -181,10 +180,6 @@ class SardDispatcher : public Dispatcher {
       member_reqs[m] = ctx->pending[members[m]];
     }
 
-    // One fleet index per batch; the persistent scanner refills its planes
-    // in place (steady-state rebuilds without heap allocation).
-    scanner_.Rebuild(fleet, ctx->engine->network());
-
     // Proposal pricing (phase A; pure, parallelizable): workers fill
     // disjoint fixed-size proposal slots in the batch arena.
     Proposal* props =
@@ -223,7 +218,7 @@ class SardDispatcher : public Dispatcher {
         num_members * (sizeof(size_t) + sizeof(const Request*)) +
         num_groups * 2 * sizeof(size_t);
     NotePeak(builder->MemoryBytes() + graph_bytes + proposal_bytes +
-             scanner_.MemoryBytes() + group_bytes);
+             group_bytes);
   }
 
  private:
@@ -238,8 +233,8 @@ class SardDispatcher : public Dispatcher {
     size_t count = 0;
     NodeId anchor = mem[0]->source;
     size_t nearest[kCandidateVehicles];
-    const size_t num_near =
-        scanner_.KNearestInto(anchor, kCandidateVehicles, nearest);
+    const size_t num_near = dispatch::NearestVehiclesInto(
+        *ctx, anchor, kCandidateVehicles, nearest);
     // Batched warm-up of the first insertion leg: an *idle* candidate's
     // pricing looks up Cost(vehicle node, anchor) exactly when the first
     // member's empty-schedule lower-bound walk passes — the member goes to
@@ -305,14 +300,15 @@ class SardDispatcher : public Dispatcher {
       priced = local;
     }
     for (size_t pi = 0; pi < num_priced; ++pi) {
-      Vehicle& v = fleet[priced[pi].vehicle];
+      const Vehicle& v = fleet[priced[pi].vehicle];
       ArenaScope commit_scope(ScratchArena());
       dispatch::PooledGroupInsertion ins =
           dispatch::InsertGroupSequentialPooled(
               v.route_state(ctx->now), v.schedule().stops(), v.legs(), mem,
               ctx->engine, commit_scope.arena());
       if (!ins.feasible) continue;
-      if (!v.CommitStops({ins.stops, ins.len}, ctx->now, ctx->engine)) {
+      if (!fleet.Commit(priced[pi].vehicle, {ins.stops, ins.len}, ctx->now,
+                        ctx->engine)) {
         continue;
       }
       for (const Request* r : mem) ctx->assigned.push_back(r->id);
@@ -337,9 +333,6 @@ class SardDispatcher : public Dispatcher {
     SR_CHECK(ctx->pool != nullptr);
     return ctx->pool;
   }
-
-  /// The per-batch fleet index; its planes are refilled in place.
-  dispatch::FleetSpatialIndex scanner_;
 };
 
 }  // namespace

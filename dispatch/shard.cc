@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -35,7 +34,7 @@ void ShardPartition::Build(const RoadNetwork& net, int num_shards,
   rows_ = (num_shards_ + cols_ - 1) / cols_;
   min_x_ = min_x;
   min_y_ = min_y;
-  // Same clamp discipline as FleetSpatialIndex: degenerate (single-point)
+  // Same clamp discipline as FleetIndex: degenerate (single-point)
   // extents still index safely.
   cell_w_ = std::max((max_x - min_x) / cols_, 1e-9);
   cell_h_ = std::max((max_y - min_y) / rows_, 1e-9);
@@ -76,21 +75,6 @@ double ShardLoadMaxOverMean(const std::vector<uint64_t>& loads) {
   if (total == 0) return 0;
   return static_cast<double>(max_load) * static_cast<double>(loads.size()) /
          static_cast<double>(total);
-}
-
-size_t NearestInServiceVehicle(const std::vector<Vehicle>& fleet,
-                               const RoadNetwork& net, NodeId from) {
-  size_t best = std::numeric_limits<size_t>::max();
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    if (!fleet[i].in_service()) continue;
-    double d = net.EuclidLowerBound(fleet[i].node(), from);
-    if (d < best_dist) {
-      best_dist = d;
-      best = i;
-    }
-  }
-  return best;
 }
 
 }  // namespace structride

@@ -1,7 +1,7 @@
 // Geo-sharding support (DESIGN.md §12): the zone partition of a metro and
 // the per-zone runtime bundle the simulation engine coordinates.
 //
-// The partition reuses the FleetSpatialIndex grid discipline — a uniform
+// The partition reuses the FleetIndex grid discipline — a uniform
 // grid over the road network's bounding box, row-major cells, every cell
 // past the shard count folded into the last shard — so zone membership is a
 // pure function of a node's position: cheap enough to evaluate on every
@@ -46,9 +46,10 @@ class ShardPartition {
 
 /// Everything one zone owns: its dispatcher instance, its incrementally
 /// maintained share graph (always built; the only run-scoped builder the
-/// shard has, DESIGN.md §7), SoA planes and batch arena, the resident vehicle
-/// set (ascending fleet indices — the restricted FleetView's member plane),
-/// its private travel-cost cache partition, and its dispatch context. The
+/// shard has, DESIGN.md §7), pending-pool SoA planes and batch arena, the
+/// resident vehicle set (ascending fleet indices — the restricted
+/// FleetView's member plane) and the round's commit log, its private
+/// travel-cost cache partition, and its dispatch context. The
 /// simulation engine drives all shards from the shared EventQueue and
 /// ThreadPool under a buffer-then-commit round protocol (DESIGN.md §12):
 /// the batch phase touches only this struct plus read-only global planes
@@ -58,6 +59,9 @@ struct ShardRuntime {
   int id = 0;
   /// Resident fleet-storage indices, strictly ascending.
   std::vector<size_t> members;
+  /// View-local indices of the vehicles FleetView::Commit changed this
+  /// round; the engine syncs their stop events and clears it.
+  std::vector<size_t> commit_log;
   std::unique_ptr<Dispatcher> dispatcher;
   std::unique_ptr<ShareGraphBuilder> sharegraph;
   /// This shard's travel-cost cache partition
@@ -67,7 +71,6 @@ struct ShardRuntime {
   TravelCostEngine* cache = nullptr;
   DispatchContext ctx;
   EpochArena arena;
-  FleetSoA fleet_soa;
   RequestSoA pending_soa;
   /// Requests this shard has assigned over the whole run (the load-balance
   /// numerator of RunMetrics::shard_load_max_over_mean).
@@ -97,11 +100,5 @@ double ShardLoadMaxOverMean(const std::vector<uint64_t>& loads);
 /// batch phase and SR_CHECKs them unchanged after: no shard may touch any
 /// member plane — its own included — until the serial commit phase.
 uint64_t MemberPlaneFingerprint(const std::vector<size_t>& members);
-
-/// Fleet-storage index of the in-service vehicle nearest \p from by the
-/// straight-line lower bound (ties: lower index), or SIZE_MAX when none is
-/// in service. The escrow scan's "best-candidate vehicle" oracle.
-size_t NearestInServiceVehicle(const std::vector<Vehicle>& fleet,
-                               const RoadNetwork& net, NodeId from);
 
 }  // namespace structride

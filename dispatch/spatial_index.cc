@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/arena.h"
+#include "util/logging.h"
 
 namespace structride {
 namespace dispatch {
@@ -31,101 +32,151 @@ double BoxDistance(const Point& q, double x0, double y0, double x1,
 
 }  // namespace
 
-void FleetSpatialIndex::Rebuild(const std::vector<Vehicle>& fleet,
-                                const RoadNetwork& net) {
-  // Read-only delegation; nothing mutates through the view.
-  Rebuild(FleetView(const_cast<std::vector<Vehicle>*>(&fleet)), net);
-}
-
-void FleetSpatialIndex::Rebuild(const FleetView& fleet,
-                                const RoadNetwork& net) {
+void FleetIndex::Reset(const RoadNetwork& net,
+                       const std::vector<Vehicle>& fleet,
+                       const std::vector<int>& shard_of, int num_shards) {
+  SR_CHECK(shard_of.size() == fleet.size());
+  SR_CHECK(num_shards > 0);
   net_ = &net;
-  positions_.clear();
-  active_.clear();
-  positions_.reserve(fleet.size());
-  active_.reserve(fleet.size());
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    const Vehicle& v = fleet[i];
-    positions_.push_back(net.position(v.node()));
-    active_.push_back(v.in_service() ? 1 : 0);
-  }
-  if (positions_.empty()) {
-    cols_ = rows_ = 1;
-    bucket_offsets_.assign(2, 0);
-    bucket_items_.clear();
-    return;
-  }
-  double max_x = positions_[0].x, max_y = positions_[0].y;
-  min_x_ = positions_[0].x;
-  min_y_ = positions_[0].y;
-  for (const Point& p : positions_) {
-    min_x_ = std::min(min_x_, p.x);
-    min_y_ = std::min(min_y_, p.y);
-    max_x = std::max(max_x, p.x);
-    max_y = std::max(max_y, p.y);
+  min_x_ = min_y_ = 0;
+  double max_x = 0, max_y = 0;
+  for (size_t n = 0; n < net.num_nodes(); ++n) {
+    const Point& p = net.position(static_cast<NodeId>(n));
+    if (n == 0 || p.x < min_x_) min_x_ = p.x;
+    if (n == 0 || p.y < min_y_) min_y_ = p.y;
+    if (n == 0 || p.x > max_x) max_x = p.x;
+    if (n == 0 || p.y > max_y) max_y = p.y;
   }
   // ~1 vehicle per cell: rings around a query cell then hold a handful of
-  // candidates each, so KNearest(16) touches tens of vehicles, not the fleet.
-  int side = static_cast<int>(std::ceil(
-      std::sqrt(static_cast<double>(positions_.size()))));
+  // candidates each, so a 16-nearest query touches tens of vehicles, not
+  // the fleet.
+  const int side = static_cast<int>(
+      std::ceil(std::sqrt(static_cast<double>(fleet.size()))));
   cols_ = rows_ = std::max(1, side);
   cell_w_ = std::max((max_x - min_x_) / cols_, 1e-9);
   cell_h_ = std::max((max_y - min_y_) / rows_, 1e-9);
+  cells_.assign(static_cast<size_t>(cols_) * static_cast<size_t>(rows_), {});
 
-  // Counting sort into the CSR planes. Filling in fleet order keeps every
-  // bucket ascending by vehicle index. Out-of-service vehicles are never
-  // bucketed: the index answers candidate scans, and pulled vehicles take
-  // no new work.
-  const size_t num_cells =
-      static_cast<size_t>(cols_) * static_cast<size_t>(rows_);
-  cell_of_.clear();
-  cell_of_.resize(positions_.size(), num_cells);  // sentinel: not bucketed
-  bucket_offsets_.assign(num_cells + 1, 0);
-  for (size_t i = 0; i < positions_.size(); ++i) {
-    if (!active_[i]) continue;
-    int cx = std::min(cols_ - 1,
-                      std::max(0, static_cast<int>((positions_[i].x - min_x_) /
-                                                   cell_w_)));
-    int cy = std::min(rows_ - 1,
-                      std::max(0, static_cast<int>((positions_[i].y - min_y_) /
-                                                   cell_h_)));
-    cell_of_[i] = static_cast<size_t>(cy) * static_cast<size_t>(cols_) +
-                  static_cast<size_t>(cx);
-    ++bucket_offsets_[cell_of_[i] + 1];
-  }
-  for (size_t c = 0; c < num_cells; ++c) {
-    bucket_offsets_[c + 1] += bucket_offsets_[c];
-  }
-  bucket_items_.resize(bucket_offsets_[num_cells]);
-  {
-    ArenaScope scope(ScratchArena());
-    size_t* fill = scope.AllocateArray<size_t>(num_cells);
-    std::copy(bucket_offsets_.begin(), bucket_offsets_.end() - 1, fill);
-    for (size_t i = 0; i < positions_.size(); ++i) {
-      if (cell_of_[i] == num_cells) continue;
-      bucket_items_[fill[cell_of_[i]]++] = i;
-    }
+  const size_t n = fleet.size();
+  node_.resize(n);
+  shard_.resize(n);
+  in_service_.assign(n, 0);
+  cell_.assign(n, kNoCell);
+  slot_.assign(n, 0);
+  eligible_.assign(static_cast<size_t>(num_shards), 0);
+  in_service_count_ = 0;
+  for (size_t v = 0; v < n; ++v) {
+    SR_CHECK(shard_of[v] >= 0 && shard_of[v] < num_shards);
+    node_[v] = fleet[v].node();
+    shard_[v] = shard_of[v];
+    if (fleet[v].in_service()) Insert(v);
   }
 }
 
-size_t FleetSpatialIndex::QueryInto(NodeId from, size_t k, double max_dist,
-                                    size_t* out) const {
-  if (k == 0 || positions_.empty()) return 0;
+uint32_t FleetIndex::CellOf(const Point& p) const {
+  const int cx = std::min(
+      cols_ - 1, std::max(0, static_cast<int>((p.x - min_x_) / cell_w_)));
+  const int cy = std::min(
+      rows_ - 1, std::max(0, static_cast<int>((p.y - min_y_) / cell_h_)));
+  return static_cast<uint32_t>(cy * cols_ + cx);
+}
+
+void FleetIndex::Insert(size_t v) {
+  const Point& p = net_->position(node_[v]);
+  const uint32_t c = CellOf(p);
+  std::vector<Entry>& cell = cells_[c];
+  cell_[v] = c;
+  slot_[v] = static_cast<uint32_t>(cell.size());
+  cell.push_back({p, static_cast<uint32_t>(v), shard_[v]});
+  in_service_[v] = 1;
+  ++eligible_[static_cast<size_t>(shard_[v])];
+  ++in_service_count_;
+}
+
+void FleetIndex::Erase(size_t v) {
+  std::vector<Entry>& cell = cells_[cell_[v]];
+  const uint32_t s = slot_[v];
+  cell[s] = cell.back();
+  slot_[cell[s].vehicle] = s;
+  cell.pop_back();
+  cell_[v] = kNoCell;
+  in_service_[v] = 0;
+  --eligible_[static_cast<size_t>(shard_[v])];
+  --in_service_count_;
+}
+
+void FleetIndex::Move(size_t v, NodeId node) {
+  if (node_[v] == node) return;
+  node_[v] = node;
+  if (!in_service_[v]) return;
+  const Point& p = net_->position(node);
+  if (CellOf(p) == cell_[v]) {
+    cells_[cell_[v]][slot_[v]].pos = p;
+    return;
+  }
+  Erase(v);
+  Insert(v);
+}
+
+void FleetIndex::SetInService(size_t v, bool in_service) {
+  if (static_cast<bool>(in_service_[v]) == in_service) return;
+  if (in_service) {
+    Insert(v);
+  } else {
+    Erase(v);
+  }
+}
+
+void FleetIndex::SetShard(size_t v, int shard) {
+  SR_CHECK(shard >= 0 && static_cast<size_t>(shard) < eligible_.size());
+  if (in_service_[v]) {
+    --eligible_[static_cast<size_t>(shard_[v])];
+    ++eligible_[static_cast<size_t>(shard)];
+    cells_[cell_[v]][slot_[v]].shard = shard;
+  }
+  shard_[v] = shard;
+}
+
+void FleetIndex::CheckVehicle(size_t v, NodeId node, bool in_service,
+                              int shard) const {
+  SR_CHECK(v < node_.size());
+  SR_CHECK(node_[v] == node);
+  SR_CHECK(static_cast<bool>(in_service_[v]) == in_service);
+  SR_CHECK(shard_[v] == shard);
+  if (!in_service) {
+    SR_CHECK(cell_[v] == kNoCell);
+    return;
+  }
+  const Point& p = net_->position(node);
+  SR_CHECK(cell_[v] == CellOf(p));
+  const Entry& e = cells_[cell_[v]][slot_[v]];
+  SR_CHECK(e.vehicle == v && e.shard == shard);
+  SR_CHECK(e.pos.x == p.x && e.pos.y == p.y);
+}
+
+size_t FleetIndex::QueryInto(NodeId from, size_t k, double max_dist,
+                             int shard, size_t* out) const {
+  const size_t eligible = Eligible(shard);
+  if (k == 0 || eligible == 0) return 0;
   const Point q = net_->position(from);
   ArenaScope scope(ScratchArena());
+  auto admits = [shard](const Entry& e) {
+    return shard < 0 || e.shard == shard;
+  };
 
-  // Dense ask: k covers most of the fleet, so walking every grid cell with
-  // per-candidate bound upkeep cannot beat one flat scan + sort (this is
-  // pruneGDP's radius query with k = fleet size).
-  if (2 * k >= positions_.size()) {
-    auto* cand =
-        scope.AllocateArray<std::pair<double, size_t>>(positions_.size());
+  // Dense ask: k covers most of the eligible vehicles, so walking grid
+  // rings with per-candidate bound upkeep cannot beat one flat scan + sort
+  // (this is pruneGDP's radius query with k = its fleet view's size).
+  if (2 * k >= eligible) {
+    auto* cand = scope.AllocateArray<std::pair<double, size_t>>(eligible);
     size_t num_cand = 0;
-    for (size_t i = 0; i < positions_.size(); ++i) {
-      if (!active_[i]) continue;
-      double d = EuclidDistance(q, positions_[i]);
-      if (max_dist >= 0 && d > max_dist) continue;
-      cand[num_cand++] = {d, i};
+    for (const std::vector<Entry>& cell : cells_) {
+      for (const Entry& e : cell) {
+        if (!admits(e)) continue;
+        double d = EuclidDistance(q, e.pos);
+        if (max_dist >= 0 && d > max_dist) continue;
+        cand[num_cand++] = {d, e.vehicle};
+      }
     }
     // Lexicographic pair order reproduces the full sort's distance-then-
     // index tie break exactly.
@@ -161,13 +212,14 @@ size_t FleetSpatialIndex::QueryInto(NodeId from, size_t k, double max_dist,
                                    min_y_ + (cy + 1) * cell_h_);
       if (cell_lb > best[num_best - 1].first) return;
     }
-    size_t len = 0;
-    const size_t* bucket = BucketBegin(cx, cy, &len);
-    for (size_t b = 0; b < len; ++b) {
-      size_t i = bucket[b];
-      double d = EuclidDistance(q, positions_[i]);
+    const std::vector<Entry>& cell =
+        cells_[static_cast<size_t>(cy) * static_cast<size_t>(cols_) +
+               static_cast<size_t>(cx)];
+    for (const Entry& e : cell) {
+      if (!admits(e)) continue;
+      double d = EuclidDistance(q, e.pos);
       if (max_dist >= 0 && d > max_dist) continue;
-      std::pair<double, size_t> cand{d, i};
+      std::pair<double, size_t> cand{d, e.vehicle};
       if (num_best == k && !(cand < best[num_best - 1])) continue;
       auto* pos = std::upper_bound(best, best + num_best, cand);
       for (auto* m = best + num_best; m > pos; --m) *m = *(m - 1);
@@ -203,13 +255,6 @@ size_t FleetSpatialIndex::QueryInto(NodeId from, size_t k, double max_dist,
 
   for (size_t i = 0; i < num_best; ++i) out[i] = best[i].second;
   return num_best;
-}
-
-size_t FleetSpatialIndex::MemoryBytes() const {
-  size_t bytes = positions_.size() * (sizeof(Point) + sizeof(size_t));
-  bytes += active_.size() * sizeof(char);
-  bytes += (bucket_offsets_.size() + bucket_items_.size()) * sizeof(size_t);
-  return bytes;
 }
 
 }  // namespace dispatch

@@ -1,25 +1,31 @@
-// Grid-bucket spatial index over the fleet's current positions. Dispatchers
-// rebuild it once per batch (vehicle positions only change between batches;
-// committing a schedule does not move a vehicle) and answer every
-// nearest-candidate scan from it instead of sorting the whole fleet by
-// distance per scan.
+// The engine-maintained fleet index (DESIGN.md §12): a uniform grid over
+// the road network's bounding box holding every in-service vehicle at its
+// current node, keyed by fleet-storage index and tagged with the shard it
+// resides in. The simulation engine updates it at exactly the sites that
+// change what it holds — a stop completion moves a vehicle
+// (Vehicle::AdvanceTo), a downtime scenario flips in_service, a migration
+// re-homes it — so no dispatcher rebuilds a fleet index per batch, and a
+// round pays only for the vehicles that changed.
 //
-// Exactness contract: KNearest(from, k) returns exactly the first k entries
-// of the fleet sorted by straight-line distance ascending, vehicle index
+// Exactness contract: a query returns exactly the first k entries of the
+// eligible vehicles sorted by straight-line distance ascending, fleet index
 // ascending on ties (tests/dispatch_test.cc holds it to that full sort).
-// Vehicles that are out of service are omitted (scenario downtime takes
-// them off the candidate market; they still finish their committed stops).
+// Eligible means in service (scenario downtime takes a vehicle off the
+// candidate market; it still finishes its committed stops) and resident in
+// the queried shard, or in any shard when the shard is negative.
 //
-// Storage is CSR (one offsets plane, one flat item plane) rather than a
-// vector-of-vectors, and Rebuild() refills the planes in place — a
-// persistent index serves a steady-state batch without heap allocation
-// (DESIGN.md §8). The *Into query variants write fleet indices into a
-// caller buffer, staging candidates on the calling thread's scratch arena,
-// so concurrent workers query without touching the heap.
+// Each cell holds its vehicles' positions inline, in no particular order:
+// candidates are ranked by the (distance, index) pair, a total order, so
+// the visiting order never shows. Updates are O(1) swap-removes and
+// appends; a cell's storage grows only past its largest occupancy so far.
+// Queries stage candidates on the calling thread's scratch arena, so
+// concurrent readers query without touching the heap.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/vehicle.h"
@@ -27,73 +33,81 @@
 namespace structride {
 namespace dispatch {
 
-class FleetSpatialIndex {
+class FleetIndex {
  public:
-  FleetSpatialIndex() = default;
-  FleetSpatialIndex(const std::vector<Vehicle>& fleet, const RoadNetwork& net) {
-    Rebuild(fleet, net);
-  }
+  static constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
-  /// Re-indexes the fleet's batch-start positions, reusing every plane's
-  /// capacity. Call once per batch. Indices stored and returned are
-  /// view-local; a shard's restricted view (DESIGN.md §12) yields a
-  /// shard-local index over its residents only.
-  void Rebuild(const FleetView& fleet, const RoadNetwork& net);
-  void Rebuild(const std::vector<Vehicle>& fleet, const RoadNetwork& net);
+  /// Indexes \p fleet over \p net: vehicle v at its node, in service per
+  /// Vehicle::in_service, resident in shard_of[v] (each in
+  /// [0, num_shards)). The grid has about one cell per vehicle.
+  void Reset(const RoadNetwork& net, const std::vector<Vehicle>& fleet,
+             const std::vector<int>& shard_of, int num_shards);
 
-  /// The k nearest fleet indices to \p from, ordered by (distance, index).
-  std::vector<size_t> KNearest(NodeId from, size_t k) const {
-    std::vector<size_t> out(k);
-    out.resize(QueryInto(from, k, -1.0, out.data()));
-    return out;
-  }
+  /// Vehicle \p v now stands at \p node.
+  void Move(size_t v, NodeId node);
+  /// Vehicle \p v entered (true) or left (false) service.
+  void SetInService(size_t v, bool in_service);
+  /// Vehicle \p v now resides in \p shard.
+  void SetShard(size_t v, int shard);
 
-  /// Every fleet index with straight-line distance <= \p max_dist, nearest
-  /// first, capped at \p k — the prefix an early-breaking scan over the
-  /// distance-sorted fleet would have visited. A negative radius matches
-  /// nothing (it is not the "unbounded" sentinel).
-  std::vector<size_t> KNearestWithin(NodeId from, size_t k,
-                                     double max_dist) const {
-    if (max_dist < 0) return {};
-    std::vector<size_t> out(k);
-    out.resize(QueryInto(from, k, max_dist, out.data()));
-    return out;
+  /// Writes up to \p k eligible fleet indices nearest \p from into \p out
+  /// (room for k), ordered by (distance, index); returns the count.
+  size_t KNearestInto(NodeId from, size_t k, int shard, size_t* out) const {
+    return QueryInto(from, k, -1.0, shard, out);
   }
-
-  /// Allocation-free query twins: write up to \p k fleet indices into
-  /// \p out (room for k) and return the count written.
-  size_t KNearestInto(NodeId from, size_t k, size_t* out) const {
-    return QueryInto(from, k, -1.0, out);
-  }
-  size_t KNearestWithinInto(NodeId from, size_t k, double max_dist,
+  /// As KNearestInto, keeping only vehicles within straight-line distance
+  /// \p max_dist: the prefix an early-breaking scan over the distance-sorted
+  /// fleet would have visited. A negative radius matches nothing (it is
+  /// not the "unbounded" sentinel).
+  size_t KNearestWithinInto(NodeId from, size_t k, double max_dist, int shard,
                             size_t* out) const {
     if (max_dist < 0) return 0;
-    return QueryInto(from, k, max_dist, out);
+    return QueryInto(from, k, max_dist, shard, out);
+  }
+  /// The in-service vehicle nearest \p from in any shard (ties: lower
+  /// index), or kNone — the boundary escrow's best-candidate oracle.
+  size_t Nearest(NodeId from) const {
+    size_t v = kNone;
+    QueryInto(from, 1, -1.0, -1, &v);
+    return v;
   }
 
-  size_t MemoryBytes() const;
+  /// SR_CHECKs that the index holds vehicle \p v at \p node, in service
+  /// iff \p in_service, resident in \p shard.
+  void CheckVehicle(size_t v, NodeId node, bool in_service, int shard) const;
 
  private:
-  size_t QueryInto(NodeId from, size_t k, double max_dist, size_t* out) const;
-  /// Bucket (cx, cy) as a CSR slice of bucket_items_.
-  const size_t* BucketBegin(int cx, int cy, size_t* len) const {
-    size_t cell = static_cast<size_t>(cy) * static_cast<size_t>(cols_) +
-                  static_cast<size_t>(cx);
-    *len = bucket_offsets_[cell + 1] - bucket_offsets_[cell];
-    return bucket_items_.data() + bucket_offsets_[cell];
+  struct Entry {
+    Point pos;
+    uint32_t vehicle = 0;
+    int32_t shard = 0;
+  };
+  static constexpr uint32_t kNoCell = std::numeric_limits<uint32_t>::max();
+
+  size_t QueryInto(NodeId from, size_t k, double max_dist, int shard,
+                   size_t* out) const;
+  uint32_t CellOf(const Point& p) const;
+  void Insert(size_t v);
+  void Erase(size_t v);
+  size_t Eligible(int shard) const {
+    return shard < 0 ? in_service_count_ : eligible_[static_cast<size_t>(shard)];
   }
 
   const RoadNetwork* net_ = nullptr;
-  std::vector<Point> positions_;  ///< per fleet index, batch-start position
-  std::vector<char> active_;      ///< per fleet index, in_service at build
   double min_x_ = 0, min_y_ = 0;
   double cell_w_ = 1, cell_h_ = 1;
   int cols_ = 1, rows_ = 1;
-  /// CSR buckets: cell c holds bucket_items_[bucket_offsets_[c] ..
-  /// bucket_offsets_[c+1]), ascending fleet indices.
-  std::vector<size_t> bucket_offsets_;
-  std::vector<size_t> bucket_items_;
-  std::vector<size_t> cell_of_;  ///< rebuild scratch: cell per active vehicle
+  std::vector<std::vector<Entry>> cells_;
+  /// Per fleet index: current node, resident shard, in-service flag, and
+  /// (while in service) its cell and slot in that cell.
+  std::vector<NodeId> node_;
+  std::vector<int> shard_;
+  std::vector<char> in_service_;
+  std::vector<uint32_t> cell_;
+  std::vector<uint32_t> slot_;
+  /// In-service vehicles per shard and in total.
+  std::vector<size_t> eligible_;
+  size_t in_service_count_ = 0;
 };
 
 }  // namespace dispatch

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <unordered_map>
 
 #include "dispatch/shard.h"
+#include "dispatch/spatial_index.h"
 #include "roadnet/travel_cost.h"
 #include "sim/event_queue.h"
 #include "util/alloc_gate.h"
@@ -201,6 +203,7 @@ class SimulationEngine::EventRun : public ScenarioHost {
     for (size_t k = pulled_stack_.size(); k-- > 0 && restored < count;) {
       if (pulled_stack_[k].scenario != current_scenario_) continue;
       fleet_[pulled_stack_[k].vehicle].set_in_service(true);
+      fleet_index_.SetInService(pulled_stack_[k].vehicle, true);
       pulled_stack_.erase(pulled_stack_.begin() + static_cast<long>(k));
       ++restored;
     }
@@ -219,6 +222,8 @@ class SimulationEngine::EventRun : public ScenarioHost {
     kCancelled,
     kServed,
   };
+  static constexpr size_t kNumReqStates =
+      static_cast<size_t>(ReqState::kServed) + 1;
   static constexpr uint64_t kNoEpoch = ~uint64_t{0};
 
   void OpenRequest(size_t idx);
@@ -254,15 +259,26 @@ class SimulationEngine::EventRun : public ScenarioHost {
   void CloseRequest(size_t idx, ReqState to);
   void ApplyRepositions(const std::vector<RepositionMove>& moves);
   void SyncVehicle(size_t vi);
+  void SyncTouchedVehicles();
   void RecordStop(const Stop& stop, double when);
   bool AllVehiclesIdle() const;
+  void AbortOnUnsyncedVehicle() const;
   RunMetrics Finalize();
+  // Conservation (DESIGN.md §12): the O(shards) check every round, the
+  // full scan once per run.
+  void CheckRoundConservation() const;
+  void CheckFullConservation() const;
+  size_t& StateCount(ReqState s) {
+    return state_count_[static_cast<size_t>(s)];
+  }
+  size_t StateCount(ReqState s) const {
+    return state_count_[static_cast<size_t>(s)];
+  }
   // Geo-sharding (DESIGN.md §12); every one of these is a no-op or
   // unreachable when num_shards_ == 1.
   void MigrateVehicle(size_t vi);
   void DrainEscrow();
   void ScheduleEscrow();
-  void CheckConservation() const;
 
   SimulationEngine* owner_;
   TravelCostEngine* engine_;
@@ -274,6 +290,9 @@ class SimulationEngine::EventRun : public ScenarioHost {
   std::vector<double> cancel_offset_;
   std::unordered_map<RequestId, size_t> id2idx_;
   std::vector<ReqState> state_;
+  /// Requests per state, kept by the only two writers of state_
+  /// (OpenRequest, CloseRequest).
+  std::array<size_t, kNumReqStates> state_count_{};
   std::vector<char> served_mask_;
   std::vector<double> pickup_time_;
   std::vector<double> dropoff_time_;
@@ -283,6 +302,13 @@ class SimulationEngine::EventRun : public ScenarioHost {
   std::vector<Vehicle> fleet_;
   std::vector<uint64_t> scheduled_epoch_;  ///< per vehicle: epoch with a
                                            ///< live queued stop event
+  /// Every in-service vehicle's position and residency, updated where
+  /// those change (stop events, downtime, migration); dispatchers and the
+  /// escrow query it.
+  dispatch::FleetIndex fleet_index_;
+  /// Vehicles whose committed timeline this round changed (commit logs and
+  /// applied reposition moves), synced once after the round.
+  std::vector<size_t> touched_;
   struct PulledVehicle {
     size_t vehicle = 0;
     int64_t scenario = -1;  ///< which scenario pulled it
@@ -316,6 +342,10 @@ class SimulationEngine::EventRun : public ScenarioHost {
   /// Reposition moves arrive view-local from each shard's context; this
   /// persistent scratch holds the storage-index translation per round.
   std::vector<RepositionMove> round_moves_;
+  /// The repositioning hook's per-round input and output, cleared and
+  /// refilled each round.
+  std::vector<const Request*> repo_open_;
+  std::vector<RepositionMove> repo_moves_;
   /// The concurrent batch phase's pool task, built once per run (capturing
   /// only `this`, so the std::function stays within its small-buffer
   /// storage — no per-round allocation).
@@ -386,6 +416,8 @@ RunMetrics SimulationEngine::EventRun::Execute() {
   id2idx_.reserve(n);
   for (size_t i = 0; i < n; ++i) id2idx_[requests_[i].id] = i;
   state_.assign(n, ReqState::kUnreleased);
+  state_count_.fill(0);
+  StateCount(ReqState::kUnreleased) = n;
   dispatched_.assign(n, 0);
   served_mask_.assign(n, 0);
   pickup_time_.assign(n, 0);
@@ -435,6 +467,7 @@ RunMetrics SimulationEngine::EventRun::Execute() {
     vehicle_shard_[vi] = partition_.ShardOfNode(fleet_[vi].node());
     shards_[static_cast<size_t>(vehicle_shard_[vi])]->members.push_back(vi);
   }
+  fleet_index_.Reset(engine_->network(), fleet_, vehicle_shard_, num_shards_);
   request_shard_.assign(n, 0);
   // After EnsureCachePartitions: the root's counters aggregate over its
   // partitions (live or retired), so these baselines make the run's deltas
@@ -520,12 +553,18 @@ RunMetrics SimulationEngine::EventRun::Execute() {
         if ((service_ ? (producer_done_.load(std::memory_order_acquire) &&
                          ring_->SizeApprox() == 0)
                       : released_ >= n) &&
-            open_count_ == 0 && AllVehiclesIdle()) {
-          done_ = true;
-        } else {
-          tick_time_ += period;
-          queue_.Push({tick_time_, EventType::kBatchTick, 0, 0});
+            open_count_ == 0) {
+          if (AllVehiclesIdle()) {
+            done_ = true;
+            break;
+          }
+          // A busy vehicle always has its stop event queued; with nothing
+          // queued the fleet can never go idle, and ticking on would never
+          // end.
+          if (queue_.empty()) AbortOnUnsyncedVehicle();
         }
+        tick_time_ += period;
+        queue_.Push({tick_time_, EventType::kBatchTick, 0, 0});
         break;
       case EventType::kRiderCancellation:
         if (state_[static_cast<size_t>(e.a)] == ReqState::kOpen) {
@@ -545,10 +584,11 @@ RunMetrics SimulationEngine::EventRun::Execute() {
   // Finish any in-flight reposition legs: the policy committed to the move,
   // so its deadhead cost is charged even though the run is over. Committed
   // stops cannot remain here (termination requires an idle fleet).
-  for (Vehicle& v : fleet_) {
-    v.AdvanceTo(kInf, [this](const Stop& stop, double when) {
+  for (size_t vi = 0; vi < fleet_.size(); ++vi) {
+    fleet_[vi].AdvanceTo(kInf, [this](const Stop& stop, double when) {
       RecordStop(stop, when);
     });
+    fleet_index_.Move(vi, fleet_[vi].node());
   }
   return Finalize();
 }
@@ -649,6 +689,8 @@ void SimulationEngine::EventRun::SleepUntilWall(double target) const {
 void SimulationEngine::EventRun::OpenRequest(size_t idx) {
   SR_CHECK(state_[idx] == ReqState::kUnreleased);
   state_[idx] = ReqState::kOpen;
+  --StateCount(ReqState::kUnreleased);
+  ++StateCount(ReqState::kOpen);
   ++open_count_;
   ++released_;
   pending_.push_back(idx);
@@ -683,6 +725,7 @@ void SimulationEngine::EventRun::HandleStopEvent(size_t vi, int64_t epoch) {
   v.AdvanceTo(now_, [this](const Stop& stop, double when) {
     RecordStop(stop, when);
   });
+  fleet_index_.Move(vi, v.node());
   SyncVehicle(vi);
   // Vehicle migration is a first-class event: crossing a zone edge at a
   // stop queues a re-home at the same timestamp. The event slot orders
@@ -708,8 +751,11 @@ void SimulationEngine::EventRun::MigrateVehicle(size_t vi) {
   SR_CHECK(it != from.end() && *it == vi);
   from.erase(it);
   std::vector<size_t>& to = shards_[static_cast<size_t>(zone)]->members;
-  to.insert(std::lower_bound(to.begin(), to.end(), vi), vi);
+  auto pos = std::lower_bound(to.begin(), to.end(), vi);
+  SR_CHECK(pos == to.end() || *pos != vi);  // never resident twice
+  to.insert(pos, vi);
   vehicle_shard_[vi] = zone;
+  fleet_index_.SetShard(vi, zone);
 }
 
 void SimulationEngine::EventRun::DispatchRound(bool online) {
@@ -808,29 +854,43 @@ void SimulationEngine::EventRun::DispatchRound(bool online) {
 
   if (!round_moves_.empty()) ApplyRepositions(round_moves_);
   if (owner_->repositioning_ != nullptr) {
-    std::vector<const Request*> open;
-    open.reserve(pending_.size());
+    repo_open_.clear();
     for (size_t idx : pending_) {
-      if (state_[idx] == ReqState::kOpen) open.push_back(&requests_[idx]);
+      if (state_[idx] == ReqState::kOpen) repo_open_.push_back(&requests_[idx]);
     }
     RepositioningContext rc;
     rc.now = now_;
     rc.net = &engine_->network();
     rc.fleet = &fleet_;
-    rc.open = &open;
-    std::vector<RepositionMove> moves;
-    owner_->repositioning_->Propose(rc, &moves);
-    ApplyRepositions(moves);
+    rc.open = &repo_open_;
+    repo_moves_.clear();
+    owner_->repositioning_->Propose(rc, &repo_moves_);
+    ApplyRepositions(repo_moves_);
   }
 
-  if (num_shards_ > 1) {
-    ScheduleEscrow();
-    CheckConservation();
-  }
+  if (num_shards_ > 1) ScheduleEscrow();
+  CheckRoundConservation();
+  SyncTouchedVehicles();
+}
 
-  // Commits and repositions changed committed timelines; (re)queue one stop
-  // event per vehicle with work in flight.
-  for (size_t vi = 0; vi < fleet_.size(); ++vi) SyncVehicle(vi);
+void SimulationEngine::EventRun::SyncTouchedVehicles() {
+  // Only commits and reposition starts change a committed timeline during
+  // a round (stop events sync their own vehicle), so these are the only
+  // vehicles that can need a new stop event. They are synced in fleet
+  // order: same-time stop events pop in push order (the queue's FIFO tie
+  // break), which thus depends on fleet indices alone, not on the order in
+  // which shards and dispatchers committed.
+  for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
+    for (size_t i : sh->commit_log) {
+      touched_.push_back(sh->ctx.fleet.global_index(i));
+    }
+    sh->commit_log.clear();
+  }
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+  for (size_t vi : touched_) SyncVehicle(vi);
+  touched_.clear();
 }
 
 void SimulationEngine::EventRun::RunShardBatch(ShardRuntime& sh, bool online) {
@@ -841,8 +901,10 @@ void SimulationEngine::EventRun::RunShardBatch(ShardRuntime& sh, bool online) {
   DispatchContext& ctx = sh.ctx;
   ctx.now = now_;
   ctx.engine = ShardEngine(sh);
-  ctx.fleet = num_shards_ == 1 ? FleetView(&fleet_)
-                               : FleetView(&fleet_, &sh.members);
+  ctx.fleet = FleetView(&fleet_, &sh.commit_log,
+                        num_shards_ == 1 ? nullptr : &sh.members);
+  ctx.fleet_index = &fleet_index_;
+  ctx.fleet_shard = num_shards_ == 1 ? -1 : sh.id;
   ctx.pool = pool_.get();
   ctx.online_event = online;
   ctx.sharegraph = sh.sharegraph.get();
@@ -858,11 +920,9 @@ void SimulationEngine::EventRun::RunShardBatch(ShardRuntime& sh, bool online) {
     if (service_) ctx.pending_ingest_wall.push_back(ingest_wall_[idx]);
   }
   sh.arena.Reset();
-  sh.fleet_soa.Refresh(ctx.fleet);
   sh.pending_soa.Refresh(
       Span<const Request* const>(ctx.pending.data(), ctx.pending.size()));
   ctx.arena = &sh.arena;
-  ctx.fleet_soa = &sh.fleet_soa;
   ctx.pending_soa = &sh.pending_soa;
 
   const uint64_t allocs_before = CurrentHeapAllocCount();
@@ -928,20 +988,38 @@ void SimulationEngine::EventRun::ScheduleEscrow() {
   // at the start of the next round.
   for (size_t idx : pending_) {
     if (state_[idx] != ReqState::kOpen) continue;
-    const size_t vi = NearestInServiceVehicle(fleet_, engine_->network(),
-                                              requests_[idx].source);
-    if (vi == SIZE_MAX) continue;
+    const size_t vi = fleet_index_.Nearest(requests_[idx].source);
+    if (vi == dispatch::FleetIndex::kNone) continue;
     const int target = vehicle_shard_[vi];
     if (target != request_shard_[idx]) escrow_.push_back({idx, target});
   }
 }
 
-void SimulationEngine::EventRun::CheckConservation() const {
-  // Vehicle conservation: the member lists are ascending, disjoint, and
-  // partition [0, fleet) exactly — no vehicle lost or duplicated by
-  // migration.
-  std::vector<char> seen(fleet_.size(), 0);
+void SimulationEngine::EventRun::CheckRoundConservation() const {
+  // Request conservation: the per-state counts agree with the per-outcome
+  // counters, which each closure's call site increments on its own.
+  SR_CHECK(StateCount(ReqState::kOpen) == open_count_);
+  SR_CHECK(StateCount(ReqState::kUnreleased) == state_.size() - released_);
+  SR_CHECK(StateCount(ReqState::kCancelled) ==
+           static_cast<size_t>(cancelled_));
+  SR_CHECK(StateCount(ReqState::kExpired) == static_cast<size_t>(expired_));
+  SR_CHECK(StateCount(ReqState::kRejected) ==
+           static_cast<size_t>(rejected_));
+  // Vehicle conservation: MigrateVehicle checks that a vehicle leaves a
+  // plane it is in and enters one it is not, so planes whose sizes sum to
+  // the fleet lost and duplicated nobody.
   size_t total = 0;
+  for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
+    total += sh->members.size();
+  }
+  SR_CHECK(total == fleet_.size());
+}
+
+void SimulationEngine::EventRun::CheckFullConservation() const {
+  // The member planes are ascending, disjoint, and partition [0, fleet)
+  // exactly, and the fleet index holds every vehicle where it stands, with
+  // its service flag and residency.
+  std::vector<char> seen(fleet_.size(), 0);
   for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
     for (size_t k = 0; k < sh->members.size(); ++k) {
       const size_t vi = sh->members[k];
@@ -950,30 +1028,18 @@ void SimulationEngine::EventRun::CheckConservation() const {
       seen[vi] = 1;
       SR_CHECK(vehicle_shard_[vi] == sh->id);
       if (k > 0) SR_CHECK(sh->members[k - 1] < vi);
-      ++total;
     }
   }
-  SR_CHECK(total == fleet_.size());
-  // Request conservation: the per-outcome counters (incremented exactly
-  // once at each closure site) agree with the state array, so no request
-  // was double-closed or dropped.
-  size_t open = 0, cancelled = 0, expired = 0, rejected = 0, unreleased = 0;
-  for (ReqState s : state_) {
-    switch (s) {
-      case ReqState::kUnreleased: ++unreleased; break;
-      case ReqState::kOpen: ++open; break;
-      case ReqState::kCancelled: ++cancelled; break;
-      case ReqState::kExpired: ++expired; break;
-      case ReqState::kRejected: ++rejected; break;
-      case ReqState::kAssigned:
-      case ReqState::kServed: break;
-    }
+  for (size_t vi = 0; vi < fleet_.size(); ++vi) {
+    SR_CHECK(seen[vi]);
+    fleet_index_.CheckVehicle(vi, fleet_[vi].node(), fleet_[vi].in_service(),
+                              vehicle_shard_[vi]);
   }
-  SR_CHECK(open == open_count_);
-  SR_CHECK(unreleased == state_.size() - released_);
-  SR_CHECK(cancelled == static_cast<size_t>(cancelled_));
-  SR_CHECK(expired == static_cast<size_t>(expired_));
-  SR_CHECK(rejected == static_cast<size_t>(rejected_));
+  // The per-state counts are the state array's.
+  std::array<size_t, kNumReqStates> recount{};
+  for (ReqState s : state_) ++recount[static_cast<size_t>(s)];
+  SR_CHECK(recount == state_count_);
+  CheckRoundConservation();
 }
 
 void SimulationEngine::EventRun::SweepPending() {
@@ -985,7 +1051,15 @@ void SimulationEngine::EventRun::SweepPending() {
 }
 
 void SimulationEngine::EventRun::CloseRequest(size_t idx, ReqState to) {
-  if (state_[idx] == ReqState::kOpen) --open_count_;
+  // The legal transitions: a rider is served only after being assigned,
+  // and every other outcome closes an open request — so a double close
+  // aborts here, at its call site.
+  const ReqState from = state_[idx];
+  SR_CHECK(to == ReqState::kServed ? from == ReqState::kAssigned
+                                   : from == ReqState::kOpen);
+  if (from == ReqState::kOpen) --open_count_;
+  --StateCount(from);
+  ++StateCount(to);
   state_[idx] = to;
   // End of lifetime for the maintained share graphs: assignment, rejection,
   // cancellation and expiry retire the request from *every* shard's builder
@@ -1029,6 +1103,7 @@ int SimulationEngine::EventRun::PullVehiclesInZone(int zone, int count) {
       if (zone >= 0 && partition_.ShardOfNode(v.node()) != zone) continue;
       v.CancelReposition();  // off-duty vehicles stop chasing demand
       v.set_in_service(false);
+      fleet_index_.SetInService(vi, false);
       pulled_stack_.push_back({vi, current_scenario_});
       ++pulled;
     }
@@ -1046,7 +1121,9 @@ void SimulationEngine::EventRun::ApplyRepositions(
     }
     Vehicle& v = fleet_[mv.vehicle];
     if (!v.in_service() || !v.idle() || v.repositioning()) continue;
-    v.BeginReposition(mv.target, now_, engine_);
+    if (v.BeginReposition(mv.target, now_, engine_)) {
+      touched_.push_back(mv.vehicle);
+    }
   }
 }
 
@@ -1083,6 +1160,15 @@ bool SimulationEngine::EventRun::AllVehiclesIdle() const {
     if (!v.idle()) return false;
   }
   return true;
+}
+
+void SimulationEngine::EventRun::AbortOnUnsyncedVehicle() const {
+  for (size_t vi = 0; vi < fleet_.size(); ++vi) {
+    if (fleet_[vi].idle()) continue;
+    SR_LOG("vehicle %zu holds %zu stops but no stop event is queued", vi,
+           fleet_[vi].schedule().size());
+    SR_CHECK(fleet_[vi].idle());
+  }
 }
 
 RunMetrics SimulationEngine::EventRun::Finalize() {
@@ -1162,6 +1248,7 @@ RunMetrics SimulationEngine::EventRun::Finalize() {
                static_cast<size_t>(expired_) + static_cast<size_t>(rejected_) +
                static_cast<size_t>(late_dropoffs_) + shed_.size() ==
            n);
+  CheckFullConservation();
   if (service_) {
     metrics.shed_requests = shed_.size();
     metrics.ingest_queue_depth_max =

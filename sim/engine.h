@@ -14,7 +14,9 @@
 // Run() also owns the run's incrementally maintained share graphs, one
 // builder per shard (DESIGN.md §7): lifecycle events retire requests from
 // them and every dispatch round receives its shard's builder via
-// DispatchContext::sharegraph.
+// DispatchContext::sharegraph. Likewise it owns the one fleet index every
+// candidate scan reads (DispatchContext::fleet_index, DESIGN.md §12),
+// updated at the events that move a vehicle, flip its service or re-home it.
 //
 // Statefulness contract: SpawnFleet fixes the fleet's spawn positions once;
 // every Run starts from that spawn with fresh request state, but the fault

@@ -81,13 +81,13 @@ TEST(AllocGateTest, ArenaScopeRewindsToTheSameStorage) {
 
 // The dispatcher-level gate. The context is built the way the engine builds
 // it (FullDispatchContext: caller-owned arena reset per round, SoA planes
-// refreshed per round, a persistent run-scoped share-graph builder) over a
-// pending pool of riders whose deadlines already passed: every feasibility
-// check fails, nothing commits, so the fleet and pending pool are
-// identical round after round.
-// Round 1 warms every pool (arena chunks, scanner index, grouping scratch,
-// thread scratch, travel-cost cache); rounds 2 and 3 are steady-state and
-// must allocate nothing.
+// refreshed per round, a persistent run-scoped share-graph builder, the
+// maintained fleet index and the commit log) over a pending pool of riders
+// whose deadlines already passed: every feasibility check fails, nothing
+// commits, so the fleet and pending pool are identical round after round.
+// Round 1 warms every pool (arena chunks, grouping scratch, thread scratch,
+// travel-cost cache); rounds 2 and 3 are steady-state and must allocate
+// nothing.
 class DispatcherGateTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DispatcherGateTest, SteadyStateBatchAllocatesNothing) {

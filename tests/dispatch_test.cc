@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "dispatch/common.h"
 #include "dispatch/spatial_index.h"
 #include "roadnet/generator.h"
 #include "sim/engine.h"
@@ -27,9 +30,9 @@ struct TinyChd : TinyPreset {
   }
 };
 
-// The spatial index's reference: in-service fleet indices sorted by
-// straight-line distance from \p from, ties by vehicle index.
-std::vector<size_t> VehiclesByDistance(const std::vector<Vehicle>& fleet,
+// The fleet index's reference: the view's in-service vehicles, view-local,
+// sorted by straight-line distance from \p from, ties by index.
+std::vector<size_t> VehiclesByDistance(const FleetView& fleet,
                                        const RoadNetwork& net, NodeId from) {
   std::vector<size_t> order;
   for (size_t i = 0; i < fleet.size(); ++i) {
@@ -40,6 +43,56 @@ std::vector<size_t> VehiclesByDistance(const std::vector<Vehicle>& fleet,
            net.EuclidLowerBound(fleet[b].node(), from);
   });
   return order;
+}
+
+// Holds the candidate scan (the dispatchers' only way into the fleet index)
+// to the full sort over ctx.fleet: KNearest must reproduce the first k
+// entries (k in {1, 16, view size} and past it), and the radius query the
+// early-breaking prefix, on both the dense flat-scan and the grid-walk path.
+void ExpectScanMatchesFullSort(const RoadNetwork& net,
+                               const DispatchContext& ctx, NodeId from) {
+  const std::vector<size_t> full = VehiclesByDistance(ctx.fleet, net, from);
+  const size_t n = ctx.fleet.size();
+  std::vector<size_t> buf(n + 16);
+  for (size_t k : {size_t{1}, size_t{16}, n, n + 10}) {
+    if (k == 0) continue;
+    const size_t count =
+        dispatch::NearestVehiclesInto(ctx, from, k, buf.data());
+    std::vector<size_t> got(buf.begin(), buf.begin() + count);
+    std::vector<size_t> want(full.begin(),
+                             full.begin() + std::min(k, full.size()));
+    EXPECT_EQ(got, want) << "k=" << k << " from=" << from;
+  }
+  for (double radius : {0.0, 2.5, 7.0, 1e9}) {
+    for (size_t k : {n, size_t{4}}) {
+      if (k == 0) continue;
+      const size_t count = dispatch::NearestVehiclesWithinInto(
+          ctx, from, k, radius, buf.data());
+      std::vector<size_t> got(buf.begin(), buf.begin() + count);
+      std::vector<size_t> want;
+      for (size_t vi : full) {
+        if (want.size() >= k) break;
+        if (net.EuclidLowerBound(ctx.fleet[vi].node(), from) > radius) break;
+        want.push_back(vi);
+      }
+      EXPECT_EQ(got, want) << "radius=" << radius << " k=" << k
+                           << " from=" << from;
+    }
+  }
+  EXPECT_EQ(dispatch::NearestVehiclesWithinInto(ctx, from, 16, -1.0,
+                                                buf.data()),
+            0u);
+}
+
+// A context over \p view answering from \p index for \p shard's residents
+// (-1: unrestricted).
+DispatchContext ScanContext(const FleetView& view,
+                            const dispatch::FleetIndex* index, int shard) {
+  DispatchContext ctx;
+  ctx.fleet = view;
+  ctx.fleet_index = index;
+  ctx.fleet_shard = shard;
+  return ctx;
 }
 
 TEST(DispatchTest, EveryDispatcherCompletesWithSaneMetrics) {
@@ -113,54 +166,74 @@ TEST(DispatchTest, ParallelMetricsAreBitwiseEqualAcrossThreadCounts) {
   ExpectBitwiseEqual(m1, m8);
 }
 
-// Exactness of the index itself: KNearest must reproduce the first k
-// entries of the full distance sort (ties broken by vehicle index), and the
-// radius query the early-breaking prefix. A third of the fleet is out of
-// service (scenario downtime) — both sides of the contract must skip those
-// vehicles identically.
-TEST(DispatchTest, SpatialIndexMatchesFullFleetSort) {
+// Exactness of the engine-maintained index: after every step of a seeded
+// sequence of moves, in-service flips and residency changes, the candidate
+// scan over the unrestricted view and over each shard's restricted view
+// must reproduce the full sort of that view. Duplicate spawn nodes
+// exercise ties; a third of the fleet starts out of service.
+TEST(DispatchTest, MaintainedFleetIndexMatchesFullSortUnderUpdates) {
   CityOptions copt;
   copt.rows = 12;
   copt.cols = 12;
   copt.seed = 7;
   RoadNetwork net = GenerateGridCity(copt);
+  const int64_t last_node = static_cast<int64_t>(net.num_nodes()) - 1;
+  constexpr int kShards = 3;
   Rng rng(99);
   std::vector<Vehicle> fleet;
+  std::vector<int> shard_of;
   for (int i = 0; i < 40; ++i) {
-    NodeId node = static_cast<NodeId>(
-        rng.UniformInt(0, static_cast<int64_t>(net.num_nodes()) - 1));
-    fleet.emplace_back(i, node, 4);  // duplicate positions exercise ties
+    fleet.emplace_back(i, static_cast<NodeId>(rng.UniformInt(0, last_node)),
+                       4);
     if (i % 3 == 0) fleet.back().set_in_service(false);
+    shard_of.push_back(static_cast<int>(rng.UniformInt(0, kShards - 1)));
   }
-  dispatch::FleetSpatialIndex index(fleet, net);
-  for (int trial = 0; trial < 30; ++trial) {
-    NodeId from = static_cast<NodeId>(
-        rng.UniformInt(0, static_cast<int64_t>(net.num_nodes()) - 1));
-    std::vector<size_t> full = VehiclesByDistance(fleet, net, from);
-    for (size_t k : {size_t{1}, size_t{5}, size_t{16}, fleet.size(),
-                     fleet.size() + 10}) {
-      std::vector<size_t> got = index.KNearest(from, k);
-      std::vector<size_t> want(full.begin(),
-                               full.begin() + std::min(k, full.size()));
-      EXPECT_EQ(got, want) << "k=" << k << " from=" << from;
-    }
-    for (double radius : {0.0, 2.5, 7.0, 1e9}) {
-      // k = fleet size exercises the dense flat-scan path; small k the
-      // grid walk with both the best-k bound and the radius cap live.
-      for (size_t k : {fleet.size(), size_t{4}}) {
-        std::vector<size_t> got = index.KNearestWithin(from, k, radius);
-        std::vector<size_t> want;
-        for (size_t vi : full) {
-          if (want.size() >= k) break;
-          if (net.EuclidLowerBound(fleet[vi].node(), from) > radius) break;
-          want.push_back(vi);
-        }
-        EXPECT_EQ(got, want) << "radius=" << radius << " k=" << k
-                             << " from=" << from;
+  dispatch::FleetIndex index;
+  index.Reset(net, fleet, shard_of, kShards);
+  std::vector<size_t> log;
+  std::vector<std::vector<size_t>> members(kShards);
+
+  for (int step = 0; step < 60; ++step) {
+    const size_t v = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(fleet.size()) - 1));
+    switch (step % 3) {
+      case 0: {  // a stop completion moved it
+        Vehicle moved(fleet[v].id(),
+                      static_cast<NodeId>(rng.UniformInt(0, last_node)), 4);
+        moved.set_in_service(fleet[v].in_service());
+        fleet[v] = moved;
+        index.Move(v, fleet[v].node());
+        break;
       }
+      case 1:  // downtime pulled or restored it
+        fleet[v].set_in_service(!fleet[v].in_service());
+        index.SetInService(v, fleet[v].in_service());
+        break;
+      default:  // it migrated
+        shard_of[v] = static_cast<int>(rng.UniformInt(0, kShards - 1));
+        index.SetShard(v, shard_of[v]);
+        break;
+    }
+    for (std::vector<size_t>& m : members) m.clear();
+    for (size_t vi = 0; vi < fleet.size(); ++vi) {
+      members[static_cast<size_t>(shard_of[vi])].push_back(vi);
+      index.CheckVehicle(vi, fleet[vi].node(), fleet[vi].in_service(),
+                         shard_of[vi]);
+    }
+    const NodeId from = static_cast<NodeId>(rng.UniformInt(0, last_node));
+    SCOPED_TRACE("step=" + std::to_string(step));
+    ExpectScanMatchesFullSort(
+        net, ScanContext(FleetView(&fleet, &log), &index, -1), from);
+    for (int s = 0; s < kShards; ++s) {
+      SCOPED_TRACE("shard=" + std::to_string(s));
+      ExpectScanMatchesFullSort(
+          net,
+          ScanContext(FleetView(&fleet, &log,
+                                &members[static_cast<size_t>(s)]),
+                      &index, s),
+          from);
     }
   }
-  EXPECT_TRUE(index.KNearestWithin(3, 16, -1.0).empty());
 }
 
 // A group every vehicle rejects must not starve: SARD retries its halves
@@ -249,50 +322,65 @@ TEST(DispatchTest, ListDispatchersNamesEveryConstructibleDispatcher) {
   EXPECT_EQ(&ListDispatchers(), &names);
 }
 
-// Spatial-index edge cases: queries over an empty fleet, an all-out-of-
-// service fleet, and a fleet collapsed into one grid cell must return
-// empty/filtered prefixes — never UB — and keep the prefix-of-full-sort
-// contract.
-TEST(DispatchTest, SpatialIndexHandlesDegenerateFleets) {
+// Fleet-index edge cases: queries over an empty fleet, an all-out-of-
+// service fleet, and a fleet stacked on one node (zero spatial extent) must
+// return empty/filtered prefixes — never UB — and keep the prefix-of-full-
+// sort contract.
+TEST(DispatchTest, FleetIndexHandlesDegenerateFleets) {
   CityOptions copt;
   copt.rows = 8;
   copt.cols = 8;
   copt.seed = 5;
   RoadNetwork net = GenerateGridCity(copt);
+  std::vector<size_t> log;
+  auto scan = [&](std::vector<Vehicle>* fleet, dispatch::FleetIndex* index) {
+    index->Reset(net, *fleet, std::vector<int>(fleet->size(), 0), 1);
+    return ScanContext(FleetView(fleet, &log), index, -1);
+  };
+  size_t buf[16];
 
   // Empty fleet: every query is empty, no division by zero cells.
   std::vector<Vehicle> empty;
-  dispatch::FleetSpatialIndex idx_empty(empty, net);
-  EXPECT_TRUE(idx_empty.KNearest(0, 0).empty());
-  EXPECT_TRUE(idx_empty.KNearest(0, 5).empty());
-  EXPECT_TRUE(idx_empty.KNearestWithin(0, 5, 1e9).empty());
-  size_t buf[4];
-  EXPECT_EQ(idx_empty.KNearestInto(0, 4, buf), 0u);
+  dispatch::FleetIndex idx_empty;
+  DispatchContext ctx_empty = scan(&empty, &idx_empty);
+  EXPECT_EQ(dispatch::NearestVehiclesInto(ctx_empty, 0, 5, buf), 0u);
+  EXPECT_EQ(dispatch::NearestVehiclesWithinInto(ctx_empty, 0, 5, 1e9, buf),
+            0u);
+  EXPECT_EQ(idx_empty.Nearest(0), dispatch::FleetIndex::kNone);
+  ExpectScanMatchesFullSort(net, ctx_empty, 0);
 
-  // Every vehicle out of service: indexed but filtered from every answer,
-  // exactly like the full-sort reference.
+  // Every vehicle out of service: filtered from every answer, exactly like
+  // the full-sort reference.
   std::vector<Vehicle> parked;
   for (int i = 0; i < 6; ++i) {
     parked.emplace_back(i, static_cast<NodeId>(i), 4);
     parked.back().set_in_service(false);
   }
-  dispatch::FleetSpatialIndex idx_parked(parked, net);
-  EXPECT_TRUE(idx_parked.KNearest(0, parked.size()).empty());
-  EXPECT_TRUE(VehiclesByDistance(parked, net, 0).empty());
-  EXPECT_TRUE(idx_parked.KNearestWithin(0, parked.size(), 1e9).empty());
+  dispatch::FleetIndex idx_parked;
+  DispatchContext ctx_parked = scan(&parked, &idx_parked);
+  EXPECT_EQ(dispatch::NearestVehiclesInto(ctx_parked, 0, parked.size(), buf),
+            0u);
+  EXPECT_EQ(idx_parked.Nearest(0), dispatch::FleetIndex::kNone);
+  ExpectScanMatchesFullSort(net, ctx_parked, 0);
 
-  // Whole fleet on one node (one grid cell, zero spatial extent): ties
-  // break by ascending index and k past the fleet size clamps.
+  // Whole fleet on one node (one grid cell): ties break by ascending index
+  // and k past the fleet size clamps.
   std::vector<Vehicle> stacked;
   for (int i = 0; i < 5; ++i) stacked.emplace_back(i, 3, 4);
   stacked[2].set_in_service(false);
-  dispatch::FleetSpatialIndex idx_stacked(stacked, net);
-  std::vector<size_t> want = {0, 1, 3, 4};  // 2 is off duty
-  EXPECT_EQ(idx_stacked.KNearest(3, stacked.size() + 7), want);
-  EXPECT_EQ(idx_stacked.KNearest(3, 2),
+  dispatch::FleetIndex idx_stacked;
+  DispatchContext ctx_stacked = scan(&stacked, &idx_stacked);
+  const std::vector<size_t> want = {0, 1, 3, 4};  // 2 is off duty
+  size_t count =
+      dispatch::NearestVehiclesInto(ctx_stacked, 3, stacked.size() + 7, buf);
+  EXPECT_EQ(std::vector<size_t>(buf, buf + count), want);
+  count = dispatch::NearestVehiclesInto(ctx_stacked, 3, 2, buf);
+  EXPECT_EQ(std::vector<size_t>(buf, buf + count),
             (std::vector<size_t>{0, 1}));  // filtered prefix
-  EXPECT_EQ(idx_stacked.KNearestWithin(3, stacked.size(), 0.0), want);
-  EXPECT_EQ(VehiclesByDistance(stacked, net, 3), want);
+  count = dispatch::NearestVehiclesWithinInto(ctx_stacked, 3, stacked.size(),
+                                              0.0, buf);
+  EXPECT_EQ(std::vector<size_t>(buf, buf + count), want);
+  ExpectScanMatchesFullSort(net, ctx_stacked, 3);
 }
 
 }  // namespace

@@ -4,15 +4,16 @@
 //     bitwise.
 //  2. num_shards>1 conserves requests and vehicles exactly: every request
 //     reaches exactly one terminal outcome, every vehicle lives in exactly
-//     one shard's member list (the engine SR_CHECKs this every round; the
-//     tests drive randomized multi-shard runs through those checks and pin
-//     the final census).
+//     one shard's member list (the engine SR_CHECKs the incremental form
+//     every round and the full scan at run end; the tests drive randomized
+//     multi-shard runs through those checks and pin the final census).
 //  3. The boundary handoff works: a request whose only candidates sit
 //     across the zone edge re-homes through the escrow and is served as a
 //     cross-shard trip.
 //  4. Zone-targeted scenarios act only on their zone, and zone=-1 degrades
 //     to the global scenario bitwise.
-// Plus units for the partition, FleetView, and the shard helpers.
+// Plus units for the partition, FleetView, the shard helpers and the
+// escrow's fleet-index query.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +24,11 @@
 
 #include "core/vehicle.h"
 #include "dispatch/shard.h"
+#include "dispatch/spatial_index.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
 #include "tests/test_fixtures.h"
+#include "util/random.h"
 
 namespace structride {
 namespace {
@@ -96,7 +99,8 @@ TEST(ShardPartitionTest, GridColsOverrideSplitsAlongOneAxis) {
 TEST(FleetViewTest, UnrestrictedViewIsPurePassThrough) {
   std::vector<Vehicle> fleet;
   for (int i = 0; i < 4; ++i) fleet.emplace_back(i, static_cast<NodeId>(i), 2);
-  FleetView view(&fleet);
+  std::vector<size_t> log;
+  FleetView view(&fleet, &log);
   EXPECT_FALSE(view.restricted());
   ASSERT_EQ(view.size(), fleet.size());
   for (size_t i = 0; i < fleet.size(); ++i) {
@@ -107,19 +111,42 @@ TEST(FleetViewTest, UnrestrictedViewIsPurePassThrough) {
 }
 
 TEST(FleetViewTest, RestrictedViewTranslatesMemberIndices) {
+  // A line of five unit edges; vehicle i stands at node i.
+  RoadNetwork net;
+  for (int i = 0; i < 5; ++i) net.AddNode({static_cast<double>(i), 0});
+  for (int i = 0; i + 1 < 5; ++i) {
+    net.AddEdge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1), 1);
+  }
+  TravelCostEngine engine(net);
   std::vector<Vehicle> fleet;
   for (int i = 0; i < 5; ++i) fleet.emplace_back(i, static_cast<NodeId>(i), 2);
   const std::vector<size_t> members = {1, 3, 4};
-  FleetView view(&fleet, &members);
+  std::vector<size_t> log;
+  FleetView view(&fleet, &log, &members);
   EXPECT_TRUE(view.restricted());
   ASSERT_EQ(view.size(), members.size());
   for (size_t i = 0; i < members.size(); ++i) {
     EXPECT_EQ(&view[i], &fleet[members[i]]);
     EXPECT_EQ(view.global_index(i), members[i]);
+    EXPECT_EQ(view.local_index(members[i]), i);
   }
-  // Mutation through the view hits the shared storage.
-  view[0].set_in_service(false);
-  EXPECT_FALSE(fleet[1].in_service());
+  // A commit through the view reaches the shared storage and logs the
+  // view-local index; a rejected one changes and logs nothing.
+  Request r;
+  r.source = 1;
+  r.destination = 2;
+  r.direct_cost = 1;
+  r.latest_pickup = 10;
+  r.deadline = 20;
+  const Stop trip[2] = {PickupStop(r), DropoffStop(r)};
+  ASSERT_TRUE(view.Commit(0, {trip, 2}, 0, &engine));
+  EXPECT_EQ(fleet[1].schedule().size(), 2u);
+  EXPECT_EQ(log, std::vector<size_t>{0});
+  r.deadline = 0.5;  // unreachable: the dropoff leg alone takes 1
+  const Stop late[2] = {PickupStop(r), DropoffStop(r)};
+  EXPECT_FALSE(view.Commit(2, {late, 2}, 0, &engine));
+  EXPECT_TRUE(fleet[4].idle());
+  EXPECT_EQ(log, std::vector<size_t>{0});
 }
 
 TEST(ShardHelperTest, LoadMaxOverMean) {
@@ -131,26 +158,92 @@ TEST(ShardHelperTest, LoadMaxOverMean) {
   EXPECT_EQ(ShardLoadMaxOverMean({8, 0, 0, 0}), 4.0);
 }
 
-TEST(ShardHelperTest, NearestInServiceVehicle) {
+// The escrow oracle's reference: the in-service vehicle nearest \p from by
+// the straight-line lower bound, ties to the lower index, by a linear scan
+// of the whole fleet; FleetIndex::kNone when none is in service.
+size_t NearestInServiceVehicle(const std::vector<Vehicle>& fleet,
+                               const RoadNetwork& net, NodeId from) {
+  size_t best = dispatch::FleetIndex::kNone;
+  double best_dist = kInf;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    if (!fleet[i].in_service()) continue;
+    double d = net.EuclidLowerBound(fleet[i].node(), from);
+    if (d < best_dist) {
+      best_dist = d;
+      best = i;
+    }
+  }
+  return best;
+}
+
+// The escrow query (FleetIndex::Nearest, residency ignored) must answer the
+// linear scan exactly, ties and pulled vehicles included.
+TEST(ShardHelperTest, EscrowQueryMatchesLinearScan) {
   RoadNetwork net;
   net.AddNode({0, 0});
   net.AddNode({5, 0});
   net.AddNode({6, 0});
   net.AddEdge(0, 1, 5);
   net.AddEdge(1, 2, 1);
+  auto nearest = [&](const std::vector<Vehicle>& fleet,
+                     const std::vector<int>& shard_of, NodeId from) {
+    dispatch::FleetIndex index;
+    index.Reset(net, fleet, shard_of, 2);
+    const size_t got = index.Nearest(from);
+    EXPECT_EQ(got, NearestInServiceVehicle(fleet, net, from));
+    return got;
+  };
   std::vector<Vehicle> fleet;
-  EXPECT_EQ(NearestInServiceVehicle(fleet, net, 0),
-            std::numeric_limits<size_t>::max());
+  EXPECT_EQ(nearest(fleet, {}, 0), dispatch::FleetIndex::kNone);
   fleet.emplace_back(0, 2, 2);
   fleet.emplace_back(1, 1, 2);
   fleet.emplace_back(2, 1, 2);  // same node as 1: tie broken by index
-  EXPECT_EQ(NearestInServiceVehicle(fleet, net, 0), 1u);
+  const std::vector<int> shard_of = {0, 1, 0};  // residency is ignored
+  EXPECT_EQ(nearest(fleet, shard_of, 0), 1u);
   fleet[1].set_in_service(false);
-  EXPECT_EQ(NearestInServiceVehicle(fleet, net, 0), 2u);
+  EXPECT_EQ(nearest(fleet, shard_of, 0), 2u);
   fleet[0].set_in_service(false);
   fleet[2].set_in_service(false);
-  EXPECT_EQ(NearestInServiceVehicle(fleet, net, 0),
-            std::numeric_limits<size_t>::max());
+  EXPECT_EQ(nearest(fleet, shard_of, 0), dispatch::FleetIndex::kNone);
+
+  // Seeded fleets on a grid city: stacked spawns make ties, a quarter of
+  // the fleet is pulled, residency is random, and vehicles keep moving and
+  // flipping service between queries.
+  TinyPreset preset("CHD");
+  const int64_t last_node = static_cast<int64_t>(preset.net.num_nodes()) - 1;
+  for (uint64_t seed : {uint64_t{3}, uint64_t{41}, uint64_t{977}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<Vehicle> seeded;
+    std::vector<int> zone;
+    for (int i = 0; i < 30; ++i) {
+      const NodeId node = i % 5 == 4 ? seeded.back().node()
+                                     : static_cast<NodeId>(
+                                           rng.UniformInt(0, last_node));
+      seeded.emplace_back(i, node, 4);
+      if (rng.Uniform(0, 1) < 0.25) seeded.back().set_in_service(false);
+      zone.push_back(static_cast<int>(rng.UniformInt(0, 3)));
+    }
+    dispatch::FleetIndex index;
+    index.Reset(preset.net, seeded, zone, 4);
+    for (int q = 0; q < 40; ++q) {
+      const size_t v = static_cast<size_t>(rng.UniformInt(0, 29));
+      if (q % 2 == 0) {
+        Vehicle moved(seeded[v].id(),
+                      static_cast<NodeId>(rng.UniformInt(0, last_node)), 4);
+        moved.set_in_service(seeded[v].in_service());
+        seeded[v] = moved;
+        index.Move(v, seeded[v].node());
+      } else {
+        seeded[v].set_in_service(!seeded[v].in_service());
+        index.SetInService(v, seeded[v].in_service());
+      }
+      const NodeId from = static_cast<NodeId>(rng.UniformInt(0, last_node));
+      EXPECT_EQ(index.Nearest(from),
+                NearestInServiceVehicle(seeded, preset.net, from))
+          << "from=" << from;
+    }
+  }
 }
 
 // ---------------------------------------------- N-shard conservation gate --
@@ -158,8 +251,8 @@ TEST(ShardHelperTest, NearestInServiceVehicle) {
 // Contract 2, randomized: multi-shard runs under the cancellation fault
 // model must balance the census exactly and reproduce bitwise under the
 // same seed. Every round additionally passes the engine's internal
-// vehicle/request conservation SR_CHECKs (a violation aborts the test
-// binary). The 1-shard cell of each seed is the differential baseline: the
+// vehicle/request conservation SR_CHECKs, and every run its full scan (a
+// violation aborts the test binary). The 1-shard cell of each seed is the differential baseline: the
 // same stream, same draws, no sharding machinery.
 TEST(ShardConservationTest, RandomizedMultiShardRunsBalanceTheCensus) {
   for (uint64_t seed : {uint64_t{11}, uint64_t{5150}, uint64_t{909090}}) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dispatch/dispatcher.h"
+#include "dispatch/spatial_index.h"
 #include "roadnet/hub_labeling.h"
 #include "sim/datasets.h"
 #include "sim/engine.h"
@@ -100,46 +101,56 @@ inline void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
 
 // A DispatchContext wired the way the simulation engine wires a
 // single-region round — caller-owned batch arena and SoA planes, the
-// run-scoped share-graph builder, a worker pool when the config runs on
-// several threads — for driving one dispatcher directly. Set ctx.pending,
-// then call BeginRound before each OnBatch.
+// run-scoped share-graph builder, the maintained fleet index, the commit
+// log, a worker pool when the config runs on several threads — for driving
+// one dispatcher directly. Set ctx.pending, then call BeginRound before each
+// OnBatch.
 struct FullDispatchContext {
   FullDispatchContext(TravelCostEngine* engine, std::vector<Vehicle>* fleet,
                       const DispatchConfig& config)
-      : sharegraph(engine, config.sharegraph) {
+      : sharegraph(engine, config.sharegraph), fleet(fleet) {
     ctx.engine = engine;
-    ctx.fleet = fleet;
+    ctx.fleet = FleetView(fleet, &commit_log);
+    fleet_index.Reset(engine->network(), *fleet,
+                      std::vector<int>(fleet->size(), 0), 1);
+    ctx.fleet_index = &fleet_index;
     ctx.sharegraph = &sharegraph;
     if (config.num_threads > 1) {
       pool = std::make_unique<ThreadPool>(config.num_threads);
       ctx.pool = pool.get();
     }
     ctx.arena = &arena;
-    ctx.fleet_soa = &fleet_soa;
     ctx.pending_soa = &pending_soa;
   }
   // ctx points into this object.
   FullDispatchContext(const FullDispatchContext&) = delete;
   FullDispatchContext& operator=(const FullDispatchContext&) = delete;
 
-  // Starts a round at \p now: outputs cleared, arena rewound, SoA planes
-  // refreshed over the fleet and ctx.pending.
+  // Starts a round at \p now: outputs and the commit log cleared, arena
+  // rewound, the fleet index brought up to the fleet's positions and
+  // service flags, SoA planes refreshed over ctx.pending.
   DispatchContext* BeginRound(double now) {
     ctx.now = now;
     ctx.assigned.clear();
     ctx.rejected.clear();
     ctx.repositions.clear();
+    commit_log.clear();
     arena.Reset();
-    fleet_soa.Refresh(ctx.fleet);
+    for (size_t v = 0; v < fleet->size(); ++v) {
+      fleet_index.Move(v, (*fleet)[v].node());
+      fleet_index.SetInService(v, (*fleet)[v].in_service());
+    }
     pending_soa.Refresh(
         Span<const Request* const>(ctx.pending.data(), ctx.pending.size()));
     return &ctx;
   }
 
   ShareGraphBuilder sharegraph;
+  std::vector<Vehicle>* fleet;
+  dispatch::FleetIndex fleet_index;
+  std::vector<size_t> commit_log;
   std::unique_ptr<ThreadPool> pool;
   EpochArena arena;
-  FleetSoA fleet_soa;
   RequestSoA pending_soa;
   DispatchContext ctx;
 };
