@@ -1,8 +1,10 @@
 // Microbenchmarks for the shareability graph: batch folding (the Alg. 1
-// cost, lower-bound pair screen included), shareability loss evaluation and
+// cost, free pair screens included), shareability loss evaluation and
 // supernode substitution.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
 
 #include "sharegraph/builder.h"
 #include "sharegraph/loss.h"
@@ -53,18 +55,27 @@ BENCHMARK(BM_BuildShareGraph)->Unit(benchmark::kMillisecond)->Iterations(10);
 
 void BM_IncrementalAddRequests(benchmark::State& state) {
   // The per-batch incremental cost: fold 20 new requests into a populated
-  // graph.
+  // graph. Reports the batch's exact pair checks and the pairs the free
+  // screens pruned.
   Fixture& f = F();
+  uint64_t checks = 0, pruned = 0;
   for (auto _ : state) {
     state.PauseTiming();
     ShareGraphBuilder builder(&f.engine, {});
     std::vector<Request> base(f.requests.begin(), f.requests.end() - 20);
     std::vector<Request> batch(f.requests.end() - 20, f.requests.end());
     builder.AddRequests(base);
+    const uint64_t checks_before = builder.pair_checks();
+    const uint64_t pruned_before = builder.pruned_pairs();
     state.ResumeTiming();
     builder.AddRequests(batch);
     benchmark::DoNotOptimize(builder.graph().NumEdges());
+    checks += builder.pair_checks() - checks_before;
+    pruned += builder.pruned_pairs() - pruned_before;
   }
+  const double ops = static_cast<double>(state.iterations());
+  state.counters["pair_checks_per_op"] = static_cast<double>(checks) / ops;
+  state.counters["pruned_per_op"] = static_cast<double>(pruned) / ops;
 }
 BENCHMARK(BM_IncrementalAddRequests)->Unit(benchmark::kMillisecond)->Iterations(10);
 

@@ -13,8 +13,8 @@
 //     cases (own main below).
 //
 //  2. The Google-Benchmark cases: raw hub-label query vs bidirectional
-//     Dijkstra, the cached engine hot path, batched CostMany, and index
-//     construction.
+//     Dijkstra, the cached engine hot path, batched CostMany, the two free
+//     lower bounds, and index construction.
 //
 // With STRUCTRIDE_JSON_DIR set, the study writes
 // $STRUCTRIDE_JSON_DIR/BENCH_micro_shortest_path_latency.json.
@@ -316,6 +316,38 @@ void BM_EngineCostMany(benchmark::State& state) {
                           static_cast<int64_t>(kFanOut));
 }
 BENCHMARK(BM_EngineCostMany);
+
+// One leg of the share-graph screens, in ns per call over random node
+// pairs of the NYC preset graph: the straight-line bound, and the landmark
+// bound the second screen adds (8 landmarks, one 64-byte row per node).
+void BM_LowerBound(benchmark::State& state, bool landmark) {
+  static const RoadNetwork net = [] {
+    DatasetSpec spec = DatasetByName("NYC", 1.0);
+    return BuildNetwork(&spec);
+  }();
+  // The bounds do not depend on the backend; skip the hub-label build.
+  static const TravelCostEngine engine(net, [] {
+    TravelCostOptions options;
+    options.backend = TravelCostOptions::Backend::kBidirectionalDijkstra;
+    return options;
+  }());
+  constexpr size_t kPairs = 4096;  // a power of two: the loop masks
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  Rng rng(4);
+  const int64_t n = static_cast<int64_t>(net.num_nodes());
+  for (size_t i = 0; i < kPairs; ++i) {
+    pairs.emplace_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)),
+                       static_cast<NodeId>(rng.UniformInt(0, n - 1)));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto [s, t] = pairs[i++ & (kPairs - 1)];
+    benchmark::DoNotOptimize(landmark ? engine.LandmarkLowerBound(s, t)
+                                      : engine.LowerBound(s, t));
+  }
+}
+BENCHMARK_CAPTURE(BM_LowerBound, straight_line, false);
+BENCHMARK_CAPTURE(BM_LowerBound, landmark, true);
 
 void BM_DijkstraAll(benchmark::State& state) {
   const RoadNetwork& net = Net();

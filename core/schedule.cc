@@ -1,5 +1,7 @@
 #include "core/schedule.h"
 
+#include <algorithm>
+
 namespace structride {
 
 namespace {
@@ -29,6 +31,15 @@ std::pair<bool, double> CheckScheduleLowerBound(
     const TravelCostEngine* engine) {
   return Walk(state, stops, [engine](NodeId a, NodeId b) {
     return engine->LowerBound(a, b);
+  });
+}
+
+std::pair<bool, double> CheckScheduleLandmarkBound(
+    const RouteState& state, Span<const Stop> stops,
+    const TravelCostEngine* engine) {
+  return Walk(state, stops, [engine](NodeId a, NodeId b) {
+    return std::max(engine->LowerBound(a, b),
+                    engine->LandmarkLowerBound(a, b));
   });
 }
 

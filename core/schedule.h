@@ -74,7 +74,7 @@ double LegCost(NodeId from, NodeId to, CostFn&& cost_fn) {
 
 /// A schedule walk between two stops: where the vehicle is, when it is free
 /// there, the travel cost so far and the seats taken. Every walk —
-/// CheckSchedule, CheckScheduleLowerBound, both BestInsertion walks and
+/// CheckSchedule, both lower-bound walks, both BestInsertion walks and
 /// Vehicle::CommitStops — advances through Serve, the one copy of the stop
 /// rule, so they agree bit for bit on times, costs and verdicts.
 struct WalkState {
@@ -121,5 +121,14 @@ std::pair<bool, double> CheckSchedule(const RouteState& state,
 std::pair<bool, double> CheckScheduleLowerBound(const RouteState& state,
                                                 Span<const Stop> stops,
                                                 const TravelCostEngine* engine);
+
+/// Same simulation with each leg at the larger of the straight-line and the
+/// landmark bound (TravelCostEngine::LandmarkLowerBound) — still no
+/// shortest-path queries. Every leg lies between the straight-line leg and
+/// the road leg, so this walk rejects whatever CheckScheduleLowerBound
+/// rejects, and whatever it rejects fails CheckSchedule too.
+std::pair<bool, double> CheckScheduleLandmarkBound(
+    const RouteState& state, Span<const Stop> stops,
+    const TravelCostEngine* engine);
 
 }  // namespace structride

@@ -1,6 +1,6 @@
 // SARD: the paper's structure-aware ridesharing dispatcher. Per batch:
 // fold the new requests into the shard's engine-owned shareability graph
-// (Alg. 1, every pair screened by the lower-bound walk that makes SARD-O's
+// (Alg. 1, every pair screened by the lower-bound walks that make SARD-O's
 // angle pruning lossless — SARD-O is an alias), partition the open
 // requests into capacity-bounded cliques (the grouping stage), then run
 // the proposal/acceptance stage (Alg. 3): each group is proposed to nearby

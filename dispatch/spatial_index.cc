@@ -243,13 +243,17 @@ size_t FleetIndex::QueryInto(NodeId from, size_t k, double max_dist,
       bool past_radius = max_dist >= 0 && lb > max_dist;
       if (past_k || past_radius) break;
     }
+    // Ring r only: its top and bottom rows in full, and between them the
+    // two side columns — O(r) cells, clipped to the grid.
     const int x0 = qcx - r, x1 = qcx + r, y0 = qcy - r, y1 = qcy + r;
+    const int cx_lo = std::max(0, x0), cx_hi = std::min(cols_ - 1, x1);
     for (int cy = std::max(0, y0); cy <= std::min(rows_ - 1, y1); ++cy) {
-      bool edge_row = cy == y0 || cy == y1;
-      for (int cx = std::max(0, x0); cx <= std::min(cols_ - 1, x1); ++cx) {
-        if (!edge_row && cx != x0 && cx != x1) continue;  // perimeter only
-        scan_cell(cx, cy);
+      if (cy == y0 || cy == y1) {
+        for (int cx = cx_lo; cx <= cx_hi; ++cx) scan_cell(cx, cy);
+        continue;
       }
+      if (x0 >= 0) scan_cell(x0, cy);
+      if (x1 < cols_) scan_cell(x1, cy);
     }
   }
 

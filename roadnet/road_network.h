@@ -4,7 +4,7 @@
 // importer's admissibility rescale (roadnet/importer.h, on by default) — to
 // be >= the Euclidean distance between the endpoints, so straight-line
 // distance never exceeds road cost. A*, pruneGDP's reachability prune, the
-// share-graph builder's lower-bound pair screen and the insertion
+// share-graph builder's lower-bound pair screens and the insertion
 // operator's lower-bound walk rely on this for exactness; on a network that
 // breaks it the screens drop shareable pairs and feasible insertions and
 // change every dispatcher's outcomes.

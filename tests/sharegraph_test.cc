@@ -1,10 +1,10 @@
 // ShareGraph structure operations; the load-bearing property of the
-// builder's lower-bound pair screen: it must never drop a feasible share
-// pair — the screened graph must equal the one exact checking of every
-// joint order would build (the screen only saves shortest-path queries);
-// and the incremental builder's contracts: one exact check per pair
-// lifetime, from-scratch equivalence after every delta, and a pooled
-// AddRequests identical to the serial one.
+// builder's free pair screens (straight-line walk, then landmark walk): they
+// must never drop a feasible share pair — the screened graph must equal the
+// one exact checking of every joint order would build (the screens only
+// save shortest-path queries); and the incremental builder's contracts: one
+// exact check per pair lifetime, from-scratch equivalence after every
+// delta, and a pooled AddRequests identical to the serial one.
 
 #include <gtest/gtest.h>
 
@@ -25,13 +25,22 @@
 namespace structride {
 namespace {
 
-// Both walks of each joint stop order of a pair, rebuilt independently of
-// the builder: the four orders in which the rides overlap (both pickups
+// The three walks of each joint stop order of a pair, rebuilt independently
+// of the builder: the four orders in which the rides overlap (both pickups
 // before both dropoffs), each walked from the leading rider's pickup at its
 // release time with two seats.
 struct JointOrderWalks {
   bool exact[4];
   bool lower_bound[4];
+  bool landmark[4];
+
+  /// Some order passes both bound walks: the builder exact-checks the pair.
+  bool Screened() const {
+    for (int k = 0; k < 4; ++k) {
+      if (lower_bound[k] && landmark[k]) return true;
+    }
+    return false;
+  }
 };
 
 JointOrderWalks WalkJointOrders(const Request& a, const Request& b,
@@ -50,6 +59,8 @@ JointOrderWalks WalkJointOrders(const Request& a, const Request& b,
     walks.exact[k] = CheckSchedule(state, orders[k], engine).first;
     walks.lower_bound[k] =
         CheckScheduleLowerBound(state, orders[k], engine).first;
+    walks.landmark[k] =
+        CheckScheduleLandmarkBound(state, orders[k], engine).first;
   }
   return walks;
 }
@@ -126,9 +137,11 @@ TEST(ShareGraphTest, AnalysisOnKnownGraph) {
 
 // Screen losslessness on a seeded workload over \p net: every
 // time-overlapping pair's edge equals the unscreened reference (any joint
-// order feasible under the exact walk), every order the lower-bound walk
+// order feasible under the exact walk), every order either bound walk
 // rejects also fails the exact walk, and each overlapping pair was either
-// pruned by the screen or exact-checked — with the screen actually firing.
+// pruned by the screens or exact-checked — with both stages firing: the
+// straight-line walk rejects orders, and the landmark walk prunes pairs
+// the straight-line walk alone would have kept.
 void ExpectScreenLossless(const RoadNetwork& net, uint64_t seed) {
   TravelCostEngine engine(net);
   DeadlinePolicy policy;
@@ -144,6 +157,7 @@ void ExpectScreenLossless(const RoadNetwork& net, uint64_t seed) {
   EXPECT_GT(builder.pruned_pairs(), 0u);
 
   uint64_t overlapping = 0, screened_orders = 0;
+  uint64_t unscreened_pairs = 0, landmark_pruned_pairs = 0;
   for (size_t i = 0; i < requests.size(); ++i) {
     for (size_t j = i + 1; j < requests.size(); ++j) {
       const Request& a = requests[i];
@@ -161,14 +175,27 @@ void ExpectScreenLossless(const RoadNetwork& net, uint64_t seed) {
         if (!walks.lower_bound[k]) {
           ++screened_orders;
           EXPECT_FALSE(walks.exact[k])
-              << "screen rejected feasible order " << k << " of pair " << a.id
-              << "," << b.id;
+              << "straight-line walk rejected feasible order " << k
+              << " of pair " << a.id << "," << b.id;
+        }
+        if (!walks.landmark[k]) {
+          EXPECT_FALSE(walks.exact[k])
+              << "landmark walk rejected feasible order " << k << " of pair "
+              << a.id << "," << b.id;
         }
       }
       EXPECT_EQ(edge, reference) << "pair " << a.id << "," << b.id;
+      if (!walks.Screened()) {
+        ++unscreened_pairs;
+        const bool straight_line_kept =
+            std::count(walks.lower_bound, walks.lower_bound + 4, true) > 0;
+        landmark_pruned_pairs += straight_line_kept;
+      }
     }
   }
   EXPECT_GT(screened_orders, 0u);
+  EXPECT_GT(landmark_pruned_pairs, 0u);
+  EXPECT_EQ(builder.pruned_pairs(), unscreened_pairs);
   EXPECT_EQ(builder.pair_checks() + builder.pruned_pairs(), overlapping);
 }
 
@@ -240,16 +267,14 @@ TEST(ShareGraphBuilderTest, LivePairIsCheckedOncePerLifetime) {
   wopts.seed = 5;
   auto requests = GenerateWorkload(net, &engine, policy, wopts);
 
-  // A pair that survives the temporal and lower-bound screens, so adding it
-  // costs exactly one exact check.
+  // A pair that survives the temporal screen and both bound walks, so
+  // adding it costs exactly one exact check.
   const Request* a = nullptr;
   const Request* b = nullptr;
   for (size_t i = 0; i < requests.size() && a == nullptr; ++i) {
     for (size_t j = i + 1; j < requests.size(); ++j) {
       if (!TimeOverlapping(requests[i], requests[j])) continue;
-      const JointOrderWalks walks =
-          WalkJointOrders(requests[i], requests[j], &engine);
-      if (std::count(walks.lower_bound, walks.lower_bound + 4, true) > 0) {
+      if (WalkJointOrders(requests[i], requests[j], &engine).Screened()) {
         a = &requests[i];
         b = &requests[j];
         break;
@@ -290,7 +315,7 @@ TEST(ShareGraphBuilderTest, LivePairIsCheckedOncePerLifetime) {
 //    neighbor SEQUENCE. The graph is unweighted, so adjacency order is the
 //    strictest per-edge invariant there is — it is what makes dispatcher
 //    results independent of how the graph was maintained;
-//  - the lifetime invariant: one exact check or lower-bound prune per
+//  - the lifetime invariant: one exact check or free-screen prune per
 //    co-present, time-overlapping pair lifetime, so re-presentations and
 //    surviving pairs cost nothing;
 //  - a mirror builder running AddRequests on a 4-thread pool, over its own

@@ -1,5 +1,6 @@
 // Binary snapshot persistence: lossless round-trips (bitwise-identical
-// costs from every backend, identical engine sp_queries, loaded vs built),
+// costs from every backend, identical engine sp_queries and landmark
+// tables, loaded vs built),
 // byte-reproducible writes, zero-copy mmap loads, and adversarial inputs —
 // truncation, checksum flips, wrong magic/version, out-of-bounds section
 // offsets, corrupt section contents — each failing loudly through the error
@@ -157,6 +158,35 @@ TEST(SnapshotTest, RoundTripIsLosslessOnGridAndFixture) {
                                  1234u + static_cast<uint64_t>(source));
     }
     ++source;
+  }
+}
+
+// The landmark table is a function of the frozen CSR alone, so an engine
+// over a loaded network must hold bitwise the table an engine over the
+// written network holds: same landmarks, same distance bits.
+TEST(SnapshotTest, LoadedNetworkHasTheSameLandmarkTable) {
+  int source = 0;
+  for (const auto& make : {+[] { return MakeGrid(); },
+                           +[] { return MakeFixture(); }}) {
+    RoadNetwork net = make();
+    net.Freeze();
+    HubLabeling hl(net);
+    ContractionHierarchies ch(net);
+    TravelCostEngine written(net);
+    const LandmarkTable& want = written.landmark_table();
+    std::string path = TempPath("lm" + std::to_string(source++) + ".snap");
+    for (bool use_mmap : {false, true}) {
+      GraphBundle loaded = RoundTrip(net, hl, ch, path, use_mmap);
+      TravelCostOptions options;
+      options.prebuilt_hub_labels = loaded.hub_labels.get();
+      TravelCostEngine adopted(loaded.network, options);
+      const LandmarkTable& got = adopted.landmark_table();
+      EXPECT_EQ(got.landmarks(), want.landmarks());
+      ASSERT_EQ(got.distances().size(), want.distances().size());
+      EXPECT_EQ(std::memcmp(got.distances().data(), want.distances().data(),
+                            want.distances().size() * sizeof(double)),
+                0);
+    }
   }
 }
 
