@@ -132,6 +132,10 @@ BENCHMARK(BM_CheckSchedule);
 
 // A fleet on a 64x64 grid city indexed the way the engine indexes it: each
 // vehicle resident in the zone of its spawn node under `shards` zones.
+// With `per_node` 1 every vehicle spawns on a uniform random node (about
+// one per occupied node); with a larger value the fleet spawns on
+// vehicles / per_node random hotspot nodes, stacked the way idle vehicles
+// pile up where riders get off in the replays.
 struct IndexedFleet {
   RoadNetwork net;
   std::vector<Vehicle> fleet;
@@ -139,7 +143,7 @@ struct IndexedFleet {
   dispatch::FleetIndex index;
   std::vector<NodeId> probes;  ///< random query / move-target nodes
 
-  IndexedFleet(int vehicles, int shards) : net([] {
+  IndexedFleet(int vehicles, int shards, int per_node = 1) : net([] {
     CityOptions opt;
     opt.rows = 64;
     opt.cols = 64;
@@ -149,9 +153,18 @@ struct IndexedFleet {
     Rng rng(static_cast<uint64_t>(vehicles * 10 + shards));
     const int64_t last = static_cast<int64_t>(net.num_nodes()) - 1;
     partition.Build(net, shards);
+    std::vector<NodeId> hotspots;
+    for (int h = 0; per_node > 1 && h < vehicles / per_node; ++h) {
+      hotspots.push_back(static_cast<NodeId>(rng.UniformInt(0, last)));
+    }
     std::vector<int> shard_of;
     for (int i = 0; i < vehicles; ++i) {
-      fleet.emplace_back(i, static_cast<NodeId>(rng.UniformInt(0, last)), 4);
+      const NodeId node =
+          hotspots.empty()
+              ? static_cast<NodeId>(rng.UniformInt(0, last))
+              : hotspots[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(hotspots.size()) - 1))];
+      fleet.emplace_back(i, node, 4);
       shard_of.push_back(partition.ShardOfNode(fleet.back().node()));
     }
     index.Reset(net, fleet, shard_of, shards);
@@ -164,9 +177,9 @@ struct IndexedFleet {
 // One dispatcher candidate scan: the 16 nearest in-service residents of the
 // query node's zone (every vehicle at 1 zone), as SARD's proposal pricing
 // and the baselines ask it.
-void BM_FleetIndexQuery(benchmark::State& state) {
+void QueryLoop(benchmark::State& state, int per_node) {
   const int shards = static_cast<int>(state.range(1));
-  IndexedFleet f(static_cast<int>(state.range(0)), shards);
+  IndexedFleet f(static_cast<int>(state.range(0)), shards, per_node);
   size_t out[16];
   size_t i = 0;
   for (auto _ : state) {
@@ -179,7 +192,17 @@ void BM_FleetIndexQuery(benchmark::State& state) {
   state.SetLabel("vehicles=" + std::to_string(state.range(0)) +
                  " shards=" + std::to_string(shards));
 }
+
+void BM_FleetIndexQuery(benchmark::State& state) { QueryLoop(state, 1); }
 BENCHMARK(BM_FleetIndexQuery)->Args({1000, 1})->Args({1000, 4})
+    ->Args({4000, 1})->Args({4000, 4});
+
+// The same scan over a fleet stacked about 6 to an occupied node, as the
+// replays' fleets are.
+void BM_FleetIndexQueryStacked(benchmark::State& state) {
+  QueryLoop(state, 6);
+}
+BENCHMARK(BM_FleetIndexQueryStacked)->Args({1000, 1})->Args({1000, 4})
     ->Args({4000, 1})->Args({4000, 4});
 
 // The upkeep a stop completion pays: one vehicle moves to a random node

@@ -1,6 +1,5 @@
 #include "core/vehicle.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/arena.h"
@@ -115,11 +114,38 @@ bool FleetView::Commit(size_t i, Span<const Stop> stops, double now,
   return true;
 }
 
+void MemberRanks::Reset(size_t fleet_size) {
+  bits_.assign(fleet_size / 64 + 1, 0);
+  below_.assign(bits_.size(), 0);
+}
+
+void MemberRanks::Add(size_t g) {
+  SR_CHECK(!Contains(g));
+  bits_[g / 64] |= uint64_t{1} << (g % 64);
+  for (size_t w = g / 64 + 1; w < below_.size(); ++w) ++below_[w];
+}
+
+void MemberRanks::Remove(size_t g) {
+  SR_CHECK(Contains(g));
+  bits_[g / 64] &= ~(uint64_t{1} << (g % 64));
+  for (size_t w = g / 64 + 1; w < below_.size(); ++w) --below_[w];
+}
+
+FleetView::FleetView(std::vector<Vehicle>* storage,
+                     std::vector<size_t>* commit_log,
+                     const std::vector<size_t>* members,
+                     const MemberRanks* ranks)
+    : storage_(storage),
+      commit_log_(commit_log),
+      members_(members),
+      ranks_(ranks) {
+  SR_CHECK(members != nullptr && ranks != nullptr);
+}
+
 size_t FleetView::local_index(size_t g) const {
   if (members_ == nullptr) return g;
-  auto it = std::lower_bound(members_->begin(), members_->end(), g);
-  SR_CHECK(it != members_->end() && *it == g);
-  return static_cast<size_t>(it - members_->begin());
+  SR_CHECK(ranks_->Contains(g));
+  return ranks_->Rank(g);
 }
 
 }  // namespace structride

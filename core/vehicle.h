@@ -122,16 +122,42 @@ class Vehicle {
   double reposition_cost_ = 0;
 };
 
+/// The inverse of one shard's member plane: the position of each member in
+/// the ascending plane — its view-local index (FleetView) — in O(1), as a
+/// rank over fleet indices. Bit g % 64 of word g / 64 is set iff fleet index
+/// g is a member, and below_[w] counts the members in the words before w,
+/// so member g sits at below_[g / 64] plus the members below it in its
+/// word. Adding or removing a member costs O(fleet size / 64).
+class MemberRanks {
+ public:
+  /// No members, over fleet indices [0, fleet_size).
+  void Reset(size_t fleet_size);
+  void Add(size_t g);
+  void Remove(size_t g);
+  bool Contains(size_t g) const { return (bits_[g / 64] >> (g % 64)) & 1; }
+  /// The members below \p g: member g's position in the plane.
+  size_t Rank(size_t g) const {
+    const uint64_t below_g = bits_[g / 64] & ((uint64_t{1} << (g % 64)) - 1);
+    return below_[g / 64] + static_cast<size_t>(__builtin_popcountll(below_g));
+  }
+
+ private:
+  std::vector<uint64_t> bits_;
+  std::vector<uint32_t> below_;
+};
+
 /// A possibly-restricted view over the one global fleet vector (geo-sharding,
 /// DESIGN.md §12). The simulation engine keeps a single fleet for the whole
 /// metro; a shard's dispatcher sees only its resident vehicles through the
 /// optional member-index plane. Every index a dispatcher hands out or
 /// receives (candidate scans, proposals, RepositionMove::vehicle) is
-/// view-local; global_index() translates back to fleet storage. An
-/// unrestricted view is a pure pass-through — view-local == global — which is
-/// what keeps the single-shard engine bitwise identical to the pre-sharding
-/// one. The members plane, when present, must hold strictly ascending fleet
-/// indices so deterministic (distance, index) tie breaks survive restriction.
+/// view-local; global_index() translates back to fleet storage and
+/// local_index() forward, each in O(1). An unrestricted view is a pure
+/// pass-through — view-local == global — which is what keeps the
+/// single-shard engine bitwise identical to the pre-sharding one. The
+/// members plane, when present, must hold strictly ascending fleet indices
+/// so deterministic (distance, index) tie breaks survive restriction, and
+/// comes with the MemberRanks that inverts it.
 ///
 /// Vehicles are read-only through the view; the one way to change one is
 /// Commit, which also records the view-local index in the view's commit log.
@@ -140,9 +166,11 @@ class Vehicle {
 class FleetView {
  public:
   FleetView() = default;
+  FleetView(std::vector<Vehicle>* storage, std::vector<size_t>* commit_log)
+      : storage_(storage), commit_log_(commit_log) {}
+  /// The view restricted to \p members, inverted by \p ranks.
   FleetView(std::vector<Vehicle>* storage, std::vector<size_t>* commit_log,
-            const std::vector<size_t>* members = nullptr)
-      : storage_(storage), commit_log_(commit_log), members_(members) {}
+            const std::vector<size_t>* members, const MemberRanks* ranks);
 
   size_t size() const {
     if (members_ != nullptr) return members_->size();
@@ -173,6 +201,7 @@ class FleetView {
   std::vector<Vehicle>* storage_ = nullptr;
   std::vector<size_t>* commit_log_ = nullptr;
   const std::vector<size_t>* members_ = nullptr;
+  const MemberRanks* ranks_ = nullptr;
 };
 
 }  // namespace structride

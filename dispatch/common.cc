@@ -8,8 +8,9 @@ namespace dispatch {
 
 namespace {
 
-// The index answers fleet-storage indices; a restricted view's members are
-// ascending, so translating keeps the (distance, index) order.
+// The index answers fleet-storage indices; a restricted view translates
+// each in O(1) through its plane's ranks, and its members are ascending, so
+// the translation keeps the (distance, index) order.
 size_t ToViewLocal(const FleetView& fleet, size_t count, size_t* out) {
   if (fleet.restricted()) {
     for (size_t i = 0; i < count; ++i) out[i] = fleet.local_index(out[i]);

@@ -14,7 +14,9 @@
 // changes the result. Groups every vehicle rejects are retried as halves
 // down to singletons (DispatchConfig::sard_split_rejected_groups), because
 // the clique partition would otherwise re-form the identical group next
-// batch and starve its members.
+// batch and starve its members. A first half keeps its group's anchor and
+// the fleet index does not change within a round, so it reuses the group's
+// candidate list instead of querying again.
 //
 // The batch stages the induced subgraph, clique partition, member order
 // and proposal slots as flat arrays in the batch arena and prices groups
@@ -52,6 +54,8 @@ class SardDispatcher : public Dispatcher {
     const Request* const* member_reqs;
     const size_t* group_first;
     const size_t* group_len;
+    size_t* cands;
+    size_t* num_cands;
     Proposal* props;
     uint32_t* prop_count;
   };
@@ -181,17 +185,25 @@ class SardDispatcher : public Dispatcher {
     }
 
     // Proposal pricing (phase A; pure, parallelizable): workers fill
-    // disjoint fixed-size proposal slots in the batch arena.
+    // disjoint fixed-size candidate and proposal slots in the batch arena.
+    // A group's candidate list outlives its pricing: should every proposal
+    // fail, the group's first half retries against the same list.
+    size_t* cands =
+        arena->AllocateArray<size_t>(num_groups * kCandidateVehicles);
+    size_t* num_cands = arena->AllocateArray<size_t>(num_groups);
     Proposal* props =
         arena->AllocateArray<Proposal>(num_groups * kCandidateVehicles);
     uint32_t* prop_count = arena->AllocateArray<uint32_t>(num_groups);
-    PriceCtx pctx{this,      ctx,   member_reqs, group_first,
-                  group_len, props, prop_count};
+    PriceCtx pctx{this,  ctx,       member_reqs, group_first, group_len,
+                  cands, num_cands, props,       prop_count};
     auto price_task = [p = &pctx](size_t gi) {
       Span<const Request* const> mem(p->member_reqs + p->group_first[gi],
                                      p->group_len[gi]);
+      size_t* group_cands = p->cands + gi * kCandidateVehicles;
+      p->num_cands[gi] = FindCandidates(*p->ctx, mem, group_cands);
       p->prop_count[gi] = static_cast<uint32_t>(p->self->PriceGroupPooled(
-          p->ctx, mem, p->props + gi * kCandidateVehicles));
+          p->ctx, mem, group_cands, p->num_cands[gi],
+          p->props + gi * kCandidateVehicles));
     };
     if (pool && num_groups > 1) {
       pool->ParallelFor(num_groups, price_task);
@@ -203,7 +215,8 @@ class SardDispatcher : public Dispatcher {
     for (size_t gi = 0; gi < num_groups; ++gi) {
       Span<const Request* const> mem(member_reqs + group_first[gi],
                                      group_len[gi]);
-      AssignPooled(ctx, mem, props + gi * kCandidateVehicles, prop_count[gi]);
+      AssignPooled(ctx, mem, cands + gi * kCandidateVehicles, num_cands[gi],
+                   props + gi * kCandidateVehicles, prop_count[gi]);
     }
 
     size_t proposal_bytes = 0;
@@ -222,19 +235,27 @@ class SardDispatcher : public Dispatcher {
   }
 
  private:
-  /// Prices \p mem against its nearby vehicles into \p out (room for
-  /// kCandidateVehicles), returning the count; (delta, vehicle)-sorted per
-  /// the proposal policy. Pure read of the current fleet state; scratch
-  /// lives on the calling thread's arena, so workers price concurrently
-  /// without touching the heap.
+  /// Writes the vehicles \p mem is proposed to — the kCandidateVehicles
+  /// nearest its anchor, the first member's pickup — into \p out; returns
+  /// the count.
+  static size_t FindCandidates(const DispatchContext& ctx,
+                               Span<const Request* const> mem, size_t* out) {
+    return dispatch::NearestVehiclesInto(ctx, mem[0]->source,
+                                         kCandidateVehicles, out);
+  }
+
+  /// Prices \p mem against its candidates \p nearest (FindCandidates) into
+  /// \p out (room for kCandidateVehicles), returning the count;
+  /// (delta, vehicle)-sorted per the proposal policy. Pure read of the
+  /// current fleet state; scratch lives on the calling thread's arena, so
+  /// workers price concurrently without touching the heap.
   size_t PriceGroupPooled(DispatchContext* ctx,
-                          Span<const Request* const> mem, Proposal* out) {
+                          Span<const Request* const> mem,
+                          const size_t* nearest, size_t num_near,
+                          Proposal* out) {
     const FleetView& fleet = ctx->fleet;
     size_t count = 0;
     NodeId anchor = mem[0]->source;
-    size_t nearest[kCandidateVehicles];
-    const size_t num_near = dispatch::NearestVehiclesInto(
-        *ctx, anchor, kCandidateVehicles, nearest);
     // Batched warm-up of the first insertion leg: an *idle* candidate's
     // pricing looks up Cost(vehicle node, anchor) exactly when the first
     // member's empty-schedule lower-bound walk passes — the member goes to
@@ -286,17 +307,19 @@ class SardDispatcher : public Dispatcher {
     return count;
   }
 
-  /// Serial acceptance for one group: re-validate each proposal against the
-  /// live fleet state, commit to the first that still fits; a group nobody
-  /// accepts retries as halves (recursively, down to singletons), priced on
-  /// the spot. Member subsets are subspans — no copies.
+  /// Serial acceptance for one group with candidates \p nearest: re-validate
+  /// each proposal against the live fleet state, commit to the first that
+  /// still fits; a group nobody accepts retries as halves (recursively, down
+  /// to singletons), priced on the spot. Member subsets are subspans — no
+  /// copies.
   void AssignPooled(DispatchContext* ctx, Span<const Request* const> mem,
+                    const size_t* nearest, size_t num_near,
                     const Proposal* priced, size_t num_priced) {
     const FleetView& fleet = ctx->fleet;
     ArenaScope scope(ScratchArena());
     if (priced == nullptr) {
       Proposal* local = scope.AllocateArray<Proposal>(kCandidateVehicles);
-      num_priced = PriceGroupPooled(ctx, mem, local);
+      num_priced = PriceGroupPooled(ctx, mem, nearest, num_near, local);
       priced = local;
     }
     for (size_t pi = 0; pi < num_priced; ++pi) {
@@ -315,12 +338,15 @@ class SardDispatcher : public Dispatcher {
       return;
     }
     if (mem.size() <= 1 || !config_.sard_split_rejected_groups) return;
+    // The first half keeps the group's anchor, and nothing writes the fleet
+    // index during a round (the engine checks that every round), so its
+    // candidates are this group's; the second half looks up its own.
     const size_t half = mem.size() / 2;
-    AssignPooled(ctx, Span<const Request* const>(mem.data(), half), nullptr,
-                 0);
-    AssignPooled(ctx,
-                 Span<const Request* const>(mem.data() + half,
-                                            mem.size() - half),
+    AssignPooled(ctx, Span<const Request* const>(mem.data(), half), nearest,
+                 num_near, nullptr, 0);
+    Span<const Request* const> rest(mem.data() + half, mem.size() - half);
+    size_t* rest_near = scope.AllocateArray<size_t>(kCandidateVehicles);
+    AssignPooled(ctx, rest, rest_near, FindCandidates(*ctx, rest, rest_near),
                  nullptr, 0);
   }
 

@@ -57,8 +57,10 @@ class ShardPartition {
 /// buffers serially in shard-id order, so N-shard runs stay deterministic.
 struct ShardRuntime {
   int id = 0;
-  /// Resident fleet-storage indices, strictly ascending.
+  /// Resident fleet-storage indices, strictly ascending, and their
+  /// inverse: each member's position in the plane, its view-local index.
   std::vector<size_t> members;
+  MemberRanks ranks;
   /// View-local indices of the vehicles FleetView::Commit changed this
   /// round; the engine syncs their stop events and clears it.
   std::vector<size_t> commit_log;

@@ -461,11 +461,17 @@ RunMetrics SimulationEngine::EventRun::Execute() {
   }
   shard_task_ = [this](size_t s) { RunShardBatch(*shards_[s], round_online_); };
   // Vehicles home to the zone of their spawn node; filling in fleet order
-  // keeps every member list ascending (the FleetView contract).
+  // keeps every member list ascending (the FleetView contract). Each
+  // plane's ranks, its inverse, change only where the plane does.
   vehicle_shard_.resize(fleet_.size());
+  for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
+    sh->ranks.Reset(fleet_.size());
+  }
   for (size_t vi = 0; vi < fleet_.size(); ++vi) {
     vehicle_shard_[vi] = partition_.ShardOfNode(fleet_[vi].node());
-    shards_[static_cast<size_t>(vehicle_shard_[vi])]->members.push_back(vi);
+    ShardRuntime& home = *shards_[static_cast<size_t>(vehicle_shard_[vi])];
+    home.members.push_back(vi);
+    home.ranks.Add(vi);
   }
   fleet_index_.Reset(engine_->network(), fleet_, vehicle_shard_, num_shards_);
   request_shard_.assign(n, 0);
@@ -746,14 +752,15 @@ void SimulationEngine::EventRun::MigrateVehicle(size_t vi) {
   const int zone = partition_.ShardOfNode(fleet_[vi].node());
   const int cur = vehicle_shard_[vi];
   if (zone == cur) return;
-  std::vector<size_t>& from = shards_[static_cast<size_t>(cur)]->members;
-  auto it = std::lower_bound(from.begin(), from.end(), vi);
-  SR_CHECK(it != from.end() && *it == vi);
-  from.erase(it);
-  std::vector<size_t>& to = shards_[static_cast<size_t>(zone)]->members;
-  auto pos = std::lower_bound(to.begin(), to.end(), vi);
-  SR_CHECK(pos == to.end() || *pos != vi);  // never resident twice
-  to.insert(pos, vi);
+  ShardRuntime& from = *shards_[static_cast<size_t>(cur)];
+  const size_t at = from.ranks.Rank(vi);
+  SR_CHECK(at < from.members.size() && from.members[at] == vi);
+  from.members.erase(from.members.begin() + static_cast<long>(at));
+  from.ranks.Remove(vi);
+  ShardRuntime& to = *shards_[static_cast<size_t>(zone)];
+  to.ranks.Add(vi);  // checks the vehicle was never resident twice
+  to.members.insert(to.members.begin() + static_cast<long>(to.ranks.Rank(vi)),
+                    vi);
   vehicle_shard_[vi] = zone;
   fleet_index_.SetShard(vi, zone);
 }
@@ -791,9 +798,11 @@ void SimulationEngine::EventRun::DispatchRound(bool online) {
   // SoA planes, cache partition, output buffers) plus read-only global
   // planes (requests_, pending_, state_, request_shard_, member vehicles).
   // That isolation is what makes the concurrent path legal; the member-
-  // plane fingerprints assert a slice of it every round. Either way the
-  // per-shard work is identical, so the commit phase below observes the
-  // same buffers and the two modes are bitwise interchangeable.
+  // plane fingerprints and the fleet index's mutation count assert a slice
+  // of it every round. Either way the per-shard work is identical, so the
+  // commit phase below observes the same buffers and the two modes are
+  // bitwise interchangeable.
+  const uint64_t index_mutations = fleet_index_.mutations();
   if (num_shards_ > 1) {
     member_fingerprints_.clear();
     for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
@@ -834,6 +843,10 @@ void SimulationEngine::EventRun::DispatchRound(bool online) {
                member_fingerprints_[s]);
     }
   }
+  // Nothing writes the fleet index during the batch phase, so every query
+  // in it answers from one fleet state — the premise of SARD handing a
+  // rejected group's candidate list to its first-half retry.
+  SR_CHECK(fleet_index_.mutations() == index_mutations);
 
   // Phase B — commit: merge the output buffers serially in shard-id order,
   // so request closures, cross-shard accounting and share-graph retirement
@@ -901,8 +914,9 @@ void SimulationEngine::EventRun::RunShardBatch(ShardRuntime& sh, bool online) {
   DispatchContext& ctx = sh.ctx;
   ctx.now = now_;
   ctx.engine = ShardEngine(sh);
-  ctx.fleet = FleetView(&fleet_, &sh.commit_log,
-                        num_shards_ == 1 ? nullptr : &sh.members);
+  ctx.fleet = num_shards_ == 1 ? FleetView(&fleet_, &sh.commit_log)
+                               : FleetView(&fleet_, &sh.commit_log,
+                                           &sh.members, &sh.ranks);
   ctx.fleet_index = &fleet_index_;
   ctx.fleet_shard = num_shards_ == 1 ? -1 : sh.id;
   ctx.pool = pool_.get();
@@ -1017,8 +1031,9 @@ void SimulationEngine::EventRun::CheckRoundConservation() const {
 
 void SimulationEngine::EventRun::CheckFullConservation() const {
   // The member planes are ascending, disjoint, and partition [0, fleet)
-  // exactly, and the fleet index holds every vehicle where it stands, with
-  // its service flag and residency.
+  // exactly, each plane's ranks invert it and hold no one else, and the
+  // fleet index holds every vehicle where it stands, with its service flag
+  // and residency.
   std::vector<char> seen(fleet_.size(), 0);
   for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
     for (size_t k = 0; k < sh->members.size(); ++k) {
@@ -1027,11 +1042,15 @@ void SimulationEngine::EventRun::CheckFullConservation() const {
       SR_CHECK(!seen[vi]);
       seen[vi] = 1;
       SR_CHECK(vehicle_shard_[vi] == sh->id);
+      SR_CHECK(sh->ranks.Contains(vi) && sh->ranks.Rank(vi) == k);
       if (k > 0) SR_CHECK(sh->members[k - 1] < vi);
     }
   }
   for (size_t vi = 0; vi < fleet_.size(); ++vi) {
     SR_CHECK(seen[vi]);
+    for (const std::unique_ptr<ShardRuntime>& sh : shards_) {
+      SR_CHECK(sh->ranks.Contains(vi) == (sh->id == vehicle_shard_[vi]));
+    }
     fleet_index_.CheckVehicle(vi, fleet_[vi].node(), fleet_[vi].in_service(),
                               vehicle_shard_[vi]);
   }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -169,37 +170,36 @@ TEST(DispatchTest, ParallelMetricsAreBitwiseEqualAcrossThreadCounts) {
 // Exactness of the engine-maintained index: after every step of a seeded
 // sequence of moves, in-service flips and residency changes, the candidate
 // scan over the unrestricted view and over each shard's restricted view
-// must reproduce the full sort of that view. Duplicate spawn nodes
-// exercise ties; a third of the fleet starts out of service.
-TEST(DispatchTest, MaintainedFleetIndexMatchesFullSortUnderUpdates) {
-  CityOptions copt;
-  copt.rows = 12;
-  copt.cols = 12;
-  copt.seed = 7;
-  RoadNetwork net = GenerateGridCity(copt);
+// must reproduce the full sort of that view. \p place draws a spawn or move
+// target; a third of the fleet starts out of service; query nodes are
+// uniform. Returns how many of the checked views held more than 2 x 16
+// eligible vehicles, so that the production k = 16 took the grid walk
+// rather than the flat scan.
+int ExpectMaintainedIndexMatchesFullSort(
+    const RoadNetwork& net, int num_vehicles, int num_shards, uint64_t seed,
+    const std::function<NodeId(Rng&)>& place) {
   const int64_t last_node = static_cast<int64_t>(net.num_nodes()) - 1;
-  constexpr int kShards = 3;
-  Rng rng(99);
+  Rng rng(seed);
   std::vector<Vehicle> fleet;
   std::vector<int> shard_of;
-  for (int i = 0; i < 40; ++i) {
-    fleet.emplace_back(i, static_cast<NodeId>(rng.UniformInt(0, last_node)),
-                       4);
+  for (int i = 0; i < num_vehicles; ++i) {
+    fleet.emplace_back(i, place(rng), 4);
     if (i % 3 == 0) fleet.back().set_in_service(false);
-    shard_of.push_back(static_cast<int>(rng.UniformInt(0, kShards - 1)));
+    shard_of.push_back(static_cast<int>(rng.UniformInt(0, num_shards - 1)));
   }
   dispatch::FleetIndex index;
-  index.Reset(net, fleet, shard_of, kShards);
+  index.Reset(net, fleet, shard_of, num_shards);
   std::vector<size_t> log;
-  std::vector<std::vector<size_t>> members(kShards);
+  std::vector<std::vector<size_t>> members(static_cast<size_t>(num_shards));
+  std::vector<MemberRanks> ranks(static_cast<size_t>(num_shards));
+  int grid_walk_views = 0;
 
   for (int step = 0; step < 60; ++step) {
     const size_t v = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(fleet.size()) - 1));
     switch (step % 3) {
       case 0: {  // a stop completion moved it
-        Vehicle moved(fleet[v].id(),
-                      static_cast<NodeId>(rng.UniformInt(0, last_node)), 4);
+        Vehicle moved(fleet[v].id(), place(rng), 4);
         moved.set_in_service(fleet[v].in_service());
         fleet[v] = moved;
         index.Move(v, fleet[v].node());
@@ -210,29 +210,97 @@ TEST(DispatchTest, MaintainedFleetIndexMatchesFullSortUnderUpdates) {
         index.SetInService(v, fleet[v].in_service());
         break;
       default:  // it migrated
-        shard_of[v] = static_cast<int>(rng.UniformInt(0, kShards - 1));
+        shard_of[v] = static_cast<int>(rng.UniformInt(0, num_shards - 1));
         index.SetShard(v, shard_of[v]);
         break;
     }
-    for (std::vector<size_t>& m : members) m.clear();
+    for (int s = 0; s < num_shards; ++s) {
+      members[static_cast<size_t>(s)].clear();
+      ranks[static_cast<size_t>(s)].Reset(fleet.size());
+    }
     for (size_t vi = 0; vi < fleet.size(); ++vi) {
       members[static_cast<size_t>(shard_of[vi])].push_back(vi);
+      ranks[static_cast<size_t>(shard_of[vi])].Add(vi);
       index.CheckVehicle(vi, fleet[vi].node(), fleet[vi].in_service(),
                          shard_of[vi]);
     }
     const NodeId from = static_cast<NodeId>(rng.UniformInt(0, last_node));
     SCOPED_TRACE("step=" + std::to_string(step));
-    ExpectScanMatchesFullSort(
-        net, ScanContext(FleetView(&fleet, &log), &index, -1), from);
-    for (int s = 0; s < kShards; ++s) {
+    auto check = [&](const FleetView& view, int shard) {
+      size_t eligible = 0;
+      for (size_t i = 0; i < view.size(); ++i) eligible += view[i].in_service();
+      if (eligible > 2 * 16) ++grid_walk_views;
+      ExpectScanMatchesFullSort(net, ScanContext(view, &index, shard), from);
+    };
+    check(FleetView(&fleet, &log), -1);
+    for (int s = 0; s < num_shards; ++s) {
       SCOPED_TRACE("shard=" + std::to_string(s));
-      ExpectScanMatchesFullSort(
-          net,
-          ScanContext(FleetView(&fleet, &log,
-                                &members[static_cast<size_t>(s)]),
-                      &index, s),
-          from);
+      check(FleetView(&fleet, &log, &members[static_cast<size_t>(s)],
+                      &ranks[static_cast<size_t>(s)]),
+            s);
     }
+  }
+  return grid_walk_views;
+}
+
+// Duplicate spawn nodes exercise ties; at 40 vehicles k = 16 takes the
+// flat scan, so the grid walk is checked at k = 1 and the radius query's 4.
+TEST(DispatchTest, MaintainedFleetIndexMatchesFullSortUnderUpdates) {
+  CityOptions copt;
+  copt.rows = 12;
+  copt.cols = 12;
+  copt.seed = 7;
+  RoadNetwork net = GenerateGridCity(copt);
+  const int64_t last_node = static_cast<int64_t>(net.num_nodes()) - 1;
+  ExpectMaintainedIndexMatchesFullSort(net, 40, 3, 99, [&](Rng& rng) {
+    return static_cast<NodeId>(rng.UniformInt(0, last_node));
+  });
+
+  // A few hundred vehicles stacked on a few dozen nodes of an unjittered
+  // grid: ties within a node and, by the grid's symmetry, across nodes. At
+  // 270 vehicles the index's grid is 17 x 17, so its rows of cells, padded
+  // to 32, do not fill whole 64-bit words of occupancy bits.
+  CityOptions lattice;
+  lattice.rows = 16;
+  lattice.cols = 16;
+  lattice.seed = 11;
+  lattice.jitter = 0;
+  RoadNetwork lattice_net = GenerateGridCity(lattice);
+  Rng pick(5);
+  std::vector<NodeId> stacks;
+  for (int i = 0; i < 30; ++i) {
+    stacks.push_back(static_cast<NodeId>(pick.UniformInt(
+        0, static_cast<int64_t>(lattice_net.num_nodes()) - 1)));
+  }
+  auto on_stack = [&](Rng& rng) {
+    return stacks[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(stacks.size()) - 1))];
+  };
+
+  // A sparse fleet: every vehicle in one of the four 4 x 4 corner patches
+  // of a 40 x 40 city, so most cells are empty and rings from most query
+  // nodes cross many of them.
+  CityOptions wide;
+  wide.rows = 40;
+  wide.cols = 40;
+  wide.seed = 13;
+  RoadNetwork wide_net = GenerateGridCity(wide);
+  auto in_corner = [&](Rng& rng) {
+    const int64_t corner = rng.UniformInt(0, 3);
+    const int64_t r = rng.UniformInt(0, 3) + (corner / 2) * (wide.rows - 4);
+    const int64_t c = rng.UniformInt(0, 3) + (corner % 2) * (wide.cols - 4);
+    return static_cast<NodeId>(r * wide.cols + c);
+  };
+
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const int views = 60 * (1 + shards);
+    EXPECT_EQ(ExpectMaintainedIndexMatchesFullSort(lattice_net, 270, shards,
+                                                   17, on_stack),
+              views);
+    EXPECT_EQ(ExpectMaintainedIndexMatchesFullSort(wide_net, 240, shards, 19,
+                                                   in_corner),
+              views);
   }
 }
 

@@ -120,9 +120,14 @@ TEST(FleetViewTest, RestrictedViewTranslatesMemberIndices) {
   TravelCostEngine engine(net);
   std::vector<Vehicle> fleet;
   for (int i = 0; i < 5; ++i) fleet.emplace_back(i, static_cast<NodeId>(i), 2);
+  // The view translates through the plane's ranks, as the engine keeps
+  // them beside the plane.
   const std::vector<size_t> members = {1, 3, 4};
+  MemberRanks ranks;
+  ranks.Reset(fleet.size());
+  for (size_t g : members) ranks.Add(g);
   std::vector<size_t> log;
-  FleetView view(&fleet, &log, &members);
+  FleetView view(&fleet, &log, &members, &ranks);
   EXPECT_TRUE(view.restricted());
   ASSERT_EQ(view.size(), members.size());
   for (size_t i = 0; i < members.size(); ++i) {
@@ -130,6 +135,8 @@ TEST(FleetViewTest, RestrictedViewTranslatesMemberIndices) {
     EXPECT_EQ(view.global_index(i), members[i]);
     EXPECT_EQ(view.local_index(members[i]), i);
   }
+  EXPECT_FALSE(ranks.Contains(0));
+  EXPECT_FALSE(ranks.Contains(2));
   // A commit through the view reaches the shared storage and logs the
   // view-local index; a rejected one changes and logs nothing.
   Request r;
