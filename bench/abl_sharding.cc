@@ -2,11 +2,11 @@
 // 4 shards over the CHD preset, plus a 4-shard NYC wall-clock cell. Two
 // hard gates, both fatal (nonzero exit):
 //
-//   serial==conc     every cell runs twice, with concurrent_shards off
-//                    (the serial shard-id-order reference) and on (the
-//                    pool-task batch phase); the two must agree bitwise on
-//                    every outcome and work field of the metrics table
-//                    (sim/run_metrics.h), per-shard vectors included.
+//   threads          every cell runs on one thread (the serial shard-id-
+//                    order reference) and at STRUCTRIDE_THREADS (default
+//                    4); the two must agree bitwise on every outcome and
+//                    work field of the metrics table (sim/run_metrics.h),
+//                    per-shard vectors included.
 //   census           at every shard count every request must reach exactly
 //                    one terminal outcome: served + cancelled + expired +
 //                    rejected + late == total, with no cross-shard trip in
@@ -20,11 +20,12 @@
 // The sweep reports the sharding observables per cell: per-shard load
 // balance (max/mean of per-shard assignment counts), the cross-shard trip
 // fraction, and the batch-time imbalance ratio, all landing in the BENCH
-// json via RecordJsonRow. The NYC section records both the serial and the
-// concurrent wall-clock ("NYC shards=4 serial t8" / "NYC shards=4 t8") so
-// CI's compare_bench.py cell can gate the concurrent speedup; the
-// STRUCTRIDE_CONC_SHARDS env knob flips the recorded non-"serial" rows to
-// serial execution for the two-directory comparison.
+// json via RecordJsonRow. The rows are the STRUCTRIDE_THREADS runs, each
+// with its thread count beside it as the "threads" value; their point names
+// carry none, so two invocations at different thread counts record the
+// same points. CI's compare_bench.py cell diffs a STRUCTRIDE_THREADS=1 run
+// against an 8-thread one that way and gates the speedup of the NYC cell
+// ("NYC shards=4").
 
 #include <cstdio>
 #include <memory>
@@ -58,9 +59,9 @@ int main() {
   config.vehicle_capacity = spec.capacity;
   config.grouping.max_group_size = spec.capacity;
   config.sharegraph.vehicle_capacity = spec.capacity;
-  config.num_threads = 8;
+  const int threads = BenchThreads();
 
-  auto run_cell = [&](int num_shards, bool concurrent) {
+  auto run_cell = [&](int num_shards, int num_threads) {
     std::unique_ptr<TravelCostEngine> engine = chd.MakeEngine();
     SimulationOptions sopts;
     sopts.batch_period = 5;
@@ -70,23 +71,20 @@ int main() {
     sim.SpawnFleet(spec.num_vehicles, spec.capacity);
     DispatchConfig cell_config = config;
     cell_config.num_shards = num_shards;
-    cell_config.concurrent_shards = concurrent;
+    cell_config.num_threads = num_threads;
     return sim.Run("SARD", cell_config);
   };
 
-  const bool conc_mode = BenchConcurrentShards();
   for (int shards : {1, 2, 4}) {
-    const RunMetrics serial = run_cell(shards, false);
-    // The recorded cell honours STRUCTRIDE_CONC_SHARDS so two bench
-    // invocations (env 0 vs default) record serial vs concurrent rows under
-    // the same point names for compare_bench.py.
-    const RunMetrics m = conc_mode ? run_cell(shards, true) : serial;
+    const RunMetrics serial = run_cell(shards, 1);
+    const RunMetrics m = threads > 1 ? run_cell(shards, threads) : serial;
     double frac = m.served > 0 ? static_cast<double>(m.cross_shard_trips) /
                                      static_cast<double>(m.served)
                                : 0;
-    RecordJsonRow("SARD", "shards=" + std::to_string(shards), m);
-    RecordJsonValue("SARD", "shards=" + std::to_string(shards),
-                    "cross_shard_fraction", frac);
+    const std::string point = "shards=" + std::to_string(shards);
+    RecordJsonRow("SARD", point, m);
+    RecordJsonValue("SARD", point, "threads", threads);
+    RecordJsonValue("SARD", point, "cross_shard_fraction", frac);
     std::printf("%-8d%8d%10.3f%16.0f%10d%12.4f%12.3f%12.3f%10.2f\n", shards,
                 m.served, m.service_rate, m.unified_cost, m.cross_shard_trips,
                 frac, m.shard_load_max_over_mean,
@@ -97,9 +95,9 @@ int main() {
     if (!diff.empty()) {
       ++failures;
       std::fprintf(stderr,
-                   "FAIL: concurrent_shards diverged from the serial shard "
-                   "loop at %d shards: %s\n",
-                   shards, diff.c_str());
+                   "FAIL: %d threads diverged from one thread at %d "
+                   "shards: %s\n",
+                   threads, shards, diff.c_str());
     }
     long closed = static_cast<long>(m.served) +
                   static_cast<long>(m.cancelled) +
@@ -116,12 +114,10 @@ int main() {
     }
   }
 
-  // ---- NYC wall-clock cell: 4 shards, 8 threads, serial vs concurrent ----
-  // sard_parallel_acceptance stays off so shard-level concurrency is the
-  // only difference between the two runs; the speedup is then sum(t_i) /
+  // ---- NYC wall-clock cell: 4 shards, one thread vs STRUCTRIDE_THREADS ----
+  // Threads only run the shard batches, so the speedup is sum(t_i) /
   // max-chain, bounded by the batch-time imbalance ratio reported above.
-  std::printf("\nNYC preset, 4 shards, 8 threads: serial vs concurrent "
-              "batch phase\n");
+  std::printf("\nNYC preset, 4 shards: 1 thread vs %d thread(s)\n", threads);
   {
     BenchContext nyc_context("NYC", scale);
     const DatasetSpec& nyc = nyc_context.spec();
@@ -131,9 +127,8 @@ int main() {
     nyc_config.vehicle_capacity = nyc.capacity;
     nyc_config.grouping.max_group_size = nyc.capacity;
     nyc_config.sharegraph.vehicle_capacity = nyc.capacity;
-    nyc_config.num_threads = 8;
     nyc_config.num_shards = 4;
-    auto run_nyc = [&](bool concurrent) {
+    auto run_nyc = [&](int num_threads) {
       std::unique_ptr<TravelCostEngine> engine = nyc_context.MakeEngine();
       SimulationOptions sopts;
       sopts.batch_period = 5;
@@ -142,33 +137,33 @@ int main() {
       SimulationEngine sim(engine.get(), nyc_requests, sopts);
       sim.SpawnFleet(nyc.num_vehicles, nyc.capacity);
       DispatchConfig cell_config = nyc_config;
-      cell_config.concurrent_shards = concurrent;
+      cell_config.num_threads = num_threads;
       return sim.Run("SARD", cell_config);
     };
-    const RunMetrics serial = run_nyc(false);
-    const RunMetrics conc = conc_mode ? run_nyc(true) : run_nyc(false);
+    const RunMetrics serial = run_nyc(1);
+    const RunMetrics m = threads > 1 ? run_nyc(threads) : serial;
     const std::string diff =
-        ParityDiff(serial, conc, ParityScope::kOutcomeAndWork);
+        ParityDiff(serial, m, ParityScope::kOutcomeAndWork);
     if (!diff.empty()) {
       ++failures;
       std::fprintf(stderr,
-                   "FAIL: concurrent_shards diverged from the serial shard "
-                   "loop on NYC/4 shards: %s\n",
-                   diff.c_str());
+                   "FAIL: %d threads diverged from one thread on NYC/4 "
+                   "shards: %s\n",
+                   threads, diff.c_str());
     }
     const double speedup =
-        conc.running_time > 0 ? serial.running_time / conc.running_time : 0;
-    RecordJsonRow("SARD", "NYC shards=4 serial t8", serial);
-    RecordJsonRow("SARD", "NYC shards=4 t8", conc);
-    RecordJsonValue("SARD", "NYC shards=4 t8", "concurrent_speedup", speedup);
-    std::printf("%-22s%12s%12s%10s\n", "mode", "time (s)", "time m/m",
+        m.running_time > 0 ? serial.running_time / m.running_time : 0;
+    RecordJsonRow("SARD", "NYC shards=4", m);
+    RecordJsonValue("SARD", "NYC shards=4", "threads", threads);
+    RecordJsonValue("SARD", "NYC shards=4", "speedup_vs_one_thread", speedup);
+    std::printf("%-22s%12s%12s%10s\n", "threads", "time (s)", "time m/m",
                 "speedup");
-    std::printf("%-22s%12.2f%12.3f%10s\n", "serial", serial.running_time,
+    std::printf("%-22d%12.2f%12.3f%10s\n", 1, serial.running_time,
                 serial.shard_round_time_max_over_mean, "-");
-    std::printf("%-22s%12.2f%12.3f%10.2f\n",
-                conc_mode ? "concurrent" : "serial (env off)",
-                conc.running_time, conc.shard_round_time_max_over_mean,
-                speedup);
+    if (threads > 1) {
+      std::printf("%-22d%12.2f%12.3f%10.2f\n", threads, m.running_time,
+                  m.shard_round_time_max_over_mean, speedup);
+    }
   }
 
   std::printf(
@@ -177,8 +172,8 @@ int main() {
       "dispatches its own requests over its resident fleet (against its own travel-cost\n"
       "cache partition); boundary requests re-home through the escrow (the\n"
       "x-shard column counts trips assigned by a foreign shard), the census\n"
-      "must balance exactly, and the concurrent batch phase must agree\n"
-      "bitwise with the serial shard-id-order reference.\n");
+      "must balance exactly, and shard batches run on several threads must\n"
+      "agree bitwise with the one-thread shard-id-order reference.\n");
   if (failures > 0) {
     std::fprintf(stderr, "FAIL: %d sharding gate(s) violated\n", failures);
     return 1;

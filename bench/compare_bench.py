@@ -12,9 +12,9 @@ directories by (bench, dataset, series, point) and checked two ways:
   * Every field a document lists under "outcome_fields" (the outcome class
     of the metrics table in sim/run_metrics.h) must be *exactly* equal:
     these are deterministic outcomes, and any drift means the two builds
-    computed different dispatches. This is how CI pins
-    concurrent_shards=on against the STRUCTRIDE_CONC_SHARDS=0 serial
-    reference across two bench invocations. A document with rows but no
+    computed different dispatches. This is how CI pins an 8-thread
+    multi-shard run against its STRUCTRIDE_THREADS=1 serial reference
+    across two bench invocations. A document with rows but no
     "outcome_fields" list is an error (exit 2).
   * running_time_s may regress by at most --max-regress-pct percent
     (default 10) on rows slower than --min-time seconds (default 0.05 —
@@ -22,9 +22,10 @@ directories by (bench, dataset, series, point) and checked two ways:
 
 Optionally --min-speedup R requires candidate rows matching
 --speedup-filter to be at least R times faster than the same baseline row
-(the CI serial-vs-concurrent shard cell: baseline dir ran with
-STRUCTRIDE_CONC_SHARDS=0). The filter failing to match any row is itself a
-failure, so a renamed bench point cannot silently skip the gate.
+(the CI shard-concurrency cell: the baseline dir ran with
+STRUCTRIDE_THREADS=1, the candidate with 8). The filter failing to match
+any row is itself a failure, so a renamed bench point cannot silently skip
+the gate.
 
 --config FILE supplies per-cell overrides as JSON, so one invocation can
 hold different rows to different bars (a qps bench is noisier than a replay

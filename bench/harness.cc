@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 
@@ -212,47 +213,64 @@ double BenchScale() {
   return s;
 }
 
-int BenchShards() {
-  const char* env = std::getenv("STRUCTRIDE_SHARDS");
-  if (env == nullptr) return 1;
-  char* end = nullptr;
-  long z = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || z < 1) {
-    std::fprintf(stderr,
-                 "[bench] ignoring STRUCTRIDE_SHARDS=\"%s\" (want a positive "
-                 "integer); using the default 1\n",
-                 env);
-    return 1;
-  }
-  return static_cast<int>(z);
-}
+namespace {
 
-bool BenchConcurrentShards() {
-  const char* env = std::getenv("STRUCTRIDE_CONC_SHARDS");
-  if (env == nullptr) return true;
-  if (std::strcmp(env, "0") == 0) return false;
-  if (std::strcmp(env, "1") == 0) return true;
-  std::fprintf(stderr,
-               "[bench] ignoring STRUCTRIDE_CONC_SHARDS=\"%s\" (want 0 or "
-               "1); using the default 1\n",
-               env);
+// A whole decimal integer in [1, INT_MAX]: digits only, so no sign, blank
+// or trailing character, and no value strtol would wrap on the way to int.
+bool ParsePositiveInt(const std::string& text, int* out) {
+  if (text.empty()) return false;
+  long long value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + (c - '0');
+    if (value > std::numeric_limits<int>::max()) return false;
+  }
+  if (value < 1) return false;
+  *out = static_cast<int>(value);
   return true;
 }
 
-int BenchThreads() {
-  const char* env = std::getenv("STRUCTRIDE_THREADS");
-  if (env == nullptr) return 4;
-  char* end = nullptr;
-  long t = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || t < 1) {
+// Env var \p name as an int in [1, INT_MAX], or \p fallback when it is
+// unset; anything else warns and yields \p fallback.
+int EnvPositiveInt(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  int value = 0;
+  if (!ParsePositiveInt(env, &value)) {
     std::fprintf(stderr,
-                 "[bench] ignoring STRUCTRIDE_THREADS=\"%s\" (want a positive "
-                 "integer); using the default 4\n",
-                 env);
-    return 4;
+                 "[bench] ignoring %s=\"%s\" (want a positive integer); "
+                 "using the default %d\n",
+                 name, env, fallback);
+    return fallback;
   }
-  return static_cast<int>(t);
+  return value;
 }
+
+}  // namespace
+
+std::vector<int> EnvPositiveIntList(const char* name, const char* fallback) {
+  const char* env = std::getenv(name);
+  std::stringstream ss(env != nullptr ? env : fallback);
+  std::vector<int> out;
+  std::string token;
+  while (std::getline(ss, token, ',')) {
+    if (token.empty()) continue;
+    int value = 0;
+    if (ParsePositiveInt(token, &value)) {
+      out.push_back(value);
+    } else {
+      std::fprintf(stderr,
+                   "[bench] ignoring \"%s\" in %s (want a positive "
+                   "integer)\n",
+                   token.c_str(), name);
+    }
+  }
+  return out;
+}
+
+int BenchShards() { return EnvPositiveInt("STRUCTRIDE_SHARDS", 1); }
+
+int BenchThreads() { return EnvPositiveInt("STRUCTRIDE_THREADS", 4); }
 
 double BenchQps() {
   const char* env = std::getenv("STRUCTRIDE_QPS");
@@ -393,7 +411,6 @@ RunMetrics BenchContext::Run(const std::string& algorithm,
   config.ilp_node_cap = 200'000;
   config.num_threads = BenchThreads();
   config.num_shards = BenchShards();
-  config.concurrent_shards = BenchConcurrentShards();
 
   return sim.Run(algorithm, config);
 }

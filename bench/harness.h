@@ -76,24 +76,24 @@ class BenchContext {
 /// \brief Env-var scale (STRUCTRIDE_SCALE, default 0.25).
 double BenchScale();
 
+/// \brief Env var \p name, or \p fallback when it is unset, as a
+/// comma-separated list of ints in [1, INT_MAX]. A token that is not one —
+/// a sign, a blank, a trailing character, zero, a value past INT_MAX — is
+/// skipped with a warning on stderr; empty tokens are skipped silently.
+std::vector<int> EnvPositiveIntList(const char* name, const char* fallback);
+
 /// \brief Env-var shard count (STRUCTRIDE_SHARDS, default 1): every
 /// BenchContext::Run dispatches with DispatchConfig::num_shards set to this,
-/// so any figure/table bench replays geo-sharded without a rebuild.
+/// so any figure/table bench replays geo-sharded without a rebuild. A value
+/// that is not a whole integer in [1, INT_MAX] warns and keeps the default.
 int BenchShards();
-
-/// \brief Env-var concurrent-shard switch (STRUCTRIDE_CONC_SHARDS, default
-/// 1): every BenchContext::Run dispatches with
-/// DispatchConfig::concurrent_shards set to this, so serial-vs-concurrent
-/// shard execution can be compared across two bench invocations (the CI
-/// compare_bench.py cell) without a rebuild. 0 = serial reference.
-bool BenchConcurrentShards();
 
 /// \brief Env-var worker-thread count (STRUCTRIDE_THREADS, default 4):
 /// every BenchContext::Run dispatches with DispatchConfig::num_threads set
-/// to this and sard_parallel_acceptance off. The engine builds a worker
-/// pool only for parallel acceptance or several shards, so the knob sizes
-/// the concurrent shard phase under STRUCTRIDE_SHARDS > 1 and changes
-/// nothing at one shard, where running times stay single-threaded.
+/// to this. Threads run only a multi-shard round's shard batches, so the
+/// knob matters only under STRUCTRIDE_SHARDS > 1; at one shard every bench
+/// runs on one thread, whatever it says. 1 is the serial reference. Parsed
+/// like STRUCTRIDE_SHARDS.
 int BenchThreads();
 
 /// \brief Env-var service-mode arrival rate (STRUCTRIDE_QPS, default 0):

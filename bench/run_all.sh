@@ -8,10 +8,11 @@
 #   STRUCTRIDE_BENCH_SET  all | sweep | micro (default all)
 #   STRUCTRIDE_SHARDS     geo-shard count for the sweep benches (default 1;
 #                         see DESIGN.md §12)
+#   STRUCTRIDE_THREADS    threads for multi-shard rounds' shard batches
+#                         (default 4); 1 runs the serial shard loop, the
+#                         reference for the compare gate
 #   STRUCTRIDE_JSON_DIR   where BENCH_<name>.json results land
 #                         (default <build-dir>/bench_json)
-#   STRUCTRIDE_CONC_SHARDS  0 forces the serial shard loop in every bench
-#                         (the differential reference for the compare gate)
 #   STRUCTRIDE_COMPARE_DIR  baseline BENCH json dir: after the sweep,
 #                         bench/compare_bench.py diffs it against
 #                         STRUCTRIDE_JSON_DIR and fails the run on parity

@@ -66,12 +66,8 @@ int main() {
       SplitCsv(std::getenv("STRUCTRIDE_SVC_DATASETS"), "CHD,NYC,Cainiao");
   const std::vector<std::string> algos =
       SplitCsv(std::getenv("STRUCTRIDE_ALGOS"), "SARD,GAS,RTV");
-  std::vector<int> shard_counts;
-  for (const std::string& s :
-       SplitCsv(std::getenv("STRUCTRIDE_SVC_SHARDS"), "1,4")) {
-    const int z = std::atoi(s.c_str());
-    if (z >= 1) shard_counts.push_back(z);
-  }
+  const std::vector<int> shard_counts =
+      EnvPositiveIntList("STRUCTRIDE_SVC_SHARDS", "1,4");
   const char* require_env = std::getenv("STRUCTRIDE_SVC_REQUIRE_SUSTAINED");
   const bool require_sustained =
       require_env != nullptr && std::strcmp(require_env, "1") == 0;
@@ -102,7 +98,6 @@ int main() {
         config.sharegraph.vehicle_capacity = spec.capacity;
         config.num_threads = BenchThreads();
         config.num_shards = shards;
-        config.concurrent_shards = BenchConcurrentShards();
 
         auto probe = [&](double qps) {
           SimulationOptions sopts;

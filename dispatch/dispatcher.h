@@ -19,7 +19,6 @@
 
 namespace structride {
 
-class ThreadPool;
 namespace dispatch {
 class FleetIndex;
 }  // namespace dispatch
@@ -31,10 +30,10 @@ struct DispatchConfig {
   ShareGraphBuilderOptions sharegraph;
   /// Global cap on enumerated trip nodes per batch (RTV's ILP size guard).
   int64_t ilp_node_cap = 200000;
+  /// Threads for a multi-shard round's batch phase (DESIGN.md §12); the
+  /// engine runs min(num_threads, num_shards) of them. Dispatchers run on
+  /// one thread, and outcomes never depend on this.
   int num_threads = 1;
-  /// SARD: evaluate the acceptance stage on worker threads (per-vehicle
-  /// decisions are independent, so results are thread-count invariant).
-  bool sard_parallel_acceptance = false;
   /// SARD: the literal Alg.-3 reading (propose to the vehicle needing the
   /// most additional travel first) instead of the best-first default.
   bool sard_propose_worst_first = false;
@@ -61,15 +60,6 @@ struct DispatchConfig {
   int num_shards = 1;
   /// Partition grid columns override; 0 picks ceil(sqrt(num_shards)).
   int shard_grid_cols = 0;
-  /// Run the N-shard round's per-shard batches concurrently on the shared
-  /// worker pool (DESIGN.md §12). Every shard writes only shard-local state
-  /// plus its private output buffers during the batch; the engine commits
-  /// the buffers serially in shard-id order afterwards, so results are
-  /// bitwise identical to `false`, which runs the same buffer-then-commit
-  /// protocol with the batch phase serialized in shard-id order (the
-  /// differential reference). No effect at num_shards == 1 or num_threads
-  /// == 1.
-  bool concurrent_shards = true;
   /// Per-shard travel-cost cache partition sizing under geo-sharding: total
   /// cached pairs per partition (0 = the root engine's capacity divided by
   /// num_shards). Each shard queries only its own partition, so concurrent
@@ -103,11 +93,6 @@ struct DispatchContext {
   const dispatch::FleetIndex* fleet_index = nullptr;
   /// The shard whose residents `fleet` holds; -1 for an unrestricted view.
   int fleet_shard = -1;
-  /// Worker pool owned by the caller (the simulation engine keeps one per
-  /// run); dispatchers that parallelize use it instead of spawning threads
-  /// per batch. Required when the config runs SARD's parallel acceptance
-  /// on more than one thread.
-  ThreadPool* pool = nullptr;
   /// Open requests in release order.
   std::vector<const Request*> pending;
   /// Streaming service mode only (DESIGN.md §13): wall-clock seconds (run

@@ -7,15 +7,15 @@
 // vehicles, each vehicle prices the group by linear insertion in ascending
 // shareability order (Sec. IV-A) and the first accepting vehicle commits.
 //
-// The acceptance evaluation is a pure read of the batch-start fleet state,
-// which is what makes the parallel variant exact: worker threads (a pool
-// reused across batches) only price proposals; commits happen serially in
-// deterministic group order with re-validation, so thread count never
-// changes the result. Groups every vehicle rejects are retried as halves
-// down to singletons (DispatchConfig::sard_split_rejected_groups), because
-// the clique partition would otherwise re-form the identical group next
-// batch and starve its members. A first half keeps its group's anchor and
-// the fleet index does not change within a round, so it reuses the group's
+// Every group is priced against the batch-start fleet state first, then
+// the commits run in deterministic group order with re-validation. Both
+// run on the calling thread: pooled pricing and pair checks did not pay
+// for their code on any benchmark workload (DESIGN.md §4, deviation 9).
+// Groups every vehicle rejects are retried as halves down to singletons
+// (DispatchConfig::sard_split_rejected_groups), because the clique
+// partition would otherwise re-form the identical group next batch and
+// starve its members. A first half keeps its group's anchor and the fleet
+// index does not change within a round, so it reuses the group's
 // candidate list instead of querying again.
 //
 // The batch stages the induced subgraph, clique partition, member order
@@ -28,7 +28,6 @@
 #include "dispatch/common.h"
 #include "dispatch/dispatcher.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace structride {
 namespace {
@@ -45,21 +44,6 @@ class SardDispatcher : public Dispatcher {
     size_t vehicle = 0;
   };
 
-  /// One-pointer capture context for the pooled pricing ParallelFor (a
-  /// std::function over a single pointer stays in its small-buffer slot, so
-  /// dispatching the parallel phase allocates nothing).
-  struct PriceCtx {
-    SardDispatcher* self;
-    DispatchContext* ctx;
-    const Request* const* member_reqs;
-    const size_t* group_first;
-    const size_t* group_len;
-    size_t* cands;
-    size_t* num_cands;
-    Proposal* props;
-    uint32_t* prop_count;
-  };
-
  public:
   void OnBatch(DispatchContext* ctx) override {
     if (ctx->pending.empty()) return;
@@ -67,9 +51,7 @@ class SardDispatcher : public Dispatcher {
     // The shard's run builder (DESIGN.md §7): lifecycle events already
     // retired closed requests, so the sync folds the fresh slice in.
     SR_CHECK(ctx->sharegraph != nullptr);
-    ThreadPool* pool = WorkerPool(ctx);
     ShareGraphBuilder* builder = ctx->sharegraph;
-    builder->set_pool(pool);
     builder->SyncToPending(ctx->pending);
 
     // SoA view of the pending pool (id -> pool-index without a hash map)
@@ -184,8 +166,8 @@ class SardDispatcher : public Dispatcher {
       member_reqs[m] = ctx->pending[members[m]];
     }
 
-    // Proposal pricing (phase A; pure, parallelizable): workers fill
-    // disjoint fixed-size candidate and proposal slots in the batch arena.
+    // Proposal pricing (phase A; a pure read of the fleet): each group
+    // fills its fixed-size candidate and proposal slots in the batch arena.
     // A group's candidate list outlives its pricing: should every proposal
     // fail, the group's first half retries against the same list.
     size_t* cands =
@@ -194,24 +176,17 @@ class SardDispatcher : public Dispatcher {
     Proposal* props =
         arena->AllocateArray<Proposal>(num_groups * kCandidateVehicles);
     uint32_t* prop_count = arena->AllocateArray<uint32_t>(num_groups);
-    PriceCtx pctx{this,  ctx,       member_reqs, group_first, group_len,
-                  cands, num_cands, props,       prop_count};
-    auto price_task = [p = &pctx](size_t gi) {
-      Span<const Request* const> mem(p->member_reqs + p->group_first[gi],
-                                     p->group_len[gi]);
-      size_t* group_cands = p->cands + gi * kCandidateVehicles;
-      p->num_cands[gi] = FindCandidates(*p->ctx, mem, group_cands);
-      p->prop_count[gi] = static_cast<uint32_t>(p->self->PriceGroupPooled(
-          p->ctx, mem, group_cands, p->num_cands[gi],
-          p->props + gi * kCandidateVehicles));
-    };
-    if (pool && num_groups > 1) {
-      pool->ParallelFor(num_groups, price_task);
-    } else {
-      for (size_t gi = 0; gi < num_groups; ++gi) price_task(gi);
+    for (size_t gi = 0; gi < num_groups; ++gi) {
+      Span<const Request* const> mem(member_reqs + group_first[gi],
+                                     group_len[gi]);
+      size_t* group_cands = cands + gi * kCandidateVehicles;
+      num_cands[gi] = FindCandidates(*ctx, mem, group_cands);
+      prop_count[gi] = static_cast<uint32_t>(
+          PriceGroupPooled(ctx, mem, group_cands, num_cands[gi],
+                           props + gi * kCandidateVehicles));
     }
 
-    // Acceptance commits (phase B; serial, deterministic group order).
+    // Acceptance commits (phase B; deterministic group order).
     for (size_t gi = 0; gi < num_groups; ++gi) {
       Span<const Request* const> mem(member_reqs + group_first[gi],
                                      group_len[gi]);
@@ -247,8 +222,8 @@ class SardDispatcher : public Dispatcher {
   /// Prices \p mem against its candidates \p nearest (FindCandidates) into
   /// \p out (room for kCandidateVehicles), returning the count;
   /// (delta, vehicle)-sorted per the proposal policy. Pure read of the
-  /// current fleet state; scratch lives on the calling thread's arena, so
-  /// workers price concurrently without touching the heap.
+  /// current fleet state; scratch lives on the thread's arena, so pricing
+  /// never touches the heap.
   size_t PriceGroupPooled(DispatchContext* ctx,
                           Span<const Request* const> mem,
                           const size_t* nearest, size_t num_near,
@@ -348,16 +323,6 @@ class SardDispatcher : public Dispatcher {
     size_t* rest_near = scope.AllocateArray<size_t>(kCandidateVehicles);
     AssignPooled(ctx, rest, rest_near, FindCandidates(*ctx, rest, rest_near),
                  nullptr, 0);
-  }
-
-  // The caller's per-run worker pool, which the engine provides whenever
-  // parallel acceptance runs on more than one thread.
-  ThreadPool* WorkerPool(DispatchContext* ctx) {
-    if (!config_.sard_parallel_acceptance || config_.num_threads <= 1) {
-      return nullptr;
-    }
-    SR_CHECK(ctx->pool != nullptr);
-    return ctx->pool;
   }
 };
 

@@ -4,7 +4,6 @@
 
 #include "util/arena.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace structride {
 
@@ -76,7 +75,7 @@ bool ShareGraphBuilder::AnyOrderFeasible(const Request& a, const Request& b,
 void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
   // graph_.Nodes() is the pairing order (see the member comment); reading
   // it first settles any pending removal tombstones, so the node adds
-  // below are pure appends and the reference stays valid for the tasks.
+  // below are pure appends and the reference stays valid.
   const size_t first_new = graph_.Nodes().size();
   for (const Request& r : batch) {
     if (requests_.count(r.id)) continue;
@@ -84,8 +83,7 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
     graph_.AddNode(r.id);
   }
   const std::vector<RequestId>& order = graph_.Nodes();
-  const size_t num_new = order.size() - first_new;
-  if (num_new == 0) return;
+  if (order.size() == first_new) return;
 
   // The live requests in pairing order, copied once per call so the pair
   // loops below read a flat array instead of hashing two ids per pair.
@@ -94,25 +92,20 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
   Request* live = scope.AllocateArray<Request>(order.size());
   for (size_t i = 0; i < order.size(); ++i) live[i] = requests_.at(order[i]);
 
-  // Phase 1 — evaluate pair feasibility, one task per new request against
-  // everything before it. Tasks only read builder state (no writer runs
-  // concurrently) and write their own slot, and the pair checks are
-  // mutually independent, so running them on the pool changes neither the
-  // accepted edges nor the set of travel-cost pairs queried.
-  struct Verdict {
-    const Request* partner = nullptr;
-    unsigned orders = 0;  ///< the joint orders that passed every screen
-    bool shareable = false;
+  // One pass per new request against everything before it: screen, warm
+  // up, check, add the edges. Edges therefore land in the canonical
+  // (insertion-order) sequence.
+  struct Survivor {
+    const Request* partner;
+    unsigned orders;  ///< the joint orders that passed every screen
   };
-  // Per task, the partners that survived the screens in insertion order:
-  // each one costs exactly one exact check.
-  std::vector<std::vector<Verdict>> verdicts(num_new);
-  std::vector<uint64_t> pruned(num_new, 0);
-  auto check_new_request = [&](size_t task) {
-    const size_t i = first_new + task;
+  for (size_t i = first_new; i < order.size(); ++i) {
     const Request& a = live[i];
-    std::vector<Verdict>& list = verdicts[task];
-    // Free screens first (no shortest-path queries), collecting survivors.
+    ArenaScope pass(ScratchArena());
+    // Free screens first (no shortest-path queries), collecting the
+    // survivors in pairing order: each one costs exactly one exact check.
+    Survivor* survivors = pass.AllocateArray<Survivor>(i);
+    size_t num_survivors = 0;
     for (size_t j = 0; j < i; ++j) {
       const Request& b = live[j];
       // Temporal screen: if one ride must end before the other exists, no
@@ -120,10 +113,10 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
       if (a.release_time > b.deadline || b.release_time > a.deadline) continue;
       const unsigned orders = ScreenOrders(a, b);
       if (orders == 0) {
-        ++pruned[task];
+        ++pruned_pairs_;
         continue;
       }
-      list.push_back({&b, orders, false});
+      survivors[num_survivors++] = {&b, orders};
     }
     // Batched warm-up: every survivor has a joint order both bound walks
     // accept, so its leading rider makes its own pickup and the first exact
@@ -133,32 +126,20 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
     // a's source label once; CostMany's per-target cache fill/count keeps
     // the query set — and hence sp_queries — identical to the
     // point-to-point path.
-    if (list.size() > 1) {
-      std::vector<NodeId> pickups;
-      pickups.reserve(list.size());
-      for (const Verdict& v : list) pickups.push_back(v.partner->source);
-      std::vector<double> warmed(pickups.size());
-      engine_->CostMany(a.source, {pickups.data(), pickups.size()},
-                        warmed.data());
+    if (num_survivors > 1) {
+      NodeId* pickups = pass.AllocateArray<NodeId>(num_survivors);
+      double* warmed = pass.AllocateArray<double>(num_survivors);
+      for (size_t k = 0; k < num_survivors; ++k) {
+        pickups[k] = survivors[k].partner->source;
+      }
+      engine_->CostMany(a.source, {pickups, num_survivors}, warmed);
     }
-    for (Verdict& v : list) {
-      v.shareable = AnyOrderFeasible(a, *v.partner, v.orders);
-    }
-  };
-  if (pool_ != nullptr && num_new > 1) {
-    pool_->ParallelFor(num_new, check_new_request);
-  } else {
-    for (size_t task = 0; task < num_new; ++task) check_new_request(task);
-  }
-
-  // Phase 2 — commit serially in canonical order: edge lists come out in
-  // the exact sequence the serial loop would have produced.
-  for (size_t task = 0; task < num_new; ++task) {
-    pruned_pairs_ += pruned[task];
-    pair_checks_ += verdicts[task].size();
-    const RequestId a_id = order[first_new + task];
-    for (const Verdict& v : verdicts[task]) {
-      if (v.shareable) graph_.AddEdge(a_id, v.partner->id);
+    pair_checks_ += num_survivors;
+    for (size_t k = 0; k < num_survivors; ++k) {
+      const Survivor& s = survivors[k];
+      if (AnyOrderFeasible(a, *s.partner, s.orders)) {
+        graph_.AddEdge(a.id, s.partner->id);
+      }
     }
   }
 }

@@ -36,8 +36,6 @@
 
 namespace structride {
 
-class ThreadPool;
-
 struct ShareGraphBuilderOptions {
   /// Seats on the (hypothetical) shared vehicle; pairs share iff
   /// min(2, vehicle_capacity) seats admit an overlapping order.
@@ -54,11 +52,7 @@ class ShareGraphBuilder {
   /// requests. Each new-vs-present pair passes a temporal screen and the
   /// free screens (a pair they reject counts in pruned_pairs()) before its
   /// exact check, which walks only the joint orders the screens kept.
-  /// With a pool set, the pairwise feasibility checks (the dominant cost of
-  /// a dispatch batch) run on the workers; edges are still committed
-  /// serially in the canonical (insertion-order) sequence, so the graph —
-  /// and, because pair checks are mutually independent, the set of
-  /// travel-cost pairs queried — is identical at any thread count. Each new
+  /// Edges land in the canonical (insertion-order) sequence. Each new
   /// request's pickup-to-pickup legs are prefetched through
   /// TravelCostEngine::CostMany (one source, all partners that survived the
   /// screens), which pins the source's hub label once without changing the
@@ -80,10 +74,6 @@ class ShareGraphBuilder {
   /// under geo-sharding, where it drops a request escrowed to another shard
   /// from its old shard's builder.
   void SyncToPending(const std::vector<const Request*>& pending);
-
-  /// Optional worker pool for AddRequests; null (the default) runs
-  /// serially. Not owned; the caller keeps it alive across calls.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   const ShareGraph& graph() const { return graph_; }
 
@@ -126,7 +116,6 @@ class ShareGraphBuilder {
 
   TravelCostEngine* engine_;
   ShareGraphBuilderOptions options_;
-  ThreadPool* pool_ = nullptr;  ///< not owned
   /// The graph's node sequence doubles as the deterministic pairing order:
   /// every request is added to / removed from graph_ in lockstep with
   /// requests_, so graph_.Nodes() IS the insertion order of the live set.

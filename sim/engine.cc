@@ -27,9 +27,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Lock stripes per travel-cost cache partition: intra-shard parallelism is
-// bounded by SARD's acceptance stage, so partitions need fewer stripes than
-// the 64-way root cache.
+// Lock stripes per travel-cost cache partition. Only its shard's batch task
+// queries a partition, one thread at a time, so the stripes never contend;
+// each stripe is an LRU over an equal share of the capacity, so the count
+// also fixes what a full partition evicts, and sp_queries with it.
 constexpr size_t kPartitionStripes = 16;
 
 // Nearest-rank percentile over an ascending-sorted sample; 0 when empty.
@@ -424,17 +425,14 @@ RunMetrics SimulationEngine::EventRun::Execute() {
   dropoff_time_.assign(n, 0);
   scheduled_epoch_.assign(fleet_.size(), kNoEpoch);
 
-  // One worker pool per run, shared by every shard's rounds — thread
-  // startup never recurs per batch. Built when some dispatcher stage
-  // consumes it (SARD's parallel acceptance) or the multi-shard round can
-  // run its batch phase concurrently. The pool's presence never changes
-  // outcomes (disjoint index-addressed writes + serial merges), so serial
-  // and concurrent shard modes see identical inputs either way.
+  // One worker pool per run for the multi-shard batch phase, so thread
+  // startup never recurs per round. It gets no more threads than there are
+  // shards to run, since a thread beyond that never gets a task, and none
+  // when that leaves one. The pool changes wall-clock time only: the batch
+  // phase writes shard-local buffers, merged serially afterwards.
   num_shards_ = std::max(1, config_.num_shards);
-  if (config_.num_threads > 1 &&
-      (config_.sard_parallel_acceptance || num_shards_ > 1)) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  }
+  const int pool_threads = std::min(config_.num_threads, num_shards_);
+  if (pool_threads > 1) pool_ = std::make_unique<ThreadPool>(pool_threads);
   // The zone partition and one runtime per zone. Each shard gets its own
   // dispatcher instance, its own travel-cost cache partition (so concurrent
   // shards never contend on a cache lock), and its own share graph: free
@@ -797,11 +795,11 @@ void SimulationEngine::EventRun::DispatchRound(bool online) {
   // touching only shard-local state (its dispatcher, share graph, arena,
   // SoA planes, cache partition, output buffers) plus read-only global
   // planes (requests_, pending_, state_, request_shard_, member vehicles).
-  // That isolation is what makes the concurrent path legal; the member-
-  // plane fingerprints and the fleet index's mutation count assert a slice
-  // of it every round. Either way the per-shard work is identical, so the
-  // commit phase below observes the same buffers and the two modes are
-  // bitwise interchangeable.
+  // That isolation is what lets the pool run the shards concurrently; the
+  // member-plane fingerprints and the fleet index's mutation count assert a
+  // slice of it every round. The per-shard work does not depend on the
+  // thread that runs it, so the commit phase below observes the same
+  // buffers at any thread count.
   const uint64_t index_mutations = fleet_index_.mutations();
   if (num_shards_ > 1) {
     member_fingerprints_.clear();
@@ -809,13 +807,11 @@ void SimulationEngine::EventRun::DispatchRound(bool online) {
       member_fingerprints_.push_back(MemberPlaneFingerprint(sh->members));
     }
   }
-  const bool concurrent = num_shards_ > 1 && config_.concurrent_shards &&
-                          pool_ != nullptr && pool_->size() > 1;
   uint64_t round_allocs = 0;
-  if (concurrent) {
+  if (pool_ != nullptr) {
     // Section-level sampling: once shards share the wall clock and the
-    // process-wide heap counter, per-shard deltas cross-pollute, so the
-    // concurrent mode times the whole parallel section and samples
+    // process-wide heap counter, per-shard deltas cross-pollute, so a
+    // pooled round times the whole parallel section and samples
     // allocations around it. Both are excluded from the bitwise parity
     // contract (like running_time); steady-round allocations stay 0 either
     // way once the pools are warm.
@@ -850,7 +846,7 @@ void SimulationEngine::EventRun::DispatchRound(bool online) {
 
   // Phase B — commit: merge the output buffers serially in shard-id order,
   // so request closures, cross-shard accounting and share-graph retirement
-  // observe exactly the serial shard loop's sequence.
+  // observe one sequence at any thread count.
   for (std::unique_ptr<ShardRuntime>& shp : shards_) CommitShardOutputs(*shp);
   if (steady) steady_alloc_samples_.push_back(round_allocs);
 
@@ -919,7 +915,6 @@ void SimulationEngine::EventRun::RunShardBatch(ShardRuntime& sh, bool online) {
                                            &sh.members, &sh.ranks);
   ctx.fleet_index = &fleet_index_;
   ctx.fleet_shard = num_shards_ == 1 ? -1 : sh.id;
-  ctx.pool = pool_.get();
   ctx.online_event = online;
   ctx.sharegraph = sh.sharegraph.get();
   ctx.assigned.clear();

@@ -141,32 +141,6 @@ TEST(DispatchTest, SardOAliasReproducesSard) {
   ExpectBitwiseEqual(m, m_o);
 }
 
-TEST(DispatchTest, ParallelAcceptanceIsThreadCountInvariant) {
-  TinyChd serial, parallel;
-  RunMetrics m_serial = serial.Run("SARD", serial.Config());
-  DispatchConfig config = parallel.Config();
-  config.sard_parallel_acceptance = true;
-  config.num_threads = 4;
-  RunMetrics m_parallel = parallel.Run("SARD", config);
-  ExpectBitwiseEqual(m_serial, m_parallel);
-}
-
-// The hard determinism bar for the parallel path: same workload and seed,
-// 1 vs 8 worker threads, bitwise-equal RunMetrics. Fresh fixtures mean cold
-// travel-cost caches, so sp_queries compares the actual backend work.
-TEST(DispatchTest, ParallelMetricsAreBitwiseEqualAcrossThreadCounts) {
-  TinyChd one, eight;
-  DispatchConfig c1 = one.Config();
-  c1.sard_parallel_acceptance = true;
-  c1.num_threads = 1;
-  DispatchConfig c8 = eight.Config();
-  c8.sard_parallel_acceptance = true;
-  c8.num_threads = 8;
-  RunMetrics m1 = one.Run("SARD", c1);
-  RunMetrics m8 = eight.Run("SARD", c8);
-  ExpectBitwiseEqual(m1, m8);
-}
-
 // Exactness of the engine-maintained index: after every step of a seeded
 // sequence of moves, in-service flips and residency changes, the candidate
 // scan over the unrestricted view and over each shard's restricted view

@@ -29,28 +29,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // maintained graph per run — requests retired at assignment / cancellation
 // / expiry events, fresh slices folded in per round — must reproduce the
 // rebuild-per-batch reference on served / costs / sp_queries / service
-// quality bitwise, for every graph-consuming dispatcher, preset and worker
-// thread count, while never spending more exact pair checks than the
-// rebuild path re-spends. SARD reads the run builder either way, so its
-// cases pin that the flag leaves it untouched.
+// quality bitwise, for every graph-consuming dispatcher and preset, while
+// never spending more exact pair checks than the rebuild path re-spends.
+// SARD reads the run builder either way, so its cases pin that the flag
+// leaves it untouched.
 TEST(EngineTest, IncrementalShareGraphMatchesRebuildReference) {
-  struct Case {
-    const char* algo;
-    int threads;
-  };
   for (const std::string& ds :
        {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
-    for (const Case& c : {Case{"GAS", 1}, Case{"RTV", 1}, Case{"SARD", 1},
-                          Case{"SARD", 8}}) {
-      SCOPED_TRACE(ds + " " + c.algo + " threads=" +
-                   std::to_string(c.threads));
+    for (const char* algo : {"GAS", "RTV", "SARD"}) {
+      SCOPED_TRACE(ds + " " + algo);
       TinyPreset inc(ds), ref(ds);
-      DispatchConfig inc_config = inc.Config(c.threads);
+      DispatchConfig inc_config = inc.Config();
       inc_config.incremental_sharegraph = true;
-      DispatchConfig ref_config = ref.Config(c.threads);
+      DispatchConfig ref_config = ref.Config();
       ref_config.incremental_sharegraph = false;
-      RunMetrics on = inc.MakeEngine(inc.Options())->Run(c.algo, inc_config);
-      RunMetrics off = ref.MakeEngine(ref.Options())->Run(c.algo, ref_config);
+      RunMetrics on = inc.MakeEngine(inc.Options())->Run(algo, inc_config);
+      RunMetrics off = ref.MakeEngine(ref.Options())->Run(algo, ref_config);
       ExpectOutcomeEqual(on, off);
       // The whole point: maintenance never re-checks a pair the reference
       // path re-checks every batch. (The ≥2x reduction is gated at bench
@@ -175,7 +169,8 @@ TEST(EngineTest, RepositioningKeepsInvariants) {
 }
 
 // Out-of-service vehicles leave the candidate market; a downtime run must
-// stay bitwise identical across worker-thread counts.
+// stay bitwise identical across worker-thread counts. Threads run only
+// shard batches, so the run is sharded.
 TEST(EngineTest, DowntimeIsThreadCountInvariant) {
   auto run_threads = [&](int threads) {
     TinyPreset preset("CHD");
@@ -183,7 +178,9 @@ TEST(EngineTest, DowntimeIsThreadCountInvariant) {
     SimulationOptions sopts = preset.Options();
     auto sim = preset.MakeEngine(sopts);
     sim->AddScenario(MakeVehicleDowntime(0.2 * d, 0.4 * d, 0.5));
-    return sim->Run("SARD", preset.Config(threads));
+    DispatchConfig config = preset.Config(threads);
+    config.num_shards = 4;
+    return sim->Run("SARD", config);
   };
   RunMetrics one = run_threads(1);
   RunMetrics eight = run_threads(8);

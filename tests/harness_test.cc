@@ -1,14 +1,16 @@
 // The bench harness: its JSON emission — every string value (dataset,
 // bench, series, point names) flows through JsonEscape before landing in
 // BENCH_*.json, so one quote or backslash in a name must never corrupt the
-// file — the metrics table the BENCH rows are written from, and
-// BenchContext's run isolation.
+// file — the metrics table the BENCH rows are written from, BenchContext's
+// run isolation, and the integer env knobs' parsing.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "bench/harness.h"
 #include "sim/run_metrics.h"
@@ -74,6 +76,78 @@ TEST(BenchContextTest, IdenticalConsecutiveRunsReportEqualQueries) {
   RunMetrics second = ctx.Run("SARD", PointParams{});
   EXPECT_GT(first.sp_queries, 0u);
   ExpectBitwiseEqual(first, second);
+}
+
+// Sets one env var for a scope and restores its previous state after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      setenv(name_, saved_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  bool had_ = false;
+  std::string saved_;
+};
+
+// Only whole integers in [1, INT_MAX] are taken; everything else keeps the
+// default rather than wrapping through a cast to int.
+TEST(EnvKnobTest, ShardsTakeOnlyWholeIntegersInRange) {
+  {
+    ScopedEnv env("STRUCTRIDE_SHARDS", "4");
+    EXPECT_EQ(BenchShards(), 4);
+  }
+  {
+    ScopedEnv env("STRUCTRIDE_SHARDS", "2147483647");
+    EXPECT_EQ(BenchShards(), 2147483647);
+  }
+  for (const char* bad : {"2147483648", "4294967297", "99999999999999999999",
+                          "0", "-3", "4x", "", " 4", "+4", "4.0"}) {
+    SCOPED_TRACE(bad);
+    ScopedEnv env("STRUCTRIDE_SHARDS", bad);
+    EXPECT_EQ(BenchShards(), 1);
+  }
+}
+
+TEST(EnvKnobTest, ThreadsTakeOnlyWholeIntegersInRange) {
+  {
+    ScopedEnv env("STRUCTRIDE_THREADS", "1");
+    EXPECT_EQ(BenchThreads(), 1);
+  }
+  for (const char* bad : {"4294967297", "4294967300", "2147483648", "0",
+                          "-1", "8 threads"}) {
+    SCOPED_TRACE(bad);
+    ScopedEnv env("STRUCTRIDE_THREADS", bad);
+    EXPECT_EQ(BenchThreads(), 4);
+  }
+}
+
+// The svc shard list skips a bad token and keeps the rest.
+TEST(EnvKnobTest, ShardListSkipsBadTokens) {
+  const char* kName = "STRUCTRIDE_SVC_SHARDS";
+  {
+    ScopedEnv env(kName, "1,4x,2147483648,,2,0,-1,3");
+    EXPECT_EQ(EnvPositiveIntList(kName, "1,4"), (std::vector<int>{1, 2, 3}));
+  }
+  {
+    ScopedEnv env(kName, "4294967297");
+    EXPECT_TRUE(EnvPositiveIntList(kName, "1,4").empty());
+  }
+  unsetenv(kName);
+  EXPECT_EQ(EnvPositiveIntList(kName, "1,4"), (std::vector<int>{1, 4}));
 }
 
 }  // namespace

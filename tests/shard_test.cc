@@ -1,7 +1,7 @@
 // The geo-sharding contract (DESIGN.md §12); the golden digests
 // (golden_test.cc) pin 1- and 4-shard outcomes across the roster:
-//  1. Concurrent shard batches reproduce the serial shard-id-order loop
-//     bitwise.
+//  1. Shard batches run on any number of threads reproduce the one-thread
+//     shard-id-order loop bitwise, also when the travel-cost cache evicts.
 //  2. num_shards>1 conserves requests and vehicles exactly: every request
 //     reaches exactly one terminal outcome, every vehicle lives in exactly
 //     one shard's member list (the engine SR_CHECKs the incremental form
@@ -378,32 +378,62 @@ TEST(ShardEscrowTest, HandoffCrossesTheBoundary) {
 
 // ------------------------------------- concurrent shard execution gate --
 
-// The PR-8 contract (DESIGN.md §12): concurrent_shards=true runs the
-// per-shard batch phase as independent pool tasks, but the buffer-then-
-// commit protocol keeps it bitwise identical to the serial shard-id-order
-// reference — outcomes, costs, #SP queries, and the per-shard counter
-// vectors. shard_cache_capacity is pinned large enough that no travel-cost
-// partition ever evicts: eviction *order* under sard_parallel_acceptance is
-// the one documented place the two interleavings could legally differ.
+// One run on a cold travel-cost engine over \p preset's hub labels; a
+// positive \p cache_capacity shrinks the root cache to that many pairs.
+RunMetrics RunCold(const TinyPreset& preset, const std::string& algo,
+                   const DispatchConfig& config, size_t cache_capacity = 0) {
+  TravelCostOptions options;
+  options.prebuilt_hub_labels = preset.labels.get();
+  if (cache_capacity > 0) options.cache_capacity = cache_capacity;
+  // Declared before the simulation engine, which parents its cache
+  // partitions to it.
+  TravelCostEngine engine(preset.net, options);
+  SimulationEngine sim(&engine, preset.requests, preset.Options());
+  sim.SpawnFleet(preset.fleet_size, preset.spec.capacity);
+  return sim.Run(algo, config);
+}
+
+// The contract of DESIGN.md §12: the pool runs a multi-shard round's
+// per-shard batches as independent tasks, and the buffer-then-commit
+// protocol keeps every run bitwise identical to one thread, the serial
+// shard-id-order reference — outcomes, costs, #SP queries and the
+// per-shard counter vectors. 3 threads over 4 shards make one worker run
+// two shards in a round; 8 threads get a pool of 4. The last inputs run
+// SARD on a 64-pair root cache (4 shards give each partition a quarter of
+// it), where nearly every miss evicts: thread count must not change which
+// pairs a full cache evicts either.
 TEST(ShardConcurrencyTest, ConcurrentMatchesSerialAcrossRoster) {
+  struct Input {
+    std::string algo;
+    int shards;
+    size_t root_pairs;  ///< 0 keeps the default cache
+  };
   for (const std::string& ds :
        {std::string("CHD"), std::string("NYC"), std::string("Cainiao")}) {
+    TinyPreset preset(ds);
+    std::vector<Input> inputs;
     for (const std::string& algo : ListDispatchers()) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(ds + " " + algo + " threads=" + std::to_string(threads));
-        auto run_once = [&](bool concurrent) {
-          TinyPreset preset(ds);
-          DispatchConfig config = preset.Config(threads);
-          config.num_shards = 4;
-          config.concurrent_shards = concurrent;
-          config.shard_cache_capacity = size_t{1} << 16;
-          return preset.MakeEngine(preset.Options())->Run(algo, config);
-        };
-        RunMetrics on = run_once(true);
-        RunMetrics off = run_once(false);
-        ExpectBitwiseEqual(on, off);
-        ExpectCensusBalanced(on);
-        EXPECT_EQ(on.num_shards, 4);
+      inputs.push_back({algo, 4, 0});
+    }
+    if (ds == "Cainiao") {
+      for (int shards : {1, 4}) inputs.push_back({"SARD", shards, 64});
+    }
+    for (const Input& in : inputs) {
+      auto run = [&](int threads) {
+        DispatchConfig config = preset.Config(threads);
+        config.num_shards = in.shards;
+        config.shard_cache_capacity = in.root_pairs / 4;
+        return RunCold(preset, in.algo, config, in.root_pairs);
+      };
+      const RunMetrics serial = run(1);
+      ExpectCensusBalanced(serial);
+      EXPECT_EQ(serial.num_shards, in.shards);
+      for (int threads : {3, 8}) {
+        SCOPED_TRACE(ds + " " + in.algo + " shards=" +
+                     std::to_string(in.shards) + " root_pairs=" +
+                     std::to_string(in.root_pairs) +
+                     " threads=" + std::to_string(threads));
+        ExpectBitwiseEqual(run(threads), serial);
       }
     }
   }
@@ -417,21 +447,19 @@ TEST(ShardConcurrencyTest, RandomizedFaultModelMatchesSerialBitwise) {
     for (int shards : {2, 4}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " shards=" + std::to_string(shards));
-      auto run_once = [&](bool concurrent) {
+      auto run = [&](int threads) {
         TinyPreset preset("CHD");
         SimulationOptions sopts = preset.Options(seed);
         sopts.cancellation_rate = 0.35;
         sopts.cancellation_patience = 15;
-        DispatchConfig config = preset.Config(8);
+        DispatchConfig config = preset.Config(threads);
         config.num_shards = shards;
-        config.concurrent_shards = concurrent;
-        config.shard_cache_capacity = size_t{1} << 16;
         return preset.MakeEngine(sopts)->Run("SARD", config);
       };
-      RunMetrics on = run_once(true);
-      RunMetrics off = run_once(false);
-      ExpectBitwiseEqual(on, off);
-      ExpectCensusBalanced(on);
+      RunMetrics concurrent = run(8);
+      RunMetrics serial = run(1);
+      ExpectBitwiseEqual(concurrent, serial);
+      ExpectCensusBalanced(concurrent);
     }
   }
 }
@@ -443,7 +471,7 @@ TEST(ShardConcurrencyTest, RandomizedFaultModelMatchesSerialBitwise) {
 // performing cross-shard handoffs (not vacuously, cross_shard_trips > 0).
 TEST(ShardConcurrencyTest, DenseBoundaryStressMatchesSerialBitwise) {
   constexpr int kNodes = 40;
-  auto run_once = [&](bool concurrent) {
+  auto run = [&](int threads) {
     RoadNetwork net;
     for (int i = 0; i < kNodes; ++i) {
       net.AddNode({static_cast<double>(i), 0});
@@ -478,17 +506,15 @@ TEST(ShardConcurrencyTest, DenseBoundaryStressMatchesSerialBitwise) {
     DispatchConfig config;
     config.num_shards = 4;
     config.shard_grid_cols = 4;
-    config.concurrent_shards = concurrent;
-    config.num_threads = 8;
-    config.shard_cache_capacity = size_t{1} << 16;
+    config.num_threads = threads;
     return sim.Run("SARD", config);
   };
-  RunMetrics on = run_once(true);
-  RunMetrics off = run_once(false);
-  ExpectBitwiseEqual(on, off);
-  ExpectCensusBalanced(on);
-  EXPECT_GT(on.cross_shard_trips, 0);
-  EXPECT_EQ(on.num_shards, 4);
+  RunMetrics concurrent = run(8);
+  RunMetrics serial = run(1);
+  ExpectBitwiseEqual(concurrent, serial);
+  ExpectCensusBalanced(concurrent);
+  EXPECT_GT(concurrent.cross_shard_trips, 0);
+  EXPECT_EQ(concurrent.num_shards, 4);
 }
 
 // ------------------------------------------------------- zonal scenarios --

@@ -3,8 +3,8 @@
 // must never drop a feasible share pair — the screened graph must equal the
 // one exact checking of every joint order would build (the screens only
 // save shortest-path queries); and the incremental builder's contracts: one
-// exact check per pair lifetime, from-scratch equivalence after every
-// delta, and a pooled AddRequests identical to the serial one.
+// exact check per pair lifetime and from-scratch equivalence after every
+// delta.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "sharegraph/loss.h"
 #include "sim/workload.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace structride {
 namespace {
@@ -317,10 +316,7 @@ TEST(ShareGraphBuilderTest, LivePairIsCheckedOncePerLifetime) {
 //    results independent of how the graph was maintained;
 //  - the lifetime invariant: one exact check or free-screen prune per
 //    co-present, time-overlapping pair lifetime, so re-presentations and
-//    surviving pairs cost nothing;
-//  - a mirror builder running AddRequests on a 4-thread pool, over its own
-//    cold travel-cost engine, with identical node and neighbor sequences,
-//    pair counters and engine query count.
+//    surviving pairs cost nothing.
 TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
   CityOptions copt;
   copt.rows = 12;
@@ -337,17 +333,11 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
   auto requests = GenerateWorkload(net, &engine, policy, wopts);
   std::unordered_map<RequestId, const Request*> by_id;
   for (const Request& r : requests) by_id[r.id] = &r;
-  ThreadPool pool(4);
 
   for (uint64_t seed : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed);
-    TravelCostEngine serial_engine(net);
-    TravelCostEngine pooled_engine(net);
-    ShareGraphBuilder inc(&serial_engine, {});
-    ShareGraphBuilder pooled(&pooled_engine, {});
-    pooled.set_pool(&pool);
-    ShareGraphBuilder* const builders[2] = {&inc, &pooled};
+    ShareGraphBuilder inc(&engine, {});
     std::vector<char> alive(requests.size(), 0);
     uint64_t lifetimes = 0;
     uint64_t rebuild_checks_total = 0;
@@ -378,15 +368,13 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
           if (!alive[idx]) open(idx);
           batch.push_back(requests[idx]);
         }
-        for (ShareGraphBuilder* b : builders) b->AddRequests(batch);
+        inc.AddRequests(batch);
       } else if (op == 1) {
         // Assignment / cancellation / expiry events: retire a few.
         for (size_t idx = 0; idx < requests.size(); ++idx) {
           if (alive[idx] && rng.Uniform(0, 1) < 0.3) {
             alive[idx] = 0;
-            for (ShareGraphBuilder* b : builders) {
-              EXPECT_TRUE(b->RemoveRequest(requests[idx].id));
-            }
+            EXPECT_TRUE(inc.RemoveRequest(requests[idx].id));
           }
         }
       } else {
@@ -414,7 +402,7 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
           open(idx);
           pending.push_back(&requests[idx]);
         }
-        for (ShareGraphBuilder* b : builders) b->SyncToPending(pending);
+        inc.SyncToPending(pending);
       }
 
       // From-scratch reference over the survivors, in the incremental
@@ -432,21 +420,12 @@ TEST(ShareGraphBuilderTest, DifferentialIncrementalVsFromScratchRebuild) {
       ASSERT_EQ(inc.graph().NumEdges(), ref.graph().NumEdges())
           << "step " << step;
       ASSERT_EQ(inc.graph().Nodes(), ref.graph().Nodes()) << "step " << step;
-      ASSERT_EQ(pooled.graph().Nodes(), ref.graph().Nodes())
-          << "step " << step;
       for (RequestId v : ref.graph().Nodes()) {
         ASSERT_EQ(inc.graph().Neighbors(v), ref.graph().Neighbors(v))
             << "neighbor sequence mismatch at request " << v << ", step "
             << step;
-        ASSERT_EQ(pooled.graph().Neighbors(v), inc.graph().Neighbors(v))
-            << "pooled neighbor sequence mismatch at request " << v
-            << ", step " << step;
       }
       ASSERT_EQ(inc.pair_checks() + inc.pruned_pairs(), lifetimes)
-          << "step " << step;
-      ASSERT_EQ(pooled.pair_checks(), inc.pair_checks()) << "step " << step;
-      ASSERT_EQ(pooled.pruned_pairs(), inc.pruned_pairs()) << "step " << step;
-      ASSERT_EQ(pooled_engine.num_queries(), serial_engine.num_queries())
           << "step " << step;
     }
     // The economics of maintenance: across the whole sequence the

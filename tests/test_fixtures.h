@@ -19,7 +19,6 @@
 #include "sim/engine.h"
 #include "sim/run_metrics.h"
 #include "sim/workload.h"
-#include "util/thread_pool.h"
 
 namespace structride {
 
@@ -55,10 +54,7 @@ struct TinyPreset {
     config.vehicle_capacity = spec.capacity;
     config.grouping.max_group_size = spec.capacity;
     config.sharegraph.vehicle_capacity = spec.capacity;
-    if (threads > 1) {
-      config.sard_parallel_acceptance = true;
-      config.num_threads = threads;
-    }
+    config.num_threads = threads;
     return config;
   }
 
@@ -102,8 +98,7 @@ inline void ExpectBitwiseEqual(const RunMetrics& a, const RunMetrics& b) {
 // A DispatchContext wired the way the simulation engine wires a
 // single-region round — caller-owned batch arena and SoA planes, the
 // run-scoped share-graph builder, the maintained fleet index, the commit
-// log, a worker pool when the config runs on several threads — for driving
-// one dispatcher directly. Set ctx.pending, then call BeginRound before each
+// log — for driving one dispatcher directly. Set ctx.pending, then call BeginRound before each
 // OnBatch.
 struct FullDispatchContext {
   FullDispatchContext(TravelCostEngine* engine, std::vector<Vehicle>* fleet,
@@ -115,10 +110,6 @@ struct FullDispatchContext {
                       std::vector<int>(fleet->size(), 0), 1);
     ctx.fleet_index = &fleet_index;
     ctx.sharegraph = &sharegraph;
-    if (config.num_threads > 1) {
-      pool = std::make_unique<ThreadPool>(config.num_threads);
-      ctx.pool = pool.get();
-    }
     ctx.arena = &arena;
     ctx.pending_soa = &pending_soa;
   }
@@ -149,7 +140,6 @@ struct FullDispatchContext {
   std::vector<Vehicle>* fleet;
   dispatch::FleetIndex fleet_index;
   std::vector<size_t> commit_log;
-  std::unique_ptr<ThreadPool> pool;
   EpochArena arena;
   RequestSoA pending_soa;
   DispatchContext ctx;

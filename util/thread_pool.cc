@@ -7,9 +7,9 @@ namespace structride {
 namespace {
 
 // The pool this thread is currently draining a generation for. A nested
-// ParallelFor on the same pool (e.g. a dispatcher pricing groups from inside
-// a concurrent shard task) would wait forever on the generation barrier, so
-// ParallelFor checks this marker and runs nested ranges inline instead.
+// ParallelFor on the same pool (a task that calls back into its own pool)
+// would wait forever on the generation barrier, so ParallelFor checks this
+// marker and runs nested ranges inline instead.
 thread_local const ThreadPool* tls_active_pool = nullptr;
 
 }  // namespace

@@ -1,8 +1,8 @@
-// A persistent worker pool with a blocking ParallelFor. Dispatchers and the
-// simulation engine reuse one pool across batches instead of spawning and
-// joining fresh std::threads every round — at bench scale thread startup was
-// a measurable share of a batch, and a pool makes worker count a property of
-// the run, not of each call site.
+// A persistent worker pool with a blocking ParallelFor. The simulation
+// engine keeps one per multi-shard run and runs each round's shard batches
+// on it (DESIGN.md §12), instead of spawning and joining fresh std::threads
+// every round — at bench scale thread startup was a measurable share of a
+// batch. Dispatchers run on the calling thread; they never get the pool.
 //
 // Determinism contract: ParallelFor(n, fn) runs fn(0..n-1) exactly once
 // each, in an unspecified interleaving. Callers keep results deterministic
