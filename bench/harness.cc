@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -203,7 +204,7 @@ double BenchScale() {
   if (env == nullptr) return 0.25;
   char* end = nullptr;
   double s = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(s > 0)) {
+  if (end == env || *end != '\0' || !(std::isfinite(s) && s > 0)) {
     std::fprintf(stderr,
                  "[bench] ignoring STRUCTRIDE_SCALE=\"%s\" (want a positive "
                  "number); using the default 0.25\n",
@@ -277,7 +278,7 @@ double BenchQps() {
   if (env == nullptr) return 0;
   char* end = nullptr;
   double q = std::strtod(env, &end);
-  if (end == env || *end != '\0' || q < 0) {
+  if (end == env || *end != '\0' || !(std::isfinite(q) && q >= 0)) {
     std::fprintf(stderr,
                  "[bench] ignoring STRUCTRIDE_QPS=\"%s\" (want a "
                  "non-negative number); using the default 0 (replay)\n",
@@ -292,7 +293,7 @@ double BenchSloP99Ms() {
   if (env == nullptr) return 250;
   char* end = nullptr;
   double ms = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(ms > 0)) {
+  if (end == env || *end != '\0' || !(std::isfinite(ms) && ms > 0)) {
     std::fprintf(stderr,
                  "[bench] ignoring STRUCTRIDE_SLO_P99_MS=\"%s\" (want a "
                  "positive number); using the default 250\n",

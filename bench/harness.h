@@ -73,7 +73,8 @@ class BenchContext {
   int stream_requests_ = -1;
 };
 
-/// \brief Env-var scale (STRUCTRIDE_SCALE, default 0.25).
+/// \brief Env-var scale (STRUCTRIDE_SCALE, default 0.25). A value that is
+/// not a finite positive number warns and keeps the default.
 double BenchScale();
 
 /// \brief Env var \p name, or \p fallback when it is unset, as a
@@ -99,11 +100,13 @@ int BenchThreads();
 /// \brief Env-var service-mode arrival rate (STRUCTRIDE_QPS, default 0):
 /// when positive, every BenchContext::Run enables the streaming service
 /// mode (DESIGN.md §13) at this wall-clock qps; 0 keeps the replay engine.
+/// A value that is not a finite non-negative number warns and keeps 0.
 double BenchQps();
 
 /// \brief Env-var dispatch-latency SLO (STRUCTRIDE_SLO_P99_MS, default
 /// 250): the p99 ingest→decision bound the sustained-qps bench and the CI
-/// service gate hold runs to, in milliseconds.
+/// service gate hold runs to, in milliseconds. A value that is not a finite
+/// positive number warns and keeps the default.
 double BenchSloP99Ms();
 
 /// \brief Env-var travel-cost backend (STRUCTRIDE_SP_BACKEND: "hl", "ch" or

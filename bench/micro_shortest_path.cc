@@ -6,15 +6,17 @@
 //     cold pass is all cache misses (backend-bound), the warm pass is all
 //     cache hits (LRU-bound) — and p50/p99 per-query latency plus
 //     queries/sec are reported per phase. A third HL-only pass issues the
-//     pairs as one-to-many CostMany batches. Warm (and CostMany) queries are
-//     tens of nanoseconds, below the clock resolution, so those phases time
-//     fixed-size chunks and report per-query averages per chunk; cold
+//     pairs as one-to-many CostMany batches, whose misses share a source and
+//     so keep it pinned in the hub-label query. Warm (and CostMany) queries
+//     are tens of nanoseconds, below the clock resolution, so those phases
+//     time fixed-size chunks and report per-query averages per chunk; cold
 //     queries are timed individually. Runs before the Google-Benchmark
 //     cases (own main below).
 //
-//  2. The Google-Benchmark cases: raw hub-label query vs bidirectional
-//     Dijkstra, the cached engine hot path, batched CostMany, the two free
-//     lower bounds, and index construction.
+//  2. The Google-Benchmark cases: raw hub-label query (random pairs and
+//     pairs sharing a source) vs bidirectional Dijkstra, the cached engine
+//     hot path, batched CostMany, the two free lower bounds, and index
+//     construction.
 //
 // With STRUCTRIDE_JSON_DIR set, the study writes
 // $STRUCTRIDE_JSON_DIR/BENCH_micro_shortest_path_latency.json.
@@ -140,8 +142,8 @@ BackendReport RunStudyBackend(const RoadNetwork& net,
                             kRounds * (pairs.size() / kChunk) * kChunk);
   }
 
-  // Batched one-to-many (HL pins the source once): fresh engine so the
-  // batch is cold, grouped by source node.
+  // Batched one-to-many (the source stays pinned across the batch's
+  // misses): fresh engine so the batch is cold, grouped by source node.
   if (backend == TravelCostOptions::Backend::kHubLabeling) {
     TravelCostEngine batch_engine(net, options);
     constexpr size_t kFanOut = 64;
@@ -255,17 +257,27 @@ const HubLabeling& Labels() {
   return hl;
 }
 
-void BM_HubLabelQuery(benchmark::State& state) {
+// Raw hub-label queries, in ns per query. Random pairs rarely share an
+// endpoint with the query before, so nearly every one pins its source
+// first; pairs sharing a source (64 targets each, as when one node is
+// priced against a candidate set) mostly walk only the target's label.
+void BM_HubLabelQuery(benchmark::State& state, bool shared_source) {
   const RoadNetwork& net = Net();
   const HubLabeling& hl = Labels();
   Rng rng(1);
+  const int64_t n = static_cast<int64_t>(net.num_nodes());
+  NodeId s = 0;
+  uint64_t i = 0;
   for (auto _ : state) {
-    NodeId s = static_cast<NodeId>(rng.UniformInt(0, net.num_nodes() - 1));
-    NodeId t = static_cast<NodeId>(rng.UniformInt(0, net.num_nodes() - 1));
+    if (!shared_source || i++ % 64 == 0) {
+      s = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    }
+    NodeId t = static_cast<NodeId>(rng.UniformInt(0, n - 1));
     benchmark::DoNotOptimize(hl.Query(s, t));
   }
 }
-BENCHMARK(BM_HubLabelQuery);
+BENCHMARK_CAPTURE(BM_HubLabelQuery, random_pairs, false);
+BENCHMARK_CAPTURE(BM_HubLabelQuery, shared_source, true);
 
 void BM_BidirectionalDijkstra(benchmark::State& state) {
   const RoadNetwork& net = Net();
@@ -371,7 +383,12 @@ void BM_HubLabelBuild(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(net.num_nodes()) + " nodes");
 }
-BENCHMARK(BM_HubLabelBuild)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond)->Iterations(3);
+BENCHMARK(BM_HubLabelBuild)
+    ->Arg(10)
+    ->Arg(20)
+    ->Arg(48)  // the NYC preset's grid
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(3);
 
 }  // namespace
 }  // namespace structride

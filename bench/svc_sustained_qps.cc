@@ -13,7 +13,8 @@
 // STRUCTRIDE_SCALE / STRUCTRIDE_THREADS / STRUCTRIDE_SLO_P99_MS as
 // everywhere. STRUCTRIDE_SVC_REQUIRE_SUSTAINED=1 makes the binary exit
 // nonzero when any cell fails to sustain even the search floor — the CI
-// service gate.
+// service gate. A grid with no cell (no valid token in one of the lists)
+// exits 2 before any run.
 //
 // Wall-time note: one probe's arrival phase lasts ~n/qps wall seconds, so
 // the floor probe dominates a cell's cost; keep smoke runs at small
@@ -71,6 +72,17 @@ int main() {
   const char* require_env = std::getenv("STRUCTRIDE_SVC_REQUIRE_SUSTAINED");
   const bool require_sustained =
       require_env != nullptr && std::strcmp(require_env, "1") == 0;
+  // A grid with no cell would print an empty table and pass the CI gate
+  // vacuously; a mistyped list is an error, not a result.
+  if (datasets.empty() || algos.empty() || shard_counts.empty()) {
+    std::fprintf(stderr,
+                 "[bench] svc_sustained_qps: empty grid (%zu datasets x %zu "
+                 "shard counts x %zu algorithms); check "
+                 "STRUCTRIDE_SVC_DATASETS, STRUCTRIDE_SVC_SHARDS and "
+                 "STRUCTRIDE_ALGOS\n",
+                 datasets.size(), shard_counts.size(), algos.size());
+    return 2;
+  }
 
   std::printf("\n================================================================\n");
   std::printf("Service mode: max sustained qps (SLO: p99 <= %.0f ms, 0 shed)\n",

@@ -237,10 +237,10 @@ class SardDispatcher : public Dispatcher {
     // position 0 of an empty schedule, that position's detour bound cannot
     // beat an infinite incumbent, and BestInsertion prices the pickup leg
     // only after the straight-line walk of the same splice passes.
-    // One-to-many fetching those legs pins the anchor's hub label once;
-    // CostMany's per-target cache fill/count keeps sp_queries identical to
-    // the point-to-point path. Busy candidates' first legs depend on their
-    // committed stops and are left to the sequential walk.
+    // Fetching those legs back to back keeps the anchor pinned in the
+    // hub-label query across their misses, and pricing looks each of them
+    // up anyway, so sp_queries is unchanged. Busy candidates' first legs
+    // depend on their committed stops and are left to the sequential walk.
     const Stop first_member[2] = {PickupStop(*mem[0]), DropoffStop(*mem[0])};
     NodeId idle_nodes[kCandidateVehicles];
     size_t num_idle = 0;

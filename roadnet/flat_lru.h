@@ -2,8 +2,10 @@
 // store behind TravelCostEngine's travel-cost cache. One flat entry pool
 // with intrusive MRU/LRU links plus an open-addressing index (linear
 // probing, backward-shift deletion). All memory is reserved at construction
-// and no operation allocates, so a cache hit touches two cache lines
-// instead of the old std::list + std::unordered_map node chase.
+// and no operation allocates. A hit reads its index bucket and its entry,
+// and unless the entry already heads the list it relinks the entry's two
+// list neighbours and the old head: up to five cache lines, against the old
+// std::list + std::unordered_map node chase.
 //
 // Semantics match the list-based shard it replaced exactly (tests pin the
 // parity): Find touches the entry most-recently-used, Insert evicts the

@@ -1,6 +1,7 @@
 #include "roadnet/hub_labeling.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <limits>
 #include <queue>
@@ -106,32 +107,24 @@ HubLabeling::HubLabeling(const RoadNetwork& net) {
   };
   std::vector<std::vector<BuildEntry>> labels(n);
 
-  // Query restricted to already-built labels (used for pruning).
-  auto pruned_query = [&](NodeId s, NodeId t) {
-    const auto& ls = labels[static_cast<size_t>(s)];
-    const auto& lt = labels[static_cast<size_t>(t)];
-    double best = kInf;
-    size_t i = 0, j = 0;
-    while (i < ls.size() && j < lt.size()) {
-      if (ls[i].hub_rank == lt[j].hub_rank) {
-        double d = ls[i].dist + lt[j].dist;
-        if (d < best) best = d;
-        ++i;
-        ++j;
-      } else if (ls[i].hub_rank < lt[j].hub_rank) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    return best;
-  };
+  // The pruning test for a node u settled in hub k's round is a query
+  // between the hub and u over the labels built so far. The hub's label is
+  // spread into a rank-indexed array for the whole round, so each test walks
+  // only u's label. The hub's own rank-k entry, added when it settles first,
+  // is left out: u holds no rank-k entry until after its test, so that entry
+  // could never meet one. The minima, the pruning decisions and hence the
+  // labels are those of a merge join over the live labels.
+  std::vector<double> hub_pin(n, kInf);
 
   std::vector<double> dist(n, kInf);
   std::vector<NodeId> touched;
   using Entry = std::pair<double, NodeId>;
   for (int32_t rank = 0; rank < static_cast<int32_t>(n); ++rank) {
     NodeId hub = order[static_cast<size_t>(rank)];
+    std::vector<BuildEntry>& hub_label = labels[static_cast<size_t>(hub)];
+    for (const BuildEntry& e : hub_label) {
+      hub_pin[static_cast<size_t>(e.hub_rank)] = e.dist;
+    }
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
     dist[static_cast<size_t>(hub)] = 0;
     touched.push_back(hub);
@@ -142,8 +135,14 @@ HubLabeling::HubLabeling(const RoadNetwork& net) {
       if (d > dist[static_cast<size_t>(u)]) continue;
       // Prune: if existing labels already certify a path <= d, the hub adds
       // nothing for u or anything beyond it.
-      if (pruned_query(hub, u) <= d + 1e-9) continue;
-      labels[static_cast<size_t>(u)].push_back({rank, d});
+      std::vector<BuildEntry>& label = labels[static_cast<size_t>(u)];
+      double known = kInf;
+      for (const BuildEntry& e : label) {
+        known = std::min(known,
+                         hub_pin[static_cast<size_t>(e.hub_rank)] + e.dist);
+      }
+      if (known <= d + 1e-9) continue;
+      label.push_back({rank, d});
       for (const RoadNetwork::Arc& arc : net.arcs(u)) {
         double nd = d + arc.cost;
         size_t to = static_cast<size_t>(arc.to);
@@ -156,12 +155,15 @@ HubLabeling::HubLabeling(const RoadNetwork& net) {
     }
     for (NodeId v : touched) dist[static_cast<size_t>(v)] = kInf;
     touched.clear();
+    for (const BuildEntry& e : hub_label) {
+      hub_pin[static_cast<size_t>(e.hub_rank)] = kInf;
+    }
   }
 
   for (const auto& label : labels) total_entries_ += label.size();
 
   // Flatten: each node's (rank-ascending) run followed by one sentinel, so
-  // the query merge needs no bound checks at all.
+  // the query's walks need no bound checks at all.
   offsets_.resize(n);
   ranks_.reserve(total_entries_ + n);
   dists_.reserve(total_entries_ + n);
@@ -194,58 +196,69 @@ std::unique_ptr<HubLabeling> HubLabeling::FromFrozenSections(
   return hl;
 }
 
+uint64_t HubLabeling::NextId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 double HubLabeling::Query(NodeId s, NodeId t) const {
   if (s == t) return 0;
+  // The calling thread's pin: scratch is +inf except at the pinned node's
+  // hub ranks. Keyed by labeling id, not address (see id_).
+  struct Pin {
+    uint64_t labeling = 0;
+    NodeId node = -1;
+    std::vector<double> scratch;
+  };
+  thread_local Pin pin;
   const int32_t* R = ranks_view_.data();
   const double* D = dists_view_.data();
-  size_t i = offsets_view_[static_cast<size_t>(s)];
-  size_t j = offsets_view_[static_cast<size_t>(t)];
-  double best = kInf;
-  // Sentinel-terminated merge join: both runs end on kSentinelRank, so the
-  // loop exits on the equality branch and the index advances compile to
-  // branch-free conditional increments over the dense rank plane.
-  for (;;) {
-    const int32_t ra = R[i];
-    const int32_t rb = R[j];
-    if (ra == rb) {
-      if (ra == kSentinelRank) break;
-      const double d = D[i] + D[j];
-      if (d < best) best = d;
-      ++i;
-      ++j;
-    } else {
-      i += ra < rb;
-      j += rb < ra;
+  const uint32_t* offsets = offsets_view_.data();
+  if (pin.labeling != id_) {
+    // Switching labelings: O(n), which no run does in steady state.
+    pin.scratch.assign(num_nodes_, kInf);
+    pin.labeling = id_;
+    pin.node = -1;
+  }
+  double* scratch = pin.scratch.data();
+  // Every walk below stops on its run's sentinel, and every rank before it
+  // indexes the n-entry scratch. That needs only what the snapshot loader
+  // checks: each run start in range, every rank in [0, n) or the sentinel,
+  // and the plane ending on a sentinel.
+  NodeId walk = t;
+  if (pin.node == t) {
+    walk = s;
+  } else if (pin.node != s) {
+    if (pin.node >= 0) {
+      for (size_t k = offsets[static_cast<size_t>(pin.node)];
+           R[k] != kSentinelRank; ++k) {
+        scratch[R[k]] = kInf;
+      }
     }
+    for (size_t k = offsets[static_cast<size_t>(s)]; R[k] != kSentinelRank;
+         ++k) {
+      scratch[R[k]] = D[k];
+    }
+    pin.node = s;
   }
-  return best;
-}
-
-void HubLabeling::PinSource(NodeId s, double* scratch) const {
-  for (size_t k = offsets_view_[static_cast<size_t>(s)];
-       ranks_view_[k] != kSentinelRank; ++k) {
-    scratch[ranks_view_[k]] = dists_view_[k];
+  // Gather: min over walk's run of scratch[rank] + dist. A rank the pinned
+  // label lacks adds +inf and never wins. Four independent minima keep the
+  // walk from being one long dependency chain; a minimum of doubles does not
+  // depend on the order it is taken in.
+  const int32_t* r = R + offsets[static_cast<size_t>(walk)];
+  const double* d = D + offsets[static_cast<size_t>(walk)];
+  double m0 = kInf, m1 = kInf, m2 = kInf, m3 = kInf;
+  for (;; r += 4, d += 4) {
+    if (r[0] == kSentinelRank) break;
+    m0 = std::min(m0, scratch[r[0]] + d[0]);
+    if (r[1] == kSentinelRank) break;
+    m1 = std::min(m1, scratch[r[1]] + d[1]);
+    if (r[2] == kSentinelRank) break;
+    m2 = std::min(m2, scratch[r[2]] + d[2]);
+    if (r[3] == kSentinelRank) break;
+    m3 = std::min(m3, scratch[r[3]] + d[3]);
   }
-}
-
-double HubLabeling::QueryPinned(const double* scratch, NodeId t) const {
-  double best = kInf;
-  // min over the pinned source's hubs ∩ t's hubs: a rank the source does not
-  // label contributes +inf and never wins, so one pass over t's run suffices
-  // and the result is identical to the two-pointer merge in Query.
-  for (size_t k = offsets_view_[static_cast<size_t>(t)];
-       ranks_view_[k] != kSentinelRank; ++k) {
-    const double d = scratch[ranks_view_[k]] + dists_view_[k];
-    if (d < best) best = d;
-  }
-  return best;
-}
-
-void HubLabeling::UnpinSource(NodeId s, double* scratch) const {
-  for (size_t k = offsets_view_[static_cast<size_t>(s)];
-       ranks_view_[k] != kSentinelRank; ++k) {
-    scratch[ranks_view_[k]] = kInf;
-  }
+  return std::min(std::min(m0, m1), std::min(m2, m3));
 }
 
 size_t HubLabeling::MemoryBytes() const {

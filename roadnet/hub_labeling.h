@@ -1,19 +1,23 @@
 // Pruned-landmark hub labeling (2-hop cover): the paper's fixed
-// shortest-path substrate. Exact distances via a sorted-label merge join;
-// build via pruned Dijkstra in a hierarchical quadtree-center order (a
-// separator-style order: the node nearest the city center first, then the
-// centers of the four quadrants, and so on — every prefix of the order
-// spreads over the map, which is what keeps grid labels small).
+// shortest-path substrate. Exact distances by scatter-gather over one
+// pinned node per thread; build via pruned Dijkstra in a hierarchical
+// quadtree-center order (a separator-style order: the node nearest the city
+// center first, then the centers of the four quadrants, and so on — every
+// prefix of the order spreads over the map, which is what keeps grid labels
+// small).
 //
 // Memory layout (DESIGN.md §"Memory layout"): all labels live in one
 // contiguous node-major arena addressed by one offset array, stored as two
-// parallel planes — hub ranks (int32, what the merge join scans, 16 per
-// cache line) and distances (double, only touched on rank matches). Each
-// node's run is terminated by a rank sentinel, so the query walks raw
-// pointers with a single compare per step — no per-node vector headers, no
-// bound checks. The pinned-source API spreads one node's label into a
-// rank-indexed scratch array so one-to-many batches
-// (TravelCostEngine::CostMany) pay the source's label walk once.
+// parallel planes — hub ranks (int32) and distances (double). Each node's
+// run is terminated by a rank sentinel, so every walk over a run stops on a
+// single compare per step — no per-node vector headers, no bound checks.
+//
+// Query (Akiba, Iwata & Yoshida, SIGMOD 2013): each thread keeps one node
+// pinned, its label spread into a rank-indexed scratch of n doubles that is
+// +inf elsewhere. A query walks only the run of whichever endpoint is not
+// pinned and takes the minimum of scratch[rank] + dist; when neither is, the
+// source replaces the pinned node first. Successive queries sharing an
+// endpoint (one node priced against a candidate set) pay only the gather.
 //
 // Ownership (DESIGN.md §"Graph import and persistence"): queries read the
 // arena through borrowed views. A built labeling owns the planes; a
@@ -49,18 +53,11 @@ class HubLabeling {
       Span<const double> dists, size_t total_entries,
       std::shared_ptr<const void> payload);
 
-  /// Exact shortest-path cost (infinity if disconnected).
+  /// Exact shortest-path cost (infinity if disconnected): the minimum of
+  /// d(s, h) + d(h, t) over the hubs h the two labels share, bitwise the
+  /// same whichever endpoint is pinned. Thread-safe: the only state it
+  /// writes is the calling thread's pin.
   double Query(NodeId s, NodeId t) const;
-
-  // One-to-many protocol: PinSource spreads s's label into \p scratch
-  // (>= num_ranks() doubles, all +infinity), QueryPinned answers targets
-  // with results identical to Query(s, t), UnpinSource restores the
-  // all-infinity invariant. The scratch is caller-owned so batched callers
-  // can keep one per thread.
-  size_t num_ranks() const { return num_nodes_; }
-  void PinSource(NodeId s, double* scratch) const;
-  double QueryPinned(const double* scratch, NodeId t) const;
-  void UnpinSource(NodeId s, double* scratch) const;
 
   // Arena section views for serialization (roadnet/snapshot.cc). The rank
   // and distance planes include the per-node sentinels.
@@ -73,6 +70,8 @@ class HubLabeling {
 
  private:
   HubLabeling() = default;
+
+  static uint64_t NextId();
 
   // Node-major label arena: node v's run is [offsets[v], sentinel), with
   // ranks ascending per run and dists[k] the matching distance. The vectors
@@ -87,6 +86,10 @@ class HubLabeling {
   std::shared_ptr<const void> payload_;  ///< keeps borrowed sections alive
   size_t total_entries_ = 0;             ///< real entries (sentinels excluded)
   size_t num_nodes_ = 0;
+  /// Process-unique, never reused: a thread's pin names the labeling it was
+  /// taken in by id, since a labeling rebuilt at a freed one's address
+  /// holds other labels.
+  uint64_t id_ = NextId();
 };
 
 }  // namespace structride

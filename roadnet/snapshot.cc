@@ -504,10 +504,14 @@ bool LoadGraphSnapshot(const std::string& path,
         reinterpret_cast<const int32_t*>(sections[kHlRanks].data), plane);
     Span<const double> hl_dists(
         reinterpret_cast<const double*>(sections[kHlDists].data), plane);
-    // Memory-safety boundary: the merge join walks each run to its
-    // sentinel, and PinSource writes scratch[rank]. Every run start must be
-    // in range, every rank in [0, n) or the sentinel, ranks ascending per
-    // run, and the plane must end on a sentinel so no walk escapes it.
+    // Memory-safety boundary: every hub-label query walk (pin, unpin,
+    // gather) starts at a run start and stops on the next sentinel, and
+    // indexes the n-entry scratch by each rank before it. So every run start
+    // must be in range, every rank in [0, n) or the sentinel, and the plane
+    // must end on a sentinel so no walk escapes it. Runs need not be
+    // contiguous or in node order: no walk reads a run's length from the
+    // next offset. Ranks must also ascend per run, as the builder writes
+    // them, so a label holds each hub once.
     if (plane == 0 || hl_ranks[plane - 1] != HubLabeling::kSentinelRank) {
       *error = path + ": hub-label plane does not end on a sentinel";
       return false;

@@ -28,11 +28,6 @@ inline uint64_t ShardHash(uint64_t key) {
   return (key * 0x9e3779b97f4a7c15ull) >> 32;
 }
 
-// Per-thread rank-indexed scratch for pinned hub-label sources. Invariant:
-// every element is +infinity between CostMany calls (UnpinSource restores
-// it), so a fresh pin only writes the source's own label ranks.
-thread_local std::vector<double> tls_hl_scratch;
-
 }  // namespace
 
 LandmarkTable::LandmarkTable(const RoadNetwork& net) {
@@ -170,52 +165,7 @@ double TravelCostEngine::Cost(NodeId s, NodeId t) const {
 
 void TravelCostEngine::CostMany(NodeId source, Span<const NodeId> targets,
                                 double* out) const {
-  // Pinned-source fast path only when hub labels are the selected backend
-  // (a bundle may carry a prebuilt HL next to a CH engine; accounting must
-  // match the configured backend).
-  const HubLabeling* hl =
-      options_.backend == TravelCostOptions::Backend::kHubLabeling ? Hl()
-                                                                   : nullptr;
-  bool pinned = false;
-  double* scratch = nullptr;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const NodeId t = targets[i];
-    if (t == source) {
-      self_lookups_.fetch_add(1, std::memory_order_relaxed);
-      out[i] = 0;
-      continue;
-    }
-    const uint64_t key = PairKey(source, t);
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.lookups;
-    if (const double* hit = shard.lru.Find(key)) {
-      out[i] = *hit;
-      continue;
-    }
-    double cost;
-    if (hl != nullptr) {
-      if (!pinned) {
-        // First miss: pin the source's label once. Lazy so an all-hits batch
-        // never touches the scratch. Pinning under the shard lock is safe —
-        // it only reads the immutable label buffer and writes this thread's
-        // scratch.
-        if (tls_hl_scratch.size() < hl->num_ranks()) {
-          tls_hl_scratch.resize(hl->num_ranks(), kInf);
-        }
-        scratch = tls_hl_scratch.data();
-        hl->PinSource(source, scratch);
-        pinned = true;
-      }
-      cost = hl->QueryPinned(scratch, t);
-    } else {
-      cost = BackendCost(source, t);
-    }
-    shard.lru.Insert(key, cost);
-    ++shard.queries;
-    out[i] = cost;
-  }
-  if (pinned) hl->UnpinSource(source, scratch);
+  for (size_t i = 0; i < targets.size(); ++i) out[i] = Cost(source, targets[i]);
 }
 
 uint64_t TravelCostEngine::OwnQueries() const {

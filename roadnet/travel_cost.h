@@ -16,10 +16,9 @@
 //    second finds a hit, and num_queries() is identical at 1 and N threads
 //    (as long as the working set fits the capacity — eviction order, and
 //    hence re-misses, are the one thing access interleaving can change).
-//  - CostMany(s, targets) is per-target equivalent to Cost(s, t): the same
-//    hits, the same misses, the same counts, in the same order — it only
-//    pins the source's hub label once so the batch pays the source-side
-//    label walk a single time instead of per pair.
+//  - CostMany(s, targets) is Cost(s, t) per target, in order. Its misses
+//    share an endpoint, so the hub-label query keeps s pinned across them
+//    and each pays one target-label walk.
 //
 // Two free lower bounds sit beside the exact costs: the straight-line
 // distance (LowerBound) and the landmark bound (LandmarkLowerBound), read
@@ -130,12 +129,8 @@ class TravelCostEngine {
   /// Shortest-path travel cost between two nodes. Thread-safe.
   double Cost(NodeId s, NodeId t) const;
 
-  /// Batched one-to-many costs: out[i] = Cost(source, targets[i]), with
-  /// identical cache fills, query counts and lookup counts as issuing the
-  /// point-to-point calls in order. With the hub-label backend the source's
-  /// label is pinned once into a per-thread rank-indexed scratch, so each
-  /// miss costs one target-label walk instead of a full merge join.
-  /// Thread-safe.
+  /// One-to-many costs: out[i] = Cost(source, targets[i]), in order, with
+  /// the same cache fills and counts. Thread-safe.
   void CostMany(NodeId source, Span<const NodeId> targets, double* out) const;
 
   /// Admissible lower bound (straight-line distance); free, never counted.

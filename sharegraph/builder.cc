@@ -122,10 +122,10 @@ void ShareGraphBuilder::AddRequests(Span<const Request> batch) {
     // accept, so its leading rider makes its own pickup and the first exact
     // walk prices the leg to the other pickup before any other deadline can
     // fail — the (a.source, b.source) cost is queried for every survivor
-    // regardless of which order wins. Fetching those legs one-to-many pins
-    // a's source label once; CostMany's per-target cache fill/count keeps
-    // the query set — and hence sp_queries — identical to the
-    // point-to-point path.
+    // regardless of which order wins. Fetching those legs back to back
+    // keeps a's source pinned in the hub-label query across their misses,
+    // and they are lookups the exact walks make anyway, so the query set —
+    // and hence sp_queries — is unchanged.
     if (num_survivors > 1) {
       NodeId* pickups = pass.AllocateArray<NodeId>(num_survivors);
       double* warmed = pass.AllocateArray<double>(num_survivors);

@@ -53,10 +53,10 @@ class ShareGraphBuilder {
   /// free screens (a pair they reject counts in pruned_pairs()) before its
   /// exact check, which walks only the joint orders the screens kept.
   /// Edges land in the canonical (insertion-order) sequence. Each new
-  /// request's pickup-to-pickup legs are prefetched through
+  /// request's pickup-to-pickup legs are prefetched back to back through
   /// TravelCostEngine::CostMany (one source, all partners that survived the
-  /// screens), which pins the source's hub label once without changing the
-  /// query set (DESIGN.md §5).
+  /// screens), so the hub-label query keeps the source pinned across their
+  /// misses; the query set is unchanged (DESIGN.md §5).
   void AddRequests(Span<const Request> batch);
 
   /// Removes one request: its node and edges leave the graph in O(degree)

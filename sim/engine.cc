@@ -490,8 +490,9 @@ RunMetrics SimulationEngine::EventRun::Execute() {
   installing_ = false;
 
   // Schedule every release. Stable sort on (possibly retimed) release times
-  // keeps equal-time requests in stored order, and the queue's FIFO tie
-  // break preserves it, so pending pools list requests in release order.
+  // keeps equal-time requests in stored order, and the queue serves them in
+  // that order from a cursor beside its heap, so pending pools list
+  // requests in release order and no release is ever heaped.
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -503,10 +504,14 @@ RunMetrics SimulationEngine::EventRun::Execute() {
     // the pre-scheduled queue — the stream leaves the EventQueue entirely.
     SetupServiceMode(order);
   } else {
+    std::vector<Event> releases;
+    releases.reserve(n);
     for (size_t idx : order) {
-      queue_.Push({requests_[idx].release_time, EventType::kRequestRelease,
-                   static_cast<int64_t>(idx), 0});
+      releases.push_back({requests_[idx].release_time,
+                          EventType::kRequestRelease,
+                          static_cast<int64_t>(idx), 0});
     }
+    queue_.PushSorted(std::move(releases));
   }
 
   // Batch ticks accumulate as `tick += period`, so tick timestamps are the

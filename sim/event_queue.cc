@@ -17,13 +17,33 @@ void EventQueue::Push(const Event& event) {
   SiftUp(heap_.size() - 1);
 }
 
+void EventQueue::PushSorted(std::vector<Event> events) {
+  SR_CHECK(cursor_ == sorted_.size());
+  for (size_t k = 1; k < events.size(); ++k) {
+    const Event& a = events[k - 1];
+    const Event& b = events[k];
+    SR_CHECK(a.time < b.time || (a.time == b.time && a.type <= b.type));
+  }
+  sorted_ = std::move(events);
+  cursor_ = 0;
+  sorted_seq_ = next_seq_;
+  next_seq_ += sorted_.size();
+}
+
+bool EventQueue::SortedFirst() const {
+  if (cursor_ == sorted_.size()) return false;
+  return heap_.empty() ||
+         Before({sorted_[cursor_], sorted_seq_ + cursor_}, heap_.front());
+}
+
 const Event& EventQueue::Top() const {
-  SR_CHECK(!heap_.empty());
-  return heap_.front().event;
+  SR_CHECK(!empty());
+  return SortedFirst() ? sorted_[cursor_] : heap_.front().event;
 }
 
 Event EventQueue::Pop() {
-  SR_CHECK(!heap_.empty());
+  SR_CHECK(!empty());
+  if (SortedFirst()) return sorted_[cursor_++];
   Event out = heap_.front().event;
   heap_.front() = heap_.back();
   heap_.pop_back();
@@ -33,6 +53,8 @@ Event EventQueue::Pop() {
 
 void EventQueue::Clear() {
   heap_.clear();
+  sorted_.clear();
+  cursor_ = 0;
   next_seq_ = 0;
 }
 

@@ -1,7 +1,9 @@
 // The continuous-time event substrate of the simulation core: typed events
-// ordered by a binary heap. The type ordering at equal timestamps is load-
-// bearing — it fixes which of two same-time events a batch round observes
-// (DESIGN.md §6; EventQueueTest.PopsTimeThenTypeThenFifo pins it):
+// ordered by a binary heap, beside which one run of already-sorted events
+// (a replay's releases) is served through a cursor. The type ordering at
+// equal timestamps is load-bearing — it fixes which of two same-time events
+// a batch round observes (DESIGN.md §6;
+// EventQueueTest.PopsTimeThenTypeThenFifo pins it):
 //
 //   scenario events            fire FIRST at their timestamp, so a state
 //       change at time T (dispatch-mode switch, downtime) already covers
@@ -59,12 +61,18 @@ struct Event {
 class EventQueue {
  public:
   void Push(const Event& event);
+  /// Queues \p events, already in pop order ((time, type) ascending), as if
+  /// each were Pushed in turn, but never heaps them: a cursor serves the run
+  /// and each pop compares its next event with the heap's top, so the pops
+  /// are the same and the heap holds only the other events. SR_CHECK-fails
+  /// when \p events is out of order or a previous run is still pending.
+  void PushSorted(std::vector<Event> events);
   /// SR_CHECK-fails when empty.
   const Event& Top() const;
   Event Pop();
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty() && cursor_ == sorted_.size(); }
+  size_t size() const { return heap_.size() + (sorted_.size() - cursor_); }
   void Clear();
 
  private:
@@ -73,10 +81,16 @@ class EventQueue {
     uint64_t seq = 0;
   };
   static bool Before(const Entry& x, const Entry& y);
+  /// The sorted run's next event pops before the heap's top.
+  bool SortedFirst() const;
   void SiftUp(size_t i);
   void SiftDown(size_t i);
 
   std::vector<Entry> heap_;
+  /// The sorted run; sorted_[k] carries insertion order sorted_seq_ + k.
+  std::vector<Event> sorted_;
+  size_t cursor_ = 0;  ///< sorted_[cursor_] is the run's next event
+  uint64_t sorted_seq_ = 0;
   uint64_t next_seq_ = 0;
 };
 

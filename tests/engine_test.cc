@@ -451,6 +451,54 @@ TEST(ScenarioEdgeTest, OnlineModeWithEmptyWorkloadTerminates) {
   EXPECT_EQ(m.sharegraph_pair_checks, 0u);
 }
 
+// A sorted run served beside the heap pops exactly like the all-heap queue
+// that Pushed the same events at the same point, with pushes before the
+// run, and pushes and pops after it, tying in time across every type.
+TEST(EventQueueTest, SortedRunPopsLikeTheAllHeapQueue) {
+  Rng rng(4711);
+  for (int trial = 0; trial < 100; ++trial) {
+    EventQueue merged, heaped;
+    int64_t next = 0;
+    auto random_event = [&] {
+      Event e;
+      e.time = static_cast<double>(rng.UniformInt(0, 4));
+      e.type = static_cast<EventType>(rng.UniformInt(0, 6));
+      e.a = next++;
+      return e;
+    };
+    auto push_both = [&](const Event& e) {
+      merged.Push(e);
+      heaped.Push(e);
+    };
+    for (int64_t i = rng.UniformInt(0, 8); i > 0; --i) {
+      push_both(random_event());
+    }
+    std::vector<Event> run(static_cast<size_t>(rng.UniformInt(0, 120)));
+    for (Event& e : run) e = random_event();
+    std::stable_sort(run.begin(), run.end(),
+                     [](const Event& x, const Event& y) {
+                       if (x.time != y.time) return x.time < y.time;
+                       return x.type < y.type;
+                     });
+    for (const Event& e : run) heaped.Push(e);
+    merged.PushSorted(run);
+    while (!heaped.empty()) {
+      ASSERT_EQ(merged.size(), heaped.size());
+      if (next < 300 && rng.Uniform(0, 1) < 0.3) {
+        push_both(random_event());
+        continue;
+      }
+      ASSERT_EQ(merged.Top().a, heaped.Top().a);
+      const Event x = merged.Pop();
+      const Event y = heaped.Pop();
+      ASSERT_EQ(x.a, y.a) << "trial " << trial;
+      ASSERT_EQ(x.time, y.time);
+      ASSERT_EQ(x.type, y.type);
+    }
+    EXPECT_TRUE(merged.empty());
+  }
+}
+
 TEST(EventQueueTest, InterleavedPushPopKeepsHeapOrder) {
   EventQueue q;
   for (int i = 0; i < 50; ++i) {

@@ -150,6 +150,32 @@ TEST(EnvKnobTest, ShardListSkipsBadTokens) {
   EXPECT_EQ(EnvPositiveIntList(kName, "1,4"), (std::vector<int>{1, 4}));
 }
 
+// The double knobs take only finite numbers: strtod parses "inf", "nan"
+// and an overflowing "1e999" (as +inf), and each keeps the default.
+TEST(EnvKnobTest, DoubleKnobsRejectNonFiniteValues) {
+  for (const char* bad : {"inf", "-inf", "nan", "1e999", "INFINITY"}) {
+    SCOPED_TRACE(bad);
+    {
+      ScopedEnv env("STRUCTRIDE_SCALE", bad);
+      EXPECT_EQ(BenchScale(), 0.25);
+    }
+    {
+      ScopedEnv env("STRUCTRIDE_QPS", bad);
+      EXPECT_EQ(BenchQps(), 0);
+    }
+    {
+      ScopedEnv env("STRUCTRIDE_SLO_P99_MS", bad);
+      EXPECT_EQ(BenchSloP99Ms(), 250);
+    }
+  }
+  ScopedEnv scale("STRUCTRIDE_SCALE", "0.05");
+  EXPECT_EQ(BenchScale(), 0.05);
+  ScopedEnv qps("STRUCTRIDE_QPS", "1500");
+  EXPECT_EQ(BenchQps(), 1500);
+  ScopedEnv slo("STRUCTRIDE_SLO_P99_MS", "1e3");
+  EXPECT_EQ(BenchSloP99Ms(), 1000);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace structride

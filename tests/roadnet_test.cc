@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <list>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -21,6 +24,7 @@
 #include "roadnet/hub_labeling.h"
 #include "roadnet/importer.h"
 #include "roadnet/travel_cost.h"
+#include "sim/datasets.h"
 #include "util/random.h"
 
 namespace structride {
@@ -428,6 +432,222 @@ TEST(RoadnetTest, CostManyMatchesRepeatedCost) {
     batch.CostMany(source, {targets.data(), targets.size()}, got.data());
     EXPECT_EQ(batch.num_queries(), seq.num_queries());
     EXPECT_EQ(batch.num_lookups(), seq.num_lookups());
+  }
+}
+
+// Reference hub-label query: the two-pointer merge join over two
+// sentinel-terminated runs of the labeling's own planes.
+double MergeJoinQuery(const HubLabeling& hl, NodeId s, NodeId t) {
+  if (s == t) return 0;
+  const Span<const int32_t> ranks = hl.rank_plane();
+  const Span<const double> dists = hl.dist_plane();
+  size_t i = hl.label_offsets()[static_cast<size_t>(s)];
+  size_t j = hl.label_offsets()[static_cast<size_t>(t)];
+  double best = std::numeric_limits<double>::infinity();
+  while (ranks[i] != HubLabeling::kSentinelRank &&
+         ranks[j] != HubLabeling::kSentinelRank) {
+    if (ranks[i] == ranks[j]) {
+      const double d = dists[i] + dists[j];
+      if (d < best) best = d;
+      ++i;
+      ++j;
+    } else if (ranks[i] < ranks[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return best;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Every ordered pair of a network, in three orders that reach the query's
+// three cases: row-major (the source stays pinned), column-major (the target
+// stays pinned) and shuffled (mostly neither).
+std::vector<std::pair<NodeId, NodeId>> AllPairsThreeWays(size_t n,
+                                                         uint64_t seed) {
+  std::vector<std::pair<NodeId, NodeId>> row, out;
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t t = 0; t < n; ++t) {
+      row.emplace_back(static_cast<NodeId>(s), static_cast<NodeId>(t));
+    }
+  }
+  out = row;
+  for (const auto& [s, t] : row) out.emplace_back(t, s);
+  Rng rng(seed);
+  for (size_t i = row.size(); i > 1; --i) {
+    std::swap(row[i - 1],
+              row[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+  }
+  out.insert(out.end(), row.begin(), row.end());
+  return out;
+}
+
+// Counts the pairs on which Query and the reference differ in any bit.
+uint64_t QueryMismatches(const HubLabeling& hl,
+                         const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  uint64_t mismatches = 0;
+  for (const auto& [s, t] : pairs) {
+    mismatches += Bits(hl.Query(s, t)) != Bits(MergeJoinQuery(hl, s, t));
+  }
+  return mismatches;
+}
+
+RoadNetwork TestGrid(int rows, int cols, uint64_t seed,
+                     double diagonal = CityOptions().diagonal_prob) {
+  CityOptions opt;
+  opt.rows = rows;
+  opt.cols = cols;
+  opt.seed = seed;
+  opt.diagonal_prob = diagonal;
+  return GenerateGridCity(opt);
+}
+
+RoadNetwork DimacsFixture() {
+  const std::string dir = STRUCTRIDE_TEST_DATA_DIR;
+  RoadNetwork net;
+  ImportStats stats;
+  std::string error;
+  EXPECT_TRUE(ImportDimacs(dir + "/mini.gr", dir + "/mini.co", {}, &net,
+                           &stats, &error))
+      << error;
+  return net;
+}
+
+// The grids of the tests above, the DIMACS fixture and the two islands.
+std::vector<RoadNetwork> QueryTestNetworks() {
+  std::vector<RoadNetwork> nets;
+  nets.push_back(TestGrid(9, 9, 13));
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    nets.push_back(TestGrid(7, 8, seed, 0.3));
+    nets.push_back(TestGrid(15, 15, seed));
+  }
+  nets.push_back(DimacsFixture());
+  nets.push_back(TwoIslands());
+  return nets;
+}
+
+// Query equals the merge join bitwise on every ordered pair, whichever
+// endpoint the thread has pinned; across the two islands both are +inf.
+TEST(HubLabelQueryTest, MatchesMergeJoinOnEveryPair) {
+  for (const RoadNetwork& net : QueryTestNetworks()) {
+    SCOPED_TRACE(std::to_string(net.num_nodes()) + " nodes");
+    HubLabeling hl(net);
+    EXPECT_EQ(QueryMismatches(hl, AllPairsThreeWays(net.num_nodes(), 5)),
+              0u);
+  }
+  RoadNetwork islands = TwoIslands();
+  HubLabeling hl(islands);
+  EXPECT_EQ(hl.Query(1, 6), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(hl.Query(6, 1), std::numeric_limits<double>::infinity());
+}
+
+// One thread alternating between two labelings query by query: each switch
+// must drop the other labeling's pinned node.
+TEST(HubLabelQueryTest, InterleavedLabelingsOnOneThread) {
+  const RoadNetwork a = TestGrid(9, 9, 13);
+  const RoadNetwork b = TestGrid(7, 8, 21, 0.3);
+  const HubLabeling hla(a), hlb(b);
+  const auto pa = AllPairsThreeWays(a.num_nodes(), 7);
+  const auto pb = AllPairsThreeWays(b.num_nodes(), 8);
+  uint64_t mismatches = 0;
+  for (size_t i = 0; i < std::max(pa.size(), pb.size()); ++i) {
+    const auto [s, t] = pa[i % pa.size()];
+    const auto [u, v] = pb[i % pb.size()];
+    mismatches += Bits(hla.Query(s, t)) != Bits(MergeJoinQuery(hla, s, t));
+    mismatches += Bits(hlb.Query(u, v)) != Bits(MergeJoinQuery(hlb, u, v));
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// Labelings of same-sized graphs destroyed and rebuilt in a loop, likely at
+// one address: a node pinned in a dead labeling must never answer for the
+// next one.
+TEST(HubLabelQueryTest, RebuiltLabelingsNeverReuseAPin) {
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const RoadNetwork net =
+        TestGrid(9, 9, 100 + static_cast<uint64_t>(round % 3), 0.3);
+    auto hl = std::make_unique<HubLabeling>(net);
+    // Node 0 ends the previous round pinned; ask for it first.
+    uint64_t mismatches = 0;
+    for (NodeId t = 1; t < 81; ++t) {
+      mismatches += Bits(hl->Query(0, t)) != Bits(MergeJoinQuery(*hl, 0, t));
+    }
+    mismatches +=
+        QueryMismatches(*hl, AllPairsThreeWays(net.num_nodes(), round));
+    // Whatever is pinned now, these two leave node 0 pinned.
+    for (NodeId t : {1, 2}) {
+      mismatches += Bits(hl->Query(0, t)) != Bits(MergeJoinQuery(*hl, 0, t));
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+// Four threads sharing one labeling, each pinning its own nodes.
+TEST(HubLabelQueryTest, ThreadsSharingOneLabeling) {
+  const RoadNetwork net = TestGrid(15, 15, 22);
+  const HubLabeling hl(net);
+  constexpr int kThreads = 4;
+  std::vector<uint64_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      mismatches[static_cast<size_t>(i)] = QueryMismatches(
+          hl, AllPairsThreeWays(net.num_nodes(), static_cast<uint64_t>(i)));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(i)], 0u) << "thread " << i;
+  }
+}
+
+uint64_t Fnv1a(const void* data, size_t bytes) {
+  uint64_t h = 14695981039346656037ull;
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename T>
+uint64_t PlaneDigest(Span<const T> plane) {
+  return Fnv1a(plane.data(), plane.size() * sizeof(T));
+}
+
+// The label build's pruning decisions fix every entry, so a change to how
+// the pruning test is evaluated must leave the three planes bitwise as the
+// merge-join build wrote them (digests recorded from that build).
+TEST(HubLabelBuildTest, PresetCityPlanesAreStable) {
+  struct Expected {
+    const char* dataset;
+    uint64_t offsets, ranks, dists;
+  };
+  const Expected kExpected[] = {
+      {"NYC", 17104210933309781827ull, 13439657207384887638ull,
+       4291120643801403945ull},
+      {"CHD", 6876608973322941270ull, 52537419508794266ull,
+       5535511137479740076ull},
+      {"Cainiao", 9519330121720819649ull, 3181503309346139743ull,
+       1755033022188224817ull},
+  };
+  for (const Expected& e : kExpected) {
+    SCOPED_TRACE(e.dataset);
+    const RoadNetwork net =
+        GenerateGridCity(DatasetByName(e.dataset, 1.0).city);
+    const HubLabeling hl(net);
+    EXPECT_EQ(PlaneDigest(hl.label_offsets()), e.offsets);
+    EXPECT_EQ(PlaneDigest(hl.rank_plane()), e.ranks);
+    EXPECT_EQ(PlaneDigest(hl.dist_plane()), e.dists);
   }
 }
 

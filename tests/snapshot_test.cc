@@ -377,7 +377,7 @@ TEST_F(SnapshotAdversarialTest, CorruptCsrContents) {
 }
 
 TEST_F(SnapshotAdversarialTest, CorruptHubLabelRanks) {
-  // A rank >= n would index past the pinned-source scratch; the loader must
+  // A rank >= n would index past the query's pin scratch; the loader must
   // catch it during validation.
   std::string bytes = bytes_;
   uint64_t ranks_off = SectionOffset(bytes, /*hl_ranks=*/5);
@@ -386,13 +386,48 @@ TEST_F(SnapshotAdversarialTest, CorruptHubLabelRanks) {
   std::memcpy(&bytes[ranks_off], &evil, sizeof(evil));
   ExpectRejectedPastChecksum(bytes, "rank plane malformed");
 
-  // A missing final sentinel would let the merge join run off the plane.
+  // A missing final sentinel would let a query walk run off the plane.
   uint64_t ranks_size = 0;
   bytes = bytes_;
   SectionOffset(bytes, 5, &ranks_size);
   int32_t zero = 0;
   std::memcpy(&bytes[ranks_off + ranks_size - 4], &zero, sizeof(zero));
   ExpectRejectedPastChecksum(bytes, "sentinel");
+}
+
+// Runs need not be contiguous or in node order: every query walk stops on
+// its own run's sentinel. Swapping two nodes' run starts loads, and the
+// loaded labels answer bitwise as the built ones with the two nodes'
+// labels swapped.
+TEST_F(SnapshotAdversarialTest, SwappedHubLabelRunsLoadAndStayInBounds) {
+  std::string bytes = bytes_;
+  const uint64_t offs_off = SectionOffset(bytes, /*hl_offsets=*/4);
+  ASSERT_NE(offs_off, 0u);
+  uint32_t run0, run1;
+  std::memcpy(&run0, &bytes[offs_off], sizeof(run0));
+  std::memcpy(&run1, &bytes[offs_off + 4], sizeof(run1));
+  std::memcpy(&bytes[offs_off], &run1, sizeof(run1));
+  std::memcpy(&bytes[offs_off + 4], &run0, sizeof(run0));
+  Spit(path_, bytes);
+  std::string error;
+  ASSERT_TRUE(RewriteSnapshotChecksum(path_, &error)) << error;
+  GraphBundle loaded;
+  ASSERT_TRUE(LoadGraphSnapshot(path_, {}, &loaded, &error)) << error;
+  ASSERT_NE(loaded.hub_labels, nullptr);
+
+  const RoadNetwork net = MakeGrid();
+  const HubLabeling built(net);
+  auto swap01 = [](NodeId v) -> NodeId { return v < 2 ? 1 - v : v; };
+  const NodeId n = static_cast<NodeId>(net.num_nodes());
+  uint64_t mismatches = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      const double got = loaded.hub_labels->Query(s, t);
+      const double want = s == t ? 0 : built.Query(swap01(s), swap01(t));
+      mismatches += std::memcmp(&got, &want, sizeof(got)) != 0;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST_F(SnapshotAdversarialTest, SectionTableDoesNotFit) {
